@@ -53,8 +53,8 @@ from .stats import (
     bootstrap_ci,
     bootstrap_diff,
     common_agreement,
-    compute_measure,
     contingency,
+    metric_bundle,
     roc_curve,
 )
 
@@ -404,6 +404,9 @@ REPORT_FIELDS = {
 }
 
 
+SCORE_COLUMNS = ("record_id", "label", "score")
+
+
 def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
     """scored[treatment][set]; requires all four treatments present."""
     missing = [key for key in TREATMENT_KEYS if not (run_dir / key / "scores_combined.csv").exists()]
@@ -419,7 +422,11 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
             scores: list[float] = []
             rids: list[str] = []
             with open(path, newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
+                reader = csv.DictReader(fh)
+                missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
+                for row in reader:
                     rids.append(row["record_id"])
                     labels.append(int(row["label"]))
                     scores.append(float(row["score"]))
@@ -430,13 +437,6 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
                 raise ValueError(f"record order in {path} differs across treatments")
             ids[set_name] = rids
     return scored
-
-
-def _point_or_none(measure: str, scored: ScoredSet) -> float | None:
-    try:
-        return compute_measure(measure, scored)
-    except UndefinedMetricError:
-        return None
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -460,10 +460,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         points[set_name] = {}
         boots[set_name] = {}
         diffs[set_name] = {}
+        bundles = {
+            key: metric_bundle(scored[key][set_name].labels, scored[key][set_name].scores)
+            for key in TREATMENT_KEYS
+        }
+        conf[set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
         for measure in REPORT_MEASURES:
-            points[set_name][measure] = {
-                key: _point_or_none(measure, scored[key][set_name]) for key in TREATMENT_KEYS
-            }
+            points[set_name][measure] = {key: bundles[key][1][measure] for key in TREATMENT_KEYS}
             boots[set_name][measure] = {}
             for key in TREATMENT_KEYS:
                 if points[set_name][measure][key] is None:
@@ -515,14 +518,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                         out_dir / f"dist_{set_name}_{measure}_{key}_minus_{fed}.csv", samples
                     )
 
-        conf[set_name] = {}
-        for key in TREATMENT_KEYS:
-            s = scored[key][set_name]
-            tn = int(np.sum((s.labels == 0) & (s.predictions == 0)))
-            fp = int(np.sum((s.labels == 0) & (s.predictions == 1)))
-            fn = int(np.sum((s.labels == 1) & (s.predictions == 0)))
-            tp = int(np.sum((s.labels == 1) & (s.predictions == 1)))
-            conf[set_name][key] = {"tn": tn, "fp": fp, "fn": fn, "tp": tp}
         conting[set_name] = {}
         fed_correct = scored[fed][set_name].predictions == scored[fed][set_name].labels
         for key in others:

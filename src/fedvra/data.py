@@ -460,8 +460,14 @@ def save_split_plan(path, plan: SplitPlan) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+SPLIT_PLAN_KEYS = ("institution_of_ward", "test_ids", "fold_of_record", "dropped_ids")
+
+
 def load_split_plan(path) -> SplitPlan:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    missing = [key for key in SPLIT_PLAN_KEYS if key not in data]
+    if missing:
+        raise ValueError(f"split plan {path} is missing key(s): {', '.join(missing)}")
     return SplitPlan(
         institution_of_ward=data["institution_of_ward"],
         test_ids=tuple(data["test_ids"]),

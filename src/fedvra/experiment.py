@@ -24,14 +24,12 @@ from itertools import product
 import numpy as np
 
 from .data import AdmissionRecord, SplitPlan, features_matrix
-from .errors import UndefinedMetricError
 from .federated import (
     RoundLog,
     Silo,
     federated_train,
     federated_validate,
     resolve_pos_weight,
-    threshold_and_rank_metrics,
     train_for_epochs,
 )
 from .network import (
@@ -47,7 +45,7 @@ from .network import (
     sigmoid,
 )
 from .seeds import derive_seed, make_rng
-from .stats import THRESHOLD, Confusion, confusion, pr_auc, prf1, roc_auc
+from .stats import THRESHOLD, Confusion, confusion, metric_bundle, prf1
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 256, 512)
 DEFAULT_LEARNING_RATES = (0.005, 0.001, 0.0005)
@@ -371,29 +369,16 @@ def test_sets_from_plan(
 
 
 def _evaluate_set(params: ModelParams, ts: TestSet) -> SetEvaluation:
-    scores = sigmoid(forward_batch(params, ts.features)) if len(ts) else np.zeros(0)
-    preds = (scores >= THRESHOLD).astype(np.int64)
-    labels = ts.labels.astype(np.int64)
-    conf = confusion(labels, preds)
-    precision, recall, f1 = prf1(conf)
-    try:
-        roc = roc_auc(labels, scores)
-        pr = pr_auc(labels, scores)
-    except UndefinedMetricError:
-        roc = None
-        pr = None
+    scores = sigmoid(forward_batch(params, ts.features))
+    conf, metrics = metric_bundle(ts.labels, scores)
     return SetEvaluation(
         test_set=ts.name,
         record_ids=ts.record_ids,
-        labels=labels,
+        labels=ts.labels.astype(np.int64),
         scores=scores,
-        predictions=preds,
+        predictions=(scores >= THRESHOLD).astype(np.int64),
         confusion=conf,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        roc_auc=roc,
-        pr_auc=pr,
+        **metrics,
     )
 
 
@@ -469,7 +454,7 @@ def train_centralized(
                 lr=lr,
                 train_losses={name: train_loss},
                 val_loss=val_loss,
-                metrics=threshold_and_rank_metrics(vy, val_scores),
+                metrics=metric_bundle(vy, val_scores)[1],
             )
         )
         if val_loss < best_loss:

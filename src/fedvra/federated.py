@@ -6,7 +6,12 @@ from the shared model, the server averages the updated parameter sets
 model on the concatenated validation sets, and early-stops on that
 validation loss.
 
-Privacy boundary: the orchestration functions (federated_train,
+Both trainers run the same round loop (_rounds): federated_train adds
+validation and early stopping on top, train_for_epochs runs a fixed
+number of rounds. With a single silo a round is one epoch of plain
+training.
+
+Privacy boundary: the orchestration functions (_rounds, federated_train,
 train_for_epochs, federated_validate) touch silos only through
 local_train_epoch, local_validate, and the aggregate counters
 (name, n_train, label_counts). Raw features and labels never cross
@@ -23,14 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, UndefinedMetricError
+from .errors import NumericalError
 from .network import (
     Batch,
     ModelParams,
     TrainConfig,
     average_models,
     backward,
-    batch_loss,
     forward_batch,
     init_model,
     loss_from_logits,
@@ -39,7 +43,7 @@ from .network import (
     sigmoid,
 )
 from .seeds import derive_seed, make_rng
-from .stats import confusion, pr_auc, prf1, roc_auc
+from .stats import metric_bundle
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,20 +156,6 @@ def local_validate(model: ModelParams, silo: Silo) -> tuple[np.ndarray, np.ndarr
     return forward_batch(model, silo.val_features), silo.val_labels
 
 
-def threshold_and_rank_metrics(labels: np.ndarray, scores: np.ndarray) -> dict[str, float | None]:
-    """F1/precision/recall at 0.5 plus AUCs, None where undefined."""
-    preds = (scores >= 0.5).astype(np.int64)
-    precision, recall, f1 = prf1(confusion(labels.astype(np.int64), preds))
-    out: dict[str, float | None] = {"f1": f1, "precision": precision, "recall": recall}
-    try:
-        out["roc_auc"] = roc_auc(labels, scores)
-        out["pr_auc"] = pr_auc(labels, scores)
-    except UndefinedMetricError:
-        out["roc_auc"] = None
-        out["pr_auc"] = None
-    return out
-
-
 def federated_validate(
     model: ModelParams, silos: list[Silo], pos_weight: float
 ) -> tuple[float, dict[str, float | None], np.ndarray, np.ndarray]:
@@ -187,7 +177,7 @@ def federated_validate(
     labels = np.concatenate(label_parts)
     loss = loss_from_logits(logits, labels, pos_weight)
     scores = sigmoid(logits)
-    return loss, threshold_and_rank_metrics(labels, scores), scores, labels
+    return loss, metric_bundle(labels, scores)[1], scores, labels
 
 
 def resolve_pos_weight(config: TrainConfig, silos: list[Silo]) -> float:
@@ -205,10 +195,46 @@ def resolve_pos_weight(config: TrainConfig, silos: list[Silo]) -> float:
     return neg / pos
 
 
-def _aggregation_weights(silos: list[Silo], uniform_weights: bool) -> list[float]:
-    if uniform_weights:
-        return [1.0] * len(silos)
-    return [float(s.n_train) for s in silos]
+def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, uniform_weights: bool):
+    """The FedAvg round loop shared by both trainers.
+
+    Checks the silos and resolves pos_weight and the aggregation weights
+    once. Each round every silo runs one local epoch from the shared
+    model and the server averages the results; the round yields
+    (averaged model, RoundLog without validation, pos_weight).
+    """
+    if not silos:
+        raise ValueError("at least one silo is required")
+    if len({s.name for s in silos}) != len(silos):
+        raise ValueError("silo names must be unique")
+    for silo in silos:
+        if silo.n_train < 1:
+            raise ValueError(f"silo {silo.name!r} has no training data")
+    pos_weight = resolve_pos_weight(config, silos)
+    cfg = replace(config, pos_weight=pos_weight)
+    weights = [1.0] * len(silos) if uniform_weights else [float(s.n_train) for s in silos]
+
+    model = init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
+    for epoch in range(max_epochs):
+        updated = [local_train_epoch(model, silo, cfg, epoch) for silo in silos]
+        model = average_models(updated, weights)
+        train_losses = {
+            silo.name: _silo_train_loss(local_model, silo, pos_weight)
+            for silo, local_model in zip(silos, updated)
+        }
+        log = RoundLog(
+            epoch=epoch,
+            lr=lr_at_epoch(cfg.lr0, cfg.gamma, epoch),
+            train_losses=train_losses,
+            val_loss=None,
+            metrics=None,
+        )
+        yield model, log, pos_weight
+
+
+def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float) -> float:
+    """Silo-side: loss of its own updated model over its training shard."""
+    return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
 
 
 def federated_train(
@@ -220,39 +246,14 @@ def federated_train(
     per-epoch logs. With a single silo this reduces exactly to plain
     centralized training.
     """
-    if not silos:
-        raise ValueError("at least one silo is required")
-    if len({s.name for s in silos}) != len(silos):
-        raise ValueError("silo names must be unique")
     for silo in silos:
-        if silo.n_train < 1:
-            raise ValueError(f"silo {silo.name!r} has no training data")
         if silo.n_val < 1:
             raise ValueError(f"silo {silo.name!r} has no validation data")
-    pos_weight = resolve_pos_weight(config, silos)
-    cfg = replace(config, pos_weight=pos_weight)
-    weights = _aggregation_weights(silos, uniform_weights)
-
-    model = init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
-    state = EarlyStopState(patience=cfg.patience)
+    state = EarlyStopState(patience=config.patience)
     logs: list[RoundLog] = []
-    for epoch in range(cfg.max_epochs):
-        updated = [local_train_epoch(model, silo, cfg, epoch) for silo in silos]
-        model = average_models(updated, weights)
-        train_losses = {
-            silo.name: _silo_train_loss(local_model, silo, pos_weight)
-            for silo, local_model in zip(silos, updated)
-        }
+    for model, log, pos_weight in _rounds(silos, config, config.max_epochs, uniform_weights):
         val_loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
-        logs.append(
-            RoundLog(
-                epoch=epoch,
-                lr=lr_at_epoch(cfg.lr0, cfg.gamma, epoch),
-                train_losses=train_losses,
-                val_loss=val_loss,
-                metrics=metrics,
-            )
-        )
+        logs.append(replace(log, val_loss=val_loss, metrics=metrics))
         state, stop = early_stop_update(state, val_loss, model)
         if stop:
             break
@@ -260,45 +261,15 @@ def federated_train(
     return state.best_params, logs
 
 
-def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float) -> float:
-    """Silo-side: loss of its own updated model over its training shard."""
-    batch = Batch(features=silo.train_features, labels=silo.train_labels)
-    return batch_loss(model, batch, pos_weight)
-
-
 def train_for_epochs(
     silos: list[Silo], config: TrainConfig, n_epochs: int, uniform_weights: bool = False
 ) -> tuple[ModelParams, list[RoundLog]]:
     """Fixed-budget variant: no validation, no early stopping."""
-    if not silos:
-        raise ValueError("at least one silo is required")
     if n_epochs < 1:
         raise ValueError("n_epochs must be at least 1")
-    for silo in silos:
-        if silo.n_train < 1:
-            raise ValueError(f"silo {silo.name!r} has no training data")
-    pos_weight = resolve_pos_weight(config, silos)
-    cfg = replace(config, pos_weight=pos_weight)
-    weights = _aggregation_weights(silos, uniform_weights)
-
-    model = init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
     logs: list[RoundLog] = []
-    for epoch in range(n_epochs):
-        updated = [local_train_epoch(model, silo, cfg, epoch) for silo in silos]
-        model = average_models(updated, weights)
-        train_losses = {
-            silo.name: _silo_train_loss(local_model, silo, pos_weight)
-            for silo, local_model in zip(silos, updated)
-        }
-        logs.append(
-            RoundLog(
-                epoch=epoch,
-                lr=lr_at_epoch(cfg.lr0, cfg.gamma, epoch),
-                train_losses=train_losses,
-                val_loss=None,
-                metrics=None,
-            )
-        )
+    for model, log, _ in _rounds(silos, config, n_epochs, uniform_weights):
+        logs.append(log)
     return model, logs
 
 

@@ -224,6 +224,22 @@ def roc_curve(labels, scores) -> list[tuple[float, float, float]]:
     return points
 
 
+def metric_bundle(labels, scores) -> tuple[Confusion, dict[str, float | None]]:
+    """Confusion at the 0.5 threshold plus F1, precision, recall, ROC-AUC
+    and PR-AUC, in that key order; the AUCs are None when only one class
+    is present."""
+    y = np.asarray(labels, dtype=np.int64)
+    conf = confusion(y, (scores >= THRESHOLD).astype(np.int64))
+    precision, recall, f1 = prf1(conf)
+    metrics: dict[str, float | None] = {"f1": f1, "precision": precision, "recall": recall}
+    try:
+        metrics["roc_auc"] = roc_auc(y, scores)
+        metrics["pr_auc"] = pr_auc(y, scores)
+    except UndefinedMetricError:
+        metrics["roc_auc"] = metrics["pr_auc"] = None
+    return conf, metrics
+
+
 def _measure_from_arrays(name: str, labels: np.ndarray, scores: np.ndarray) -> float:
     if name in ("f1", "precision", "recall", "accuracy"):
         preds = (scores >= THRESHOLD).astype(np.int64)
@@ -242,13 +258,6 @@ def _measure_from_arrays(name: str, labels: np.ndarray, scores: np.ndarray) -> f
 MEASURES = ("f1", "precision", "recall", "accuracy", "roc_auc", "pr_auc")
 # measures that can be undefined on a single-class resample
 _RESAMPLE_SENSITIVE = ("roc_auc", "pr_auc")
-
-
-def compute_measure(name: str, scored: ScoredSet) -> float:
-    """Evaluate a named measure on a scored set."""
-    if name not in MEASURES:
-        raise ValueError(f"unknown measure {name!r}; pick one of {MEASURES}")
-    return _measure_from_arrays(name, scored.labels, scored.scores)
 
 
 _MAX_REDRAW_ROUNDS = 1000

@@ -11,6 +11,7 @@ import time
 from itertools import product
 
 import numpy as np
+import pytest
 
 from fedvra.data import (
     SynthConfig,
@@ -394,6 +395,7 @@ def test_07_roc_auc_pair_counting():
 # ---------- 8: bootstrap coverage of a known accuracy ----------
 
 
+@pytest.mark.slow
 def test_08_bootstrap_coverage():
     master = 1
     truth = 0.8
@@ -433,6 +435,7 @@ def test_08_bootstrap_coverage():
 # ---------- 9: four-treatment directional outcome ----------
 
 
+@pytest.mark.slow
 def test_09_end_to_end_directional():
     start = time.perf_counter()
     seed = 1

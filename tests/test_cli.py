@@ -313,6 +313,21 @@ def test_run_corrupted_plan_exits_3(chain, tmp_path):
     assert err.startswith("error:")
 
 
+def test_run_plan_missing_key_exits_2(chain, tmp_path):
+    plan_data = json.loads(chain["plan"].read_text())
+    del plan_data["dropped_ids"]
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan_data))
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(bad),
+        "--out", str(tmp_path / "x"), "--seed", "9",
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and "dropped_ids" in err
+    assert "Traceback" not in err
+
+
 # ---------- report ----------
 
 
@@ -401,6 +416,21 @@ def test_report_record_order_mismatch_exits_2(chain, tmp_path):
     )
     assert code == 2
     assert "record order" in err
+
+
+def test_report_renamed_score_column_exits_2(chain, tmp_path):
+    mangled = tmp_path / "run"
+    shutil.copytree(chain["run"], mangled)
+    path = mangled / "b" / "scores_A.csv"
+    header, *rest = path.read_text().split("\n")
+    path.write_text("\n".join([header.replace("score", "prob")] + rest))
+    code, _, err = run_cli(
+        "report", "--run", str(mangled), "--out", str(tmp_path / "rep"), "--seed", "5"
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "score" in err
+    assert "Traceback" not in err
 
 
 def test_report_identical_treatments_have_zero_differences(tmp_path):

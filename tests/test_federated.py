@@ -27,7 +27,6 @@ from fedvra.federated import (
     local_validate,
     resolve_pos_weight,
     round_log_to_dict,
-    threshold_and_rank_metrics,
     train_for_epochs,
     write_round_logs,
 )
@@ -43,6 +42,7 @@ from fedvra.network import (
     sgd_step,
 )
 from fedvra.seeds import derive_seed, make_rng
+from fedvra.stats import metric_bundle
 
 
 def make_silo(name, n_train, n_val, seed, positive_rate=0.3):
@@ -196,7 +196,8 @@ def test_federated_validate_single_silo_matches_direct():
     logits, want_labels = local_validate(model, silo)
     assert loss == loss_from_logits(logits, want_labels, 3.0)
     assert np.array_equal(labels, want_labels)
-    assert metrics == threshold_and_rank_metrics(want_labels, scores)
+    assert metrics == metric_bundle(want_labels, scores)[1]
+    assert list(metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc"]
 
 
 def test_federated_validate_loss_is_size_weighted():
@@ -326,10 +327,26 @@ def test_train_for_epochs_allows_empty_validation():
     assert len(logs) == 2
 
 
+def test_train_for_epochs_rejects_duplicate_silo_names():
+    a = make_silo("A", 8, 4, seed=27)
+    with pytest.raises(ValueError, match="unique"):
+        train_for_epochs([a, make_silo("A", 8, 4, seed=28)], config(), n_epochs=1)
+
+
+def test_train_for_epochs_matches_the_first_rounds_of_federated_train():
+    silos = [make_silo("A", 20, 6, seed=29), make_silo("B", 14, 6, seed=30)]
+    cfg = config(max_epochs=6, patience=4)  # cannot stop before round 5
+    _, fixed = train_for_epochs(silos, cfg, n_epochs=3)
+    _, stopped = federated_train(silos, cfg)
+    assert len(fixed) == 3 and len(stopped) >= 3
+    for f, s in zip(fixed, stopped[:3]):
+        assert (f.epoch, f.lr, f.train_losses) == (s.epoch, s.lr, s.train_losses)
+
+
 # ---------- privacy boundary ----------
 
-ORCHESTRATORS = ("federated_train", "train_for_epochs", "federated_validate",
-                 "resolve_pos_weight", "_aggregation_weights")
+ORCHESTRATORS = ("_rounds", "federated_train", "train_for_epochs", "federated_validate",
+                 "resolve_pos_weight")
 RAW_ATTRS = {"train_features", "train_labels", "val_features", "val_labels"}
 
 

@@ -23,9 +23,9 @@ from fedvra.stats import (
     bootstrap_ci,
     bootstrap_diff,
     common_agreement,
-    compute_measure,
     confusion,
     contingency,
+    metric_bundle,
     pr_auc,
     prf1,
     roc_auc,
@@ -216,18 +216,26 @@ def test_scored_set_validation():
         )
 
 
-def test_compute_measure_dispatch():
+def test_metric_bundle_matches_the_single_measures():
     s = ScoredSet(labels=np.array([0, 0, 1, 1]), scores=np.array([0.1, 0.6, 0.4, 0.8]))
     conf = confusion(s.labels, s.predictions)
     precision, recall, f1 = prf1(conf)
-    assert compute_measure("precision", s) == precision
-    assert compute_measure("recall", s) == recall
-    assert compute_measure("f1", s) == f1
-    assert compute_measure("accuracy", s) == accuracy(conf)
-    assert compute_measure("roc_auc", s) == roc_auc(s.labels, s.scores)
-    assert compute_measure("pr_auc", s) == pr_auc(s.labels, s.scores)
+    got_conf, metrics = metric_bundle(s.labels, s.scores)
+    assert got_conf == conf
+    assert list(metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc"]
+    assert metrics["precision"] == precision
+    assert metrics["recall"] == recall
+    assert metrics["f1"] == f1
+    assert metrics["roc_auc"] == roc_auc(s.labels, s.scores)
+    assert metrics["pr_auc"] == pr_auc(s.labels, s.scores)
+    # accuracy is a bootstrap-only measure: one resample, replayed by hand
+    _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4, return_samples=True)
+    idx = make_rng(4, "bootstrap-ci").integers(0, len(s), size=len(s))
+    assert samples[0] == accuracy(confusion(s.labels[idx], s.predictions[idx]))
     with pytest.raises(ValueError):
-        compute_measure("mcc", s)
+        bootstrap_ci(s, "mcc")
+    with pytest.raises(ValueError):
+        bootstrap_diff(s, s, "mcc")
     assert set(MEASURES) == {"f1", "precision", "recall", "accuracy", "roc_auc", "pr_auc"}
 
 

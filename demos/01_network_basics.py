@@ -7,7 +7,6 @@ import numpy as np
 
 from fedvra.network import (
     INPUT_DIM,
-    Batch,
     average_models,
     backward,
     batch_loss,
@@ -24,26 +23,24 @@ print("== one-hidden-layer classifier ==")
 model = init_model(hidden_size=16, seed=42)
 print(f"shapes: w1 {model.w1.shape}, b1 {model.b1.shape}, w2 {model.w2.shape}, b2 scalar")
 
-batch = Batch(
-    features=rng.standard_normal((8, INPUT_DIM)),
-    labels=(rng.uniform(size=8) < 0.25).astype(np.float64),
-)
-logits = forward_batch(model, batch.features)
+x = rng.standard_normal((8, INPUT_DIM))
+y = (rng.uniform(size=8) < 0.25).astype(np.float64)
+logits = forward_batch(model, x)
 print(f"logits[:3]       = {np.round(logits[:3], 4)}")
-print(f"one-record prob  = {predict_proba(model, batch.features[0]):.4f}")
+print(f"one-record prob  = {predict_proba(model, x[0]):.4f}")
 
 # the positive class is rare, so its loss term is up-weighted by the
 # negative-to-positive ratio
-pos_weight = (8 - batch.labels.sum()) / max(batch.labels.sum(), 1.0)
-loss = batch_loss(model, batch, pos_weight)
+pos_weight = (8 - y.sum()) / max(y.sum(), 1.0)
+loss = batch_loss(model, x, y, pos_weight)
 print(f"weighted BCE with pos_weight={pos_weight:.1f}: {loss:.4f}")
 
 print("\n== one SGD step lowers the training loss ==")
 for step in range(5):
-    grads = backward(model, batch, pos_weight)
+    grads = backward(model, x, y, pos_weight)
     lr = lr_at_epoch(0.05, 0.975, step)
     model = sgd_step(model, grads, lr, weight_decay=1e-4)
-    print(f"step {step}: lr={lr:.5f} loss={batch_loss(model, batch, pos_weight):.4f}")
+    print(f"step {step}: lr={lr:.5f} loss={batch_loss(model, x, y, pos_weight):.4f}")
 
 print("\n== learning-rate schedule ==")
 for epoch in (0, 10, 50, 100):

@@ -57,7 +57,6 @@ from .federated import (
     train_for_epochs,
 )
 from .network import (
-    Batch,
     Gradients,
     ModelParams,
     TrainConfig,

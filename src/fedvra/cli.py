@@ -427,9 +427,13 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
                 if missing:
                     raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
                 for row in reader:
+                    try:
+                        label, score = int(row["label"]), float(row["score"])
+                    except (TypeError, ValueError):
+                        raise ValueError(f"{path} line {reader.line_num}: label and score must be numbers") from None
                     rids.append(row["record_id"])
-                    labels.append(int(row["label"]))
-                    scores.append(float(row["score"]))
+                    labels.append(label)
+                    scores.append(score)
             if not labels:
                 raise ValueError(f"{path} holds no scores")
             scored[key][set_name] = ScoredSet(labels=np.array(labels), scores=np.array(scores))

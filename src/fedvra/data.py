@@ -460,7 +460,7 @@ def save_split_plan(path, plan: SplitPlan) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-SPLIT_PLAN_KEYS = ("institution_of_ward", "test_ids", "fold_of_record", "dropped_ids")
+SPLIT_PLAN_KEYS = {"institution_of_ward": dict, "test_ids": list, "fold_of_record": dict, "dropped_ids": list}
 
 
 def load_split_plan(path) -> SplitPlan:
@@ -468,9 +468,13 @@ def load_split_plan(path) -> SplitPlan:
     missing = [key for key in SPLIT_PLAN_KEYS if key not in data]
     if missing:
         raise ValueError(f"split plan {path} is missing key(s): {', '.join(missing)}")
-    return SplitPlan(
-        institution_of_ward=data["institution_of_ward"],
-        test_ids=tuple(data["test_ids"]),
-        fold_of_record={int(k): int(v) for k, v in data["fold_of_record"].items()},
-        dropped_ids=tuple(data["dropped_ids"]),
-    )
+    for key, kind in SPLIT_PLAN_KEYS.items():
+        if not isinstance(data[key], kind):
+            expected = "an object" if kind is dict else "an array"
+            raise ValueError(f"split plan {path}: {key} must be {expected}, got {type(data[key]).__name__}")
+    try:
+        return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"split plan {path}: test_ids, fold_of_record and dropped_ids must hold integers ({exc})"
+        ) from None

@@ -33,7 +33,6 @@ from .federated import (
     train_for_epochs,
 )
 from .network import (
-    Batch,
     ModelParams,
     TrainConfig,
     batch_loss,
@@ -415,14 +414,10 @@ def train_centralized(
     stream, per-epoch shuffle stream named by `name`) so the two can be
     compared bit for bit, while sharing none of its orchestration code.
     """
-    x = np.asarray(train_features, dtype=np.float64)
-    y = np.asarray(train_labels, dtype=np.float64)
-    vx = np.asarray(val_features, dtype=np.float64)
-    vy = np.asarray(val_labels, dtype=np.float64)
-    if x.shape[0] != y.shape[0] or x.shape[0] < 1:
-        raise ValueError("training features and labels must match and be non-empty")
-    if vx.shape[0] != vy.shape[0] or vx.shape[0] < 1:
-        raise ValueError("validation features and labels must match and be non-empty")
+    pool = Silo(name, train_features, train_labels, val_features, val_labels)  # validates the arrays
+    if pool.n_train < 1 or pool.n_val < 1:
+        raise ValueError("training and validation sets must be non-empty")
+    x, y, vx, vy = pool.train_features, pool.train_labels, pool.val_features, pool.val_labels
     if config.pos_weight is not None:
         pos_weight = config.pos_weight
     else:
@@ -436,17 +431,14 @@ def train_centralized(
     best_model = model
     since_improvement = 0
     logs: list[RoundLog] = []
-    val_batch = Batch(features=vx, labels=vy)
-    train_batch = Batch(features=x, labels=y)
     for epoch in range(config.max_epochs):
         lr = lr_at_epoch(config.lr0, config.gamma, epoch)
         order = make_rng(config.seed, "shuffle", name, epoch).permutation(x.shape[0])
         for start in range(0, x.shape[0], config.batch_size):
             chunk = order[start : start + config.batch_size]
-            batch = Batch(features=x[chunk], labels=y[chunk])
-            model = sgd_step(model, backward(model, batch, pos_weight), lr, config.weight_decay)
-        train_loss = batch_loss(model, train_batch, pos_weight)
-        val_loss = batch_loss(model, val_batch, pos_weight)
+            model = sgd_step(model, backward(model, x[chunk], y[chunk], pos_weight), lr, config.weight_decay)
+        train_loss = batch_loss(model, x, y, pos_weight)
+        val_loss = batch_loss(model, vx, vy, pos_weight)
         val_scores = sigmoid(forward_batch(model, vx))
         logs.append(
             RoundLog(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .network import (
-    Batch,
+    INPUT_DIM,
     ModelParams,
     TrainConfig,
     average_models,
@@ -48,7 +48,12 @@ from .stats import metric_bundle
 
 @dataclass(frozen=True, eq=False)
 class Silo:
-    """One institution's private shard: training and validation arrays."""
+    """One institution's private shard: training and validation arrays.
+
+    Validated once, here, so training steps can work on plain slices:
+    the training and the validation features must be finite with
+    INPUT_DIM columns, and their labels 0 or 1, one per row.
+    """
 
     name: str
     train_features: np.ndarray
@@ -59,20 +64,20 @@ class Silo:
     def __post_init__(self):
         if not self.name:
             raise ValueError("silo name must be non-empty")
-        tx = np.asarray(self.train_features, dtype=np.float64)
-        ty = np.asarray(self.train_labels, dtype=np.float64)
-        vx = np.asarray(self.val_features, dtype=np.float64)
-        vy = np.asarray(self.val_labels, dtype=np.float64)
-        if tx.ndim != 2 or tx.shape[0] != ty.shape[0]:
-            raise ValueError("training features and labels must have matching lengths")
-        if vx.ndim != 2 or vx.shape[0] != vy.shape[0]:
-            raise ValueError("validation features and labels must have matching lengths")
-        for arr in (tx, ty, vx, vy):
-            arr.setflags(write=False)
-        object.__setattr__(self, "train_features", tx)
-        object.__setattr__(self, "train_labels", ty)
-        object.__setattr__(self, "val_features", vx)
-        object.__setattr__(self, "val_labels", vy)
+        for part in ("train", "val"):
+            x = np.asarray(getattr(self, f"{part}_features"), dtype=np.float64)
+            y = np.asarray(getattr(self, f"{part}_labels"), dtype=np.float64)
+            if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+                raise ValueError(f"{part} features must have shape (n, {INPUT_DIM}), got {x.shape}")
+            if y.shape != x.shape[:1]:
+                raise ValueError(f"{part} features and labels must have matching lengths")
+            if not np.isfinite(x).all():
+                raise ValueError(f"{part} features contain non-finite entries")
+            if not ((y == 0.0) | (y == 1.0)).all():
+                raise ValueError(f"{part} labels must be 0 or 1")
+            for field, arr in ((f"{part}_features", x), (f"{part}_labels", y)):
+                arr.setflags(write=False)
+                object.__setattr__(self, field, arr)
 
     @property
     def n_train(self) -> int:
@@ -142,10 +147,10 @@ def local_train_epoch(model: ModelParams, silo: Silo, config: TrainConfig, epoch
         raise ValueError("config.pos_weight must be resolved before local training")
     lr = lr_at_epoch(config.lr0, config.gamma, epoch)
     order = make_rng(config.seed, "shuffle", silo.name, epoch).permutation(silo.n_train)
+    x, y = silo.train_features, silo.train_labels
     for start in range(0, silo.n_train, config.batch_size):
         chunk = order[start : start + config.batch_size]
-        batch = Batch(features=silo.train_features[chunk], labels=silo.train_labels[chunk])
-        model = sgd_step(model, backward(model, batch, config.pos_weight), lr, config.weight_decay)
+        model = sgd_step(model, backward(model, x[chunk], y[chunk], config.pos_weight), lr, config.weight_decay)
     return model
 
 

@@ -10,10 +10,11 @@ which is the numerically stable form of
 saturated sigmoid is never materialised. p is the positive-class weight
 (typically the negative/positive count ratio of the training set).
 
-Parameters, batches, and gradients are immutable value objects holding
-read-only float64 arrays; every operation is a pure function returning
-new values, so training is bit-reproducible for a fixed seed and data
-order.
+Parameters are immutable value objects holding read-only float64
+arrays; every operation is a pure function returning new values, so
+training is bit-reproducible for a fixed seed and data order. Training
+data is validated once, where it enters (federated.Silo): backward and
+batch_loss take plain feature and label arrays and check only shapes.
 """
 
 from __future__ import annotations
@@ -30,11 +31,17 @@ INPUT_DIM = 300
 
 
 def _ro(values, shape_hint: str) -> np.ndarray:
-    """Copy to a read-only float64 array."""
-    arr = np.array(values, dtype=np.float64)
+    """Finite read-only float64 array.
+
+    Adopts a read-only float64 array that owns its memory and copies
+    anything else, so no caller can still write to the result.
+    """
+    arr = values
+    if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable):
+        arr = np.array(values, dtype=np.float64)
+        arr.setflags(write=False)
     if not np.isfinite(arr).all():
         raise ValueError(f"{shape_hint} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
@@ -95,31 +102,6 @@ class Gradients:
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
         object.__setattr__(self, "w2", np.asarray(self.w2, dtype=np.float64))
         object.__setattr__(self, "b2", float(self.b2))
-
-
-@dataclass(frozen=True, eq=False)
-class Batch:
-    """A block of samples: features (n, INPUT_DIM) and binary labels (n,)."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        x = _ro(self.features, "features")
-        y = _ro(self.labels, "labels")
-        if x.ndim != 2 or x.shape[1] != INPUT_DIM:
-            raise ValueError(f"features must have shape (n, {INPUT_DIM}), got {x.shape}")
-        if x.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-        if y.shape != (x.shape[0],):
-            raise ValueError("labels must have shape (n,) matching features")
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True)
@@ -231,17 +213,23 @@ def loss_from_logits(logits: np.ndarray, labels: np.ndarray, pos_weight: float) 
     return float(per_sample.mean())
 
 
-def batch_loss(params: ModelParams, batch: Batch, pos_weight: float) -> float:
-    """Mean weighted cross-entropy of the batch under the current parameters."""
-    return loss_from_logits(forward_batch(params, batch.features), batch.labels, pos_weight)
+def batch_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray, pos_weight: float) -> float:
+    """Mean weighted cross-entropy of the samples under the current parameters."""
+    return loss_from_logits(forward_batch(params, features), labels, pos_weight)
 
 
-def backward(params: ModelParams, batch: Batch, pos_weight: float) -> Gradients:
-    """Analytic gradients of batch_loss. ReLU subgradient at 0 is taken as 0."""
+def backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, pos_weight: float) -> Gradients:
+    """Analytic gradients of batch_loss. ReLU subgradient at 0 is taken as 0.
+
+    Only shapes are checked: finite features and 0/1 labels are the
+    caller's to guarantee, as a Silo does for its arrays.
+    """
     if not (np.isfinite(pos_weight) and pos_weight > 0):
         raise ValueError("pos_weight must be a positive real")
-    x = batch.features
-    y = batch.labels
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM or x.shape[0] < 1 or y.shape != x.shape[:1]:
+        raise ValueError(f"need features (n >= 1, {INPUT_DIM}) and labels (n,), got {x.shape} and {y.shape}")
     n = x.shape[0]
     z1 = x @ params.w1.T + params.b1
     hidden = np.maximum(z1, 0.0)
@@ -256,6 +244,14 @@ def backward(params: ModelParams, batch: Batch, pos_weight: float) -> Gradients:
     return Gradients(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
+def _decayed_step(w: np.ndarray, g: np.ndarray, lr: float, weight_decay: float) -> np.ndarray:
+    """w - lr * (g + weight_decay * w), bit for bit, built in one fresh buffer."""
+    out = weight_decay * w
+    out += g
+    out *= lr
+    return np.subtract(w, out, out=out)
+
+
 def sgd_step(params: ModelParams, grads: Gradients, lr: float, weight_decay: float) -> ModelParams:
     """One SGD update with decoupled weight decay on weights only, not biases."""
     if not (np.isfinite(lr) and lr >= 0):
@@ -264,22 +260,19 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float, weight_decay: flo
         raise ValueError("weight_decay must be finite and non-negative")
     if grads.w1.shape != params.w1.shape or grads.b1.shape != params.b1.shape or grads.w2.shape != params.w2.shape:
         raise ValueError("gradient shapes do not match parameter shapes")
-    for g in (grads.w1, grads.b1, grads.w2):
-        if not np.isfinite(g).all():
-            raise NumericalError("non-finite gradient")
-    if not np.isfinite(grads.b2):
-        raise NumericalError("non-finite gradient")
     with np.errstate(over="ignore", invalid="ignore"):
-        w1 = params.w1 - lr * (grads.w1 + weight_decay * params.w1)
+        w1 = _decayed_step(params.w1, grads.w1, lr, weight_decay)
         b1 = params.b1 - lr * grads.b1
-        w2 = params.w2 - lr * (grads.w2 + weight_decay * params.w2)
+        w2 = _decayed_step(params.w2, grads.w2, lr, weight_decay)
         b2 = params.b2 - lr * grads.b2
     for arr in (w1, b1, w2):
-        if not np.isfinite(arr).all():
-            raise NumericalError("parameter update produced non-finite values")
-    if not np.isfinite(b2):
-        raise NumericalError("parameter update produced non-finite values")
-    return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2)
+        arr.setflags(write=False)  # fresh arrays: ModelParams adopts them without a copy
+    # The shapes match, so ModelParams can only reject the update for a
+    # non-finite entry; a non-finite gradient always produces one.
+    try:
+        return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2)
+    except ValueError:
+        raise NumericalError("parameter update produced non-finite values") from None
 
 
 def lr_at_epoch(lr0: float, gamma: float, epoch: int) -> float:

@@ -31,7 +31,6 @@ from fedvra.experiment import (
 from fedvra.federated import Silo, federated_train
 from fedvra.network import (
     INPUT_DIM,
-    Batch,
     Gradients,
     ModelParams,
     TrainConfig,
@@ -52,7 +51,7 @@ def verdict(name: str, ok: bool, detail: str) -> None:
 
 
 def random_instance(rng, kink_margin=1e-3):
-    """Model, batch, and pos weight with hidden pre-activations clear of 0."""
+    """(params, x, y, pos weight) with hidden pre-activations clear of 0."""
     while True:
         h = int(rng.integers(1, 5))
         n = int(rng.integers(1, 7))
@@ -62,24 +61,21 @@ def random_instance(rng, kink_margin=1e-3):
             w2=rng.uniform(-0.5, 0.5, size=h),
             b2=float(rng.uniform(-0.5, 0.5)),
         )
-        batch = Batch(
-            features=rng.uniform(-1, 1, size=(n, INPUT_DIM)),
-            labels=rng.integers(0, 2, size=n).astype(np.float64),
-        )
-        z1 = batch.features @ params.w1.T + params.b1
+        x = rng.uniform(-1, 1, size=(n, INPUT_DIM))
+        y = rng.integers(0, 2, size=n).astype(np.float64)
+        z1 = x @ params.w1.T + params.b1
         if np.abs(z1).min() > kink_margin:
-            return params, batch, float(rng.uniform(0.5, 10.0))
+            return params, x, y, float(rng.uniform(0.5, 10.0))
 
 
-def fd_loss(vec, h, batch, pos_weight):
+def fd_loss(vec, h, x, y, pos_weight):
     """Loss from a flat parameter vector, written independently."""
     w1 = vec[: h * INPUT_DIM].reshape(h, INPUT_DIM)
     b1 = vec[h * INPUT_DIM : h * INPUT_DIM + h]
     w2 = vec[h * INPUT_DIM + h : h * INPUT_DIM + 2 * h]
     b2 = vec[-1]
-    hidden = np.maximum(batch.features @ w1.T + b1, 0.0)
+    hidden = np.maximum(x @ w1.T + b1, 0.0)
     z = hidden @ w2 + b2
-    y = batch.labels
     softplus = np.logaddexp(0.0, np.stack([-z, z]))
     per = pos_weight * y * softplus[0] + (1 - y) * softplus[1]
     return float(per.mean())
@@ -100,8 +96,8 @@ def test_01_gradient_check():
     n_instances = 100
     start = time.perf_counter()
     for _ in range(n_instances):
-        params, batch, pos_weight = random_instance(rng)
-        got = flatten_grads(backward(params, batch, pos_weight))
+        params, x, y, pos_weight = random_instance(rng)
+        got = flatten_grads(backward(params, x, y, pos_weight))
         vec = flatten_params(params)
         h = params.b1.shape[0]
         fd = np.empty_like(vec)
@@ -109,7 +105,7 @@ def test_01_gradient_check():
             up, down = vec.copy(), vec.copy()
             up[j] += eps
             down[j] -= eps
-            fd[j] = (fd_loss(up, h, batch, pos_weight) - fd_loss(down, h, batch, pos_weight)) / (
+            fd[j] = (fd_loss(up, h, x, y, pos_weight) - fd_loss(down, h, x, y, pos_weight)) / (
                 2 * eps
             )
         denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-5)
@@ -126,7 +122,7 @@ def test_01_gradient_check():
 # ---------- 2: loss against a scalar-by-scalar oracle ----------
 
 
-def oracle_loss_scalar(params: ModelParams, batch: Batch, pos_weight: float) -> float:
+def oracle_loss_scalar(params: ModelParams, x: np.ndarray, y: np.ndarray, pos_weight: float) -> float:
     """Per-sample loss in plain Python floats, no vectorisation."""
 
     def softplus(v):  # log(1 + e^v) without overflow
@@ -134,16 +130,15 @@ def oracle_loss_scalar(params: ModelParams, batch: Batch, pos_weight: float) -> 
 
     h = params.b1.shape[0]
     total = 0.0
-    for i in range(batch.features.shape[0]):
+    for i in range(x.shape[0]):
         z = params.b2
         for k in range(h):
             pre = params.b1[k]
             for j in range(INPUT_DIM):
-                pre += params.w1[k, j] * batch.features[i, j]
+                pre += params.w1[k, j] * x[i, j]
             z += params.w2[k] * max(pre, 0.0)
-        y = batch.labels[i]
-        total += pos_weight * y * softplus(-z) + (1.0 - y) * softplus(z)
-    return total / batch.features.shape[0]
+        total += pos_weight * y[i] * softplus(-z) + (1.0 - y[i]) * softplus(z)
+    return total / x.shape[0]
 
 
 def test_02_loss_oracle():
@@ -159,13 +154,11 @@ def test_02_loss_oracle():
             w2=rng.uniform(-1, 1, size=h),
             b2=float(rng.uniform(-1, 1)),
         )
-        batch = Batch(
-            features=rng.uniform(-1, 1, size=(n, INPUT_DIM)),
-            labels=rng.integers(0, 2, size=n).astype(np.float64),
-        )
+        x = rng.uniform(-1, 1, size=(n, INPUT_DIM))
+        y = rng.integers(0, 2, size=n).astype(np.float64)
         pos_weight = float(rng.uniform(0.5, 10.0))
         worst = max(
-            worst, abs(batch_loss(params, batch, pos_weight) - oracle_loss_scalar(params, batch, pos_weight))
+            worst, abs(batch_loss(params, x, y, pos_weight) - oracle_loss_scalar(params, x, y, pos_weight))
         )
     verdict(
         "loss-oracle",

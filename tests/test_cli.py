@@ -328,6 +328,34 @@ def test_run_plan_missing_key_exits_2(chain, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("dropped_ids", 5), ("fold_of_record", [1, 2]), ("test_ids", [None])])
+def test_run_plan_wrongly_typed_key_exits_2(chain, tmp_path, key, value):
+    plan_data = json.loads(chain["plan"].read_text())
+    plan_data[key] = value
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan_data))
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(bad),
+        "--out", str(tmp_path / "x"), "--seed", "9",
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and key in err
+    assert "Traceback" not in err
+
+
+def test_run_diverging_learning_rate_exits_4(chain, tmp_path):
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(chain["plan"]),
+        "--out", str(tmp_path / "x"), "--seed", "9", "--hidden-sizes", "4",
+        "--learning-rates", "1e100", "--weight-decays", "0", "--batch-size", "2",
+        "--max-epochs", "2", "--patience", "2",
+    )
+    assert code == 4
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------- report ----------
 
 
@@ -430,6 +458,21 @@ def test_report_renamed_score_column_exits_2(chain, tmp_path):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(path) in err and "score" in err
+    assert "Traceback" not in err
+
+
+def test_report_short_score_row_exits_2(chain, tmp_path):
+    mangled = tmp_path / "run"
+    shutil.copytree(chain["run"], mangled)
+    path = mangled / "a" / "scores_A.csv"
+    header, first, *rest = path.read_text().split("\n")
+    path.write_text("\n".join([header, ",".join(first.split(",")[:2])] + rest))
+    code, _, err = run_cli(
+        "report", "--run", str(mangled), "--out", str(tmp_path / "rep"), "--seed", "5"
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "line 2" in err
     assert "Traceback" not in err
 
 

@@ -32,7 +32,6 @@ from fedvra.federated import (
 )
 from fedvra.network import (
     INPUT_DIM,
-    Batch,
     TrainConfig,
     backward,
     batch_loss,
@@ -94,6 +93,28 @@ def test_silo_validation():
             val_features=np.zeros((1, INPUT_DIM)),
             val_labels=np.zeros(1),
         )
+
+
+def test_silo_validates_train_and_val_arrays():
+    x = np.zeros((2, INPUT_DIM))
+    nan_x = x.copy()
+    nan_x[1, 7] = np.nan
+    good = dict(train_features=x, train_labels=np.zeros(2), val_features=x, val_labels=np.zeros(2))
+    silo = Silo(name="A", **good)
+    assert silo.n_train == 2 and silo.n_val == 2
+    for part in ("train", "val"):
+        for features, labels in (
+            (x, np.array([0.0, 2.0])),  # label outside {0, 1}
+            (x, np.zeros(3)),  # one label per row
+            (nan_x, np.zeros(2)),  # non-finite feature
+            (np.zeros((2, INPUT_DIM - 1)), np.zeros(2)),  # INPUT_DIM columns
+        ):
+            with pytest.raises(ValueError):
+                Silo(name="A", **dict(good, **{f"{part}_features": features, f"{part}_labels": labels}))
+    # an empty training shard is a valid silo that cannot be trained on
+    empty = Silo(name="A", **dict(good, train_features=np.zeros((0, INPUT_DIM)), train_labels=np.zeros(0)))
+    with pytest.raises(ValueError):
+        local_train_epoch(init_model(2, 1), empty, config(pos_weight=1.0), epoch=0)
 
 
 # ---------- early stopping ----------
@@ -159,9 +180,16 @@ def test_local_train_epoch_full_batch_equals_one_step():
     got = local_train_epoch(model, silo, cfg, epoch=0)
 
     order = make_rng(cfg.seed, "shuffle", "A", 0).permutation(10)
-    batch = Batch(features=silo.train_features[order], labels=silo.train_labels[order])
-    want = sgd_step(model, backward(model, batch, 2.0), cfg.lr0, cfg.weight_decay)
+    grads = backward(model, silo.train_features[order], silo.train_labels[order], 2.0)
+    want = sgd_step(model, grads, cfg.lr0, cfg.weight_decay)
     assert got == want
+
+
+def test_local_train_epoch_raises_where_the_update_diverges():
+    silo = make_silo("A", 16, 4, seed=5)
+    cfg = config(lr0=1e100, batch_size=2, pos_weight=2.0)
+    with pytest.raises(NumericalError):
+        local_train_epoch(init_model(4, 9), silo, cfg, epoch=0)
 
 
 def test_local_train_epoch_deterministic():

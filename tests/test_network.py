@@ -15,7 +15,6 @@ import pytest
 from fedvra.errors import NumericalError
 from fedvra.network import (
     INPUT_DIM,
-    Batch,
     Gradients,
     ModelParams,
     TrainConfig,
@@ -224,7 +223,7 @@ def test_loss_scalar_oracle():
         x = rng.standard_normal((n, INPUT_DIM))
         y = rng.integers(0, 2, size=n).astype(np.float64)
         p = float(rng.uniform(0.2, 12.0))
-        got = batch_loss(params, Batch(features=x, labels=y), p)
+        got = batch_loss(params, x, y, p)
         want = oracle_loss_scalar(params, x, y, p)
         assert abs(got - want) < 1e-12
 
@@ -255,7 +254,7 @@ def test_backward_matches_finite_differences():
     worst = 0.0
     for _ in range(40):
         params, x, y, p = random_instance(rng)
-        got = flatten(backward(params, Batch(features=x, labels=y), p))
+        got = flatten(backward(params, x, y, p))
         want = fd_gradient(params, x, y, p)
         denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-5)
         worst = max(worst, float(np.max(np.abs(got - want) / denom)))
@@ -266,7 +265,7 @@ def test_fd_loss_agrees_with_batch_loss():
     # ties the in-test forward pass to the package's before we trust the FD oracle
     rng = np.random.default_rng(78)
     params, x, y, p = random_instance(rng)
-    want = batch_loss(params, Batch(features=x, labels=y), p)
+    want = batch_loss(params, x, y, p)
     assert math.isclose(fd_loss(flatten(params), params.hidden_size, x, y, p), want, rel_tol=1e-15)
 
 
@@ -276,7 +275,7 @@ def test_backward_saturated_negatives_vanish():
     x = rng.standard_normal((6, INPUT_DIM))
     y = np.zeros(6)
     shifted = ModelParams(w1=m.w1, b1=m.b1, w2=m.w2, b2=-60.0)  # logits ~ -60
-    g = backward(shifted, Batch(features=x, labels=y), 5.0)
+    g = backward(shifted, x, y, 5.0)
     assert np.abs(flatten(g)).max() < 1e-20
 
 
@@ -284,17 +283,26 @@ def test_backward_is_linear_in_pos_weight():
     rng = np.random.default_rng(10)
     params, x, y, p = random_instance(rng)
     y[:3] = 1.0  # guarantee positives
-    batch = Batch(features=x, labels=y)
-    g1 = flatten(backward(params, batch, 1.0))
-    g2 = flatten(backward(params, batch, 2.0))
-    g3 = flatten(backward(params, batch, 3.0))
+    g1 = flatten(backward(params, x, y, 1.0))
+    g2 = flatten(backward(params, x, y, 2.0))
+    g3 = flatten(backward(params, x, y, 3.0))
     assert np.allclose(g2 - g1, g3 - g2, rtol=0, atol=1e-12)
 
     # the increment is the positive-sample share, rescaled from a positives-only batch
     pos = y == 1.0
-    pos_batch = Batch(features=x[pos], labels=y[pos])
-    share = flatten(backward(params, pos_batch, 1.0)) * pos.sum() / len(y)
+    share = flatten(backward(params, x[pos], y[pos], 1.0)) * pos.sum() / len(y)
     assert np.allclose(g2 - g1, share, rtol=0, atol=1e-12)
+
+
+def test_backward_rejects_bad_shapes():
+    m = init_model(2, 1)
+    x = np.zeros((2, INPUT_DIM))
+    with pytest.raises(ValueError):
+        backward(m, np.zeros((0, INPUT_DIM)), np.zeros(0), 1.0)  # no samples
+    with pytest.raises(ValueError):
+        backward(m, x, np.zeros(3), 1.0)  # one label per row
+    with pytest.raises(ValueError):
+        backward(m, np.zeros((2, INPUT_DIM - 1)), np.zeros(2), 1.0)
 
 
 # ---------- sgd_step ----------
@@ -311,7 +319,7 @@ def test_sgd_worked_value():
 
 def test_sgd_identity_cases():
     m = init_model(3, 1)
-    g = backward(m, Batch(features=np.ones((2, INPUT_DIM)), labels=np.array([0.0, 1.0])), 2.0)
+    g = backward(m, np.ones((2, INPUT_DIM)), np.array([0.0, 1.0]), 2.0)
     assert sgd_step(m, g, lr=0.0, weight_decay=0.5) == m
     zero = Gradients(w1=np.zeros((3, INPUT_DIM)), b1=np.zeros(3), w2=np.zeros(3), b2=0.0)
     assert sgd_step(m, zero, lr=0.1, weight_decay=0.0) == m
@@ -325,6 +333,15 @@ def test_sgd_rejects_non_finite():
     huge = Gradients(w1=np.full((1, INPUT_DIM), 1e308), b1=[0.0], w2=[0.0], b2=0.0)
     with pytest.raises(NumericalError):
         sgd_step(m, huge, lr=1e10, weight_decay=0.0)
+
+
+def test_sgd_step_result_is_frozen_and_fresh():
+    m = init_model(3, 1)
+    g = backward(m, np.ones((2, INPUT_DIM)), np.array([0.0, 1.0]), 2.0)
+    out = sgd_step(m, g, lr=0.1, weight_decay=0.01)
+    for arr in (out.w1, out.b1, out.w2):
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, other) for other in (m.w1, m.b1, m.w2, g.w1, g.b1, g.w2))
 
 
 def test_sgd_rejects_mismatched_shapes():
@@ -412,15 +429,17 @@ def test_model_params_validation():
         m.w1[0, 0] = 1.0  # arrays are read-only
 
 
-def test_batch_validation():
-    x = np.zeros((2, INPUT_DIM))
-    with pytest.raises(ValueError):
-        Batch(features=x, labels=np.array([0.0, 2.0]))
-    with pytest.raises(ValueError):
-        Batch(features=np.zeros((0, INPUT_DIM)), labels=np.zeros(0))
-    with pytest.raises(ValueError):
-        Batch(features=x, labels=np.zeros(3))
-    assert len(Batch(features=x, labels=np.zeros(2))) == 2
+def test_model_params_never_alias_writable_memory():
+    frozen = np.zeros(2)
+    frozen.setflags(write=False)
+    frozen_view = np.zeros(3)[:2]
+    frozen_view.setflags(write=False)
+    w1 = np.zeros((2, INPUT_DIM))
+    m = ModelParams(w1=w1, b1=frozen, w2=frozen_view, b2=0.0)
+    assert m.b1 is frozen  # read-only, float64 and owning its memory: adopted
+    assert m.w2 is not frozen_view  # its base can still be written: copied
+    w1[0, 0] = 5.0
+    assert m.w1[0, 0] == 0.0  # writable: copied
 
 
 def test_train_config_validation():

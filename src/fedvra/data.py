@@ -400,12 +400,18 @@ def generate_synthetic(config: SynthConfig) -> list[AdmissionRecord]:
 
 
 def features_matrix(records: list[AdmissionRecord], indices) -> tuple[np.ndarray, np.ndarray]:
-    """Stack features and labels for the given record indices."""
+    """Stack features and labels for the given record indices.
+
+    Both arrays are fresh and read-only, so a Silo adopts them as they are.
+    """
     idx = list(indices)
     if not idx:
-        return np.zeros((0, FEATURE_DIM)), np.zeros(0)
-    x = np.stack([records[i].features for i in idx])
-    y = np.array([records[i].label for i in idx], dtype=np.float64)
+        x, y = np.zeros((0, FEATURE_DIM)), np.zeros(0)
+    else:
+        x = np.stack([records[i].features for i in idx])
+        y = np.array([records[i].label for i in idx], dtype=np.float64)
+    x.setflags(write=False)
+    y.setflags(write=False)
     return x, y
 
 

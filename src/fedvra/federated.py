@@ -33,6 +33,7 @@ from .network import (
     INPUT_DIM,
     ModelParams,
     TrainConfig,
+    _frozen,
     average_models,
     backward,
     forward_batch,
@@ -52,7 +53,9 @@ class Silo:
 
     Validated once, here, so training steps can work on plain slices:
     the training and the validation features must be finite with
-    INPUT_DIM columns, and their labels 0 or 1, one per row.
+    INPUT_DIM columns, and their labels 0 or 1, one per row. The silo
+    keeps read-only arrays of its own: it adopts an array that is
+    already read-only and owns its memory, and copies anything else.
     """
 
     name: str
@@ -65,8 +68,8 @@ class Silo:
         if not self.name:
             raise ValueError("silo name must be non-empty")
         for part in ("train", "val"):
-            x = np.asarray(getattr(self, f"{part}_features"), dtype=np.float64)
-            y = np.asarray(getattr(self, f"{part}_labels"), dtype=np.float64)
+            x = _frozen(getattr(self, f"{part}_features"))
+            y = _frozen(getattr(self, f"{part}_labels"))
             if x.ndim != 2 or x.shape[1] != INPUT_DIM:
                 raise ValueError(f"{part} features must have shape (n, {INPUT_DIM}), got {x.shape}")
             if y.shape != x.shape[:1]:
@@ -75,9 +78,8 @@ class Silo:
                 raise ValueError(f"{part} features contain non-finite entries")
             if not ((y == 0.0) | (y == 1.0)).all():
                 raise ValueError(f"{part} labels must be 0 or 1")
-            for field, arr in ((f"{part}_features", x), (f"{part}_labels", y)):
-                arr.setflags(write=False)
-                object.__setattr__(self, field, arr)
+            object.__setattr__(self, f"{part}_features", x)
+            object.__setattr__(self, f"{part}_labels", y)
 
     @property
     def n_train(self) -> int:

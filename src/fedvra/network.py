@@ -30,16 +30,22 @@ from .errors import NumericalError
 INPUT_DIM = 300
 
 
-def _ro(values, shape_hint: str) -> np.ndarray:
-    """Finite read-only float64 array.
+def _frozen(values) -> np.ndarray:
+    """Read-only float64 array that no caller can still write to.
 
     Adopts a read-only float64 array that owns its memory and copies
-    anything else, so no caller can still write to the result.
+    anything else.
     """
     arr = values
     if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable):
         arr = np.array(values, dtype=np.float64)
         arr.setflags(write=False)
+    return arr
+
+
+def _ro(values, shape_hint: str) -> np.ndarray:
+    """Finite read-only float64 array (see _frozen)."""
+    arr = _frozen(values)
     if not np.isfinite(arr).all():
         raise ValueError(f"{shape_hint} contains non-finite entries")
     return arr

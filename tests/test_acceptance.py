@@ -388,7 +388,6 @@ def test_07_roc_auc_pair_counting():
 # ---------- 8: bootstrap coverage of a known accuracy ----------
 
 
-@pytest.mark.slow
 def test_08_bootstrap_coverage():
     master = 1
     truth = 0.8

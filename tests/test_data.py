@@ -406,6 +406,16 @@ def test_generate_synthetic_signal_along_label_direction():
     assert auc > 0.85
 
 
+def test_features_matrix_returns_fresh_read_only_arrays():
+    records = generate_synthetic(SynthConfig(n_patients=10, seed=1))
+    for ids in (range(3), []):
+        x, y = features_matrix(records, ids)
+        assert x.shape == (len(ids), INPUT_DIM) and y.shape == (len(ids),)
+        for arr in (x, y):
+            assert arr.flags.owndata and not arr.flags.writeable
+        assert not any(np.shares_memory(x, records[i].features) for i in ids)
+
+
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(n_patients=0, seed=1)

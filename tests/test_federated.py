@@ -117,6 +117,25 @@ def test_silo_validates_train_and_val_arrays():
         local_train_epoch(init_model(2, 1), empty, config(pos_weight=1.0), epoch=0)
 
 
+def test_silo_leaves_the_callers_arrays_writeable():
+    x = np.zeros((2, INPUT_DIM))
+    y = np.zeros(2)
+    silo = Silo("A", x, y, x, y)
+    assert x.flags.writeable and y.flags.writeable
+    for arr in (silo.train_features, silo.train_labels, silo.val_features, silo.val_labels):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, x) and not np.shares_memory(arr, y)
+    x[0, 0] = 1.0  # the caller's write does not reach the silo
+    assert silo.train_features[0, 0] == 0.0
+    # an array that is already read-only and owns its memory is adopted
+    frozen = np.ones((3, INPUT_DIM))
+    frozen.setflags(write=False)
+    labels = np.ones(3)
+    labels.setflags(write=False)
+    adopted = Silo("B", frozen, labels, frozen, labels)
+    assert adopted.train_features is frozen and adopted.val_labels is labels
+
+
 # ---------- early stopping ----------
 
 

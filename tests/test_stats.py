@@ -216,6 +216,16 @@ def test_scored_set_validation():
         )
 
 
+def test_scored_set_leaves_the_callers_arrays_writeable():
+    labels = np.array([0, 1, 1])
+    scores = np.array([0.2, 0.5, 0.9])
+    predictions = np.array([0, 1, 1])
+    s = ScoredSet(labels=labels, scores=scores, predictions=predictions)
+    for mine, theirs in ((s.labels, labels), (s.scores, scores), (s.predictions, predictions)):
+        assert theirs.flags.writeable and not mine.flags.writeable
+        assert not np.shares_memory(mine, theirs)
+
+
 def test_metric_bundle_matches_the_single_measures():
     s = ScoredSet(labels=np.array([0, 0, 1, 1]), scores=np.array([0.1, 0.6, 0.4, 0.8]))
     conf = confusion(s.labels, s.predictions)

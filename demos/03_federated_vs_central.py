@@ -3,13 +3,10 @@
 Run with: python3 demos/03_federated_vs_central.py
 """
 
-import numpy as np
-
-from fedvra.data import SynthConfig, features_matrix, generate_synthetic, make_split_plan
+from fedvra.data import SynthConfig, generate_synthetic, make_split_plan
 from fedvra.experiment import Treatment, silos_for_treatment
-from fedvra.federated import federated_train
+from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
 from fedvra.network import TrainConfig
-from fedvra.experiment import train_centralized
 
 records = generate_synthetic(
     SynthConfig(n_patients=400, seed=11, positive_rate=0.15, class_separation=1.5, ward_shift=1.0)
@@ -29,21 +26,18 @@ for log in logs:
     per_silo = "  ".join(f"{k}={v:.3f}" for k, v in log.train_losses.items())
     print(f"  epoch {log.epoch:>2}: val={log.val_loss:.4f}  train {per_silo}  f1={log.metrics['f1']:.3f}")
 
-print("\n== single-silo federation equals plain training bit for bit ==")
+print("\n== the same records pooled into one silo: plain training ==")
 pool = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
-fed_params, _ = federated_train(pool, config)
-flat_params, _ = train_centralized(
-    pool[0].train_features, pool[0].train_labels, pool[0].val_features, pool[0].val_labels, config
-)
-print(f"parameters identical: {fed_params == flat_params}")
+print(f"  silo {pool[0].name}: {pool[0].n_train} train, {pool[0].n_val} val")
+pooled_params, pooled_logs = federated_train(pool, config)
+print(f"trained for {len(pooled_logs)} epochs; best validation loss {min(log.val_loss for log in pooled_logs):.4f}")
 
 print("\n== what averaging does to held-out loss ==")
-# train each silo alone, then the federation, and compare on the full
-# validation pool
-from fedvra.federated import federated_validate, resolve_pos_weight
-
+# train each silo alone and compare it, the federation and the pool on
+# the full validation pool
 pos_weight = resolve_pos_weight(config, silos)
-for label, train_silos in (("A alone", silos[:1]), ("B alone", silos[1:]), ("federated", silos)):
-    p, _ = federated_train(train_silos, config)
-    loss, metrics, _, _ = federated_validate(p, silos, pos_weight)
+models = {"A alone": federated_train(silos[:1], config)[0], "B alone": federated_train(silos[1:], config)[0]}
+models.update(federated=params, pooled=pooled_params)
+for label, model in models.items():
+    loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
     print(f"  {label:<10} pooled val loss={loss:.4f}  f1={metrics['f1']:.3f}")

@@ -29,18 +29,18 @@ for key, run in sorted(runs.items()):
         f"  {key:<10} hidden={chosen.hidden_size:<3} lr={chosen.learning_rate} "
         f"wd={chosen.weight_decay}  cv F1 per combo: "
         + ", ".join(f"{r.f1:.3f}" for r in run.cv_results)
-        + f"  final budget {run.final.epochs_trained} epochs"
+        + f"  final budget {run.epoch_budget} epochs"
     )
 
 print("\n== combined test set ==")
 header = f"  {'treatment':<10} {'precision':>9} {'recall':>7} {'F1':>6} {'ROC-AUC':>8}"
 print(header)
 for key in ("a", "b", "federated", "central"):
-    ev = runs[key].report.evaluations["combined"]
+    ev = runs[key].evaluations["combined"]
     auc = f"{ev.roc_auc:.3f}" if ev.roc_auc is not None else "undef"
     print(f"  {key:<10} {ev.precision:>9.3f} {ev.recall:>7.3f} {ev.f1:>6.3f} {auc:>8}")
 
 print("\nper-institution F1 for the federated model:")
 for set_name in ("A", "B"):
-    ev = runs["federated"].report.evaluations[set_name]
+    ev = runs["federated"].evaluations[set_name]
     print(f"  test set {set_name}: F1 {ev.f1:.3f} on {len(ev.record_ids)} records")

@@ -30,8 +30,6 @@ from .data import (
 from .errors import NumericalError, SplitInvariantError, StatisticalError, UndefinedMetricError
 from .experiment import (
     CvResult,
-    EvalReport,
-    FinalModel,
     GridSpec,
     HyperCombo,
     Treatment,
@@ -42,7 +40,6 @@ from .experiment import (
     run_treatments,
     select_best,
     test_sets_from_plan,
-    train_centralized,
     train_final,
 )
 from .federated import (

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,14 @@ from .experiment import (
     DEFAULT_HIDDEN_SIZES,
     DEFAULT_LEARNING_RATES,
     DEFAULT_WEIGHT_DECAYS,
-    EvalReport,
     GridSpec,
     TEST_SET_NAMES,
     Treatment,
     TreatmentRun,
     run_treatments,
 )
-from .federated import write_round_logs
-from .network import TrainConfig, save_params
+from .federated import RoundLog
+from .network import TrainConfig, params_to_dict
 from .seeds import derive_seed
 from .stats import (
     ScoredSet,
@@ -60,6 +60,27 @@ from .stats import (
 
 REPORT_MEASURES = ("f1", "recall", "precision", "roc_auc", "pr_auc")
 TREATMENT_KEYS = tuple(t.key for t in Treatment)
+# contingency_vs_federated keys, in the field order of stats.ContingencyCounts
+CONTINGENCY_KEYS = ("both_correct", "federated_only", "treatment_only", "neither")
+
+
+# ---------- output files ----------
+
+
+def _write_lines(path, lines) -> None:
+    """The one writer of every file run and report produce: each line
+    followed by a newline, UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
+def _round_log_line(log: RoundLog) -> str:
+    return json.dumps({**asdict(log), "train_losses": dict(sorted(log.train_losses.items()))})
 
 
 # ---------- option resolution ----------
@@ -210,25 +231,16 @@ def cmd_split(args: argparse.Namespace) -> int:
         print(f"institution {inst}: wards {', '.join(wards)}")
     header = ["fold"] + [f"{inst} neg/pos" for inst in insts] + ["total neg/pos"]
     print("  ".join(f"{h:>14}" for h in header))
-
-    def class_counts(ids):
+    rows = [(str(fold), plan.fold_ids(fold)) for fold in range(1, plan.n_folds + 1)]
+    for name, ids in rows + [("test", plan.test_ids)]:
         by_inst = {inst: [0, 0] for inst in insts}
         total = [0, 0]
         for i in ids:
-            inst = plan.institution_of_ward[records[i].ward]
-            by_inst[inst][records[i].label] += 1
+            by_inst[plan.institution_of_ward[records[i].ward]][records[i].label] += 1
             total[records[i].label] += 1
-        return by_inst, total
-
-    for fold in range(1, plan.n_folds + 1):
-        by_inst, total = class_counts(plan.fold_ids(fold))
-        cells = [f"{fold}"] + [f"{by_inst[i][0]}/{by_inst[i][1]}" for i in insts]
+        cells = [name] + [f"{by_inst[i][0]}/{by_inst[i][1]}" for i in insts]
         cells.append(f"{total[0]}/{total[1]}")
         print("  ".join(f"{c:>14}" for c in cells))
-    by_inst, total = class_counts(plan.test_ids)
-    cells = ["test"] + [f"{by_inst[i][0]}/{by_inst[i][1]}" for i in insts]
-    cells.append(f"{total[0]}/{total[1]}")
-    print("  ".join(f"{c:>14}" for c in cells))
     print(f"dropped {len(plan.dropped_ids)} train/val records of test-set patients")
     return 0
 
@@ -253,23 +265,15 @@ RUN_FIELDS = {
 }
 
 
-def _combo_dict(combo) -> dict:
+def _set_report_dict(run: TreatmentRun, set_name: str) -> dict:
+    ev = run.evaluations[set_name]
     return {
-        "hidden_size": combo.hidden_size,
-        "learning_rate": combo.learning_rate,
-        "weight_decay": combo.weight_decay,
-    }
-
-
-def _set_report_dict(report: EvalReport, set_name: str) -> dict:
-    ev = report.evaluations[set_name]
-    return {
-        "treatment": report.treatment.key,
+        "treatment": run.treatment.key,
         "test_set": set_name,
-        "combo": _combo_dict(report.combo),
-        "epoch_budget": report.epochs_trained,
+        "combo": asdict(run.best_combo),
+        "epoch_budget": run.epoch_budget,
         "n_records": len(ev.record_ids),
-        "confusion": {"tn": ev.confusion.tn, "fp": ev.confusion.fp, "fn": ev.confusion.fn, "tp": ev.confusion.tp},
+        "confusion": ev.confusion._asdict(),
         "f1": ev.f1,
         "recall": ev.recall,
         "precision": ev.precision,
@@ -278,61 +282,53 @@ def _set_report_dict(report: EvalReport, set_name: str) -> dict:
     }
 
 
-def _write_scores_csv(path, ev) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("record_id,label,score,prediction\n")
-        for rid, label, score, pred in zip(ev.record_ids, ev.labels, ev.scores, ev.predictions):
-            fh.write(f"{rid},{int(label)},{float(score)!r},{int(pred)}\n")
-
-
 def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
     tdir = out_dir / run.treatment.key
     tdir.mkdir(parents=True, exist_ok=True)
     cv_payload = {
-        "selected": _combo_dict(run.best_combo),
-        "epoch_budget": run.final.epochs_trained,
+        "selected": asdict(run.best_combo),
+        "epoch_budget": run.epoch_budget,
         "results": [
             {
-                "combo": _combo_dict(r.combo),
+                "combo": asdict(r.combo),
                 "f1": r.f1,
                 "fold_f1": list(r.fold_f1s),
                 "best_epochs": list(r.best_epochs),
-                "min_fold_f1": r.min_fold_f1,
-                "mean_fold_f1": r.mean_fold_f1,
-                "max_fold_f1": r.max_fold_f1,
+                "min_fold_f1": min(r.fold_f1s),
+                "mean_fold_f1": sum(r.fold_f1s) / len(r.fold_f1s),
+                "max_fold_f1": max(r.fold_f1s),
             }
             for r in run.cv_results
         ],
     }
-    (tdir / "cv_results.json").write_text(
-        json.dumps(cv_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with open(tdir / "cv_fits.jsonl", "w", encoding="utf-8") as fh:
-        for ci, result in enumerate(run.cv_results):
-            for fit in result.fold_fits:
-                fh.write(
-                    json.dumps(
-                        {
-                            "treatment": run.treatment.key,
-                            "combo_index": ci,
-                            **_combo_dict(result.combo),
-                            "fold": fit.fold,
-                            "best_epoch": fit.best_epoch,
-                            "epochs_run": fit.epochs_run,
-                            "val_loss": fit.val_loss,
-                            "f1": fit.f1,
-                        }
-                    )
-                    + "\n"
-                )
-    save_params(tdir / "final_model.json", run.final.params)
-    write_round_logs(tdir / "round_logs.jsonl", run.final_logs)
-    for set_name in TEST_SET_NAMES:
-        payload = _set_report_dict(run.report, set_name)
-        (tdir / f"report_{set_name}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    _write_json(tdir / "cv_results.json", cv_payload)
+    fit_lines = (
+        json.dumps(
+            {
+                "treatment": run.treatment.key,
+                "combo_index": ci,
+                **asdict(result.combo),
+                "fold": fit.fold,
+                "best_epoch": fit.best_epoch,
+                "epochs_run": fit.epochs_run,
+                "val_loss": fit.val_loss,
+                "f1": fit.f1,
+            }
         )
-        _write_scores_csv(tdir / f"scores_{set_name}.csv", run.report.evaluations[set_name])
+        for ci, result in enumerate(run.cv_results)
+        for fit in result.fold_fits
+    )
+    _write_lines(tdir / "cv_fits.jsonl", fit_lines)
+    _write_lines(tdir / "final_model.json", [json.dumps(params_to_dict(run.params))])
+    _write_lines(tdir / "round_logs.jsonl", map(_round_log_line, run.final_logs))
+    for set_name, ev in run.evaluations.items():
+        _write_json(tdir / f"report_{set_name}.json", _set_report_dict(run, set_name))
+        rows = zip(ev.record_ids, ev.labels, ev.scores, ev.predictions)
+        _write_lines(
+            tdir / f"scores_{set_name}.csv",
+            ["record_id,label,score,prediction"]
+            + [f"{rid},{int(label)},{float(score)!r},{int(pred)}" for rid, label, score, pred in rows],
+        )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -347,7 +343,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if opt["treatment"] == "all":
         treatments = list(Treatment)
     else:
-        treatments = [Treatment.from_key(opt["treatment"])]
+        treatments = [Treatment(opt["treatment"])]
     grid = GridSpec(
         hidden_sizes=opt["hidden_sizes"],
         learning_rates=opt["learning_rates"],
@@ -367,9 +363,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     effective["treatments"] = [t.key for t in treatments]
     effective["force"] = bool(args.force)
     effective["version"] = __version__
-    (out_dir / "run_config.json").write_text(
-        json.dumps(effective, indent=2, sort_keys=True, default=list) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "run_config.json", effective)
 
     runs = run_treatments(
         treatments,
@@ -383,11 +377,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key in sorted(runs):
         run = runs[key]
         _write_treatment_outputs(out_dir, run)
-        combined = run.report.evaluations["combined"]
+        combined = run.evaluations["combined"]
         combo = run.best_combo
         print(
             f"{key}: hidden={combo.hidden_size} lr={combo.learning_rate} "
-            f"wd={combo.weight_decay} epochs={run.final.epochs_trained} "
+            f"wd={combo.weight_decay} epochs={run.epoch_budget} "
             f"combined F1={combined.f1:.3f}"
         )
     print(f"run outputs in {out_dir}")
@@ -451,8 +445,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     scored = _load_scored_sets(run_dir)
     seed = opt["seed"]
     n_resamples = opt["bootstrap_n"]
-    others = [k for k in TREATMENT_KEYS if k != Treatment.FEDERATED.key]
     fed = Treatment.FEDERATED.key
+    others = [k for k in TREATMENT_KEYS if k != fed]
 
     points: dict = {}
     boots: dict = {}
@@ -461,98 +455,62 @@ def cmd_report(args: argparse.Namespace) -> int:
     conting: dict = {}
     common: dict = {}
     for set_name in TEST_SET_NAMES:
-        points[set_name] = {}
-        boots[set_name] = {}
-        diffs[set_name] = {}
-        bundles = {
-            key: metric_bundle(scored[key][set_name].labels, scored[key][set_name].scores)
-            for key in TREATMENT_KEYS
-        }
+        sets = {key: scored[key][set_name] for key in TREATMENT_KEYS}
+        bundles = {key: metric_bundle(s.labels, s.scores) for key, s in sets.items()}
         conf[set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
+        points[set_name], boots[set_name], diffs[set_name] = {}, {}, {}
         for measure in REPORT_MEASURES:
-            points[set_name][measure] = {key: bundles[key][1][measure] for key in TREATMENT_KEYS}
+            point = points[set_name][measure] = {key: bundles[key][1][measure] for key in TREATMENT_KEYS}
             boots[set_name][measure] = {}
             for key in TREATMENT_KEYS:
-                if points[set_name][measure][key] is None:
+                if point[key] is None:
                     boots[set_name][measure][key] = None
                     continue
                 result, samples = bootstrap_ci(
-                    scored[key][set_name],
+                    sets[key],
                     measure,
                     n_resamples=n_resamples,
                     seed=derive_report_seed(seed, "ci", set_name, measure, key),
                     return_samples=True,
                 )
-                boots[set_name][measure][key] = {
-                    "mean": result.mean,
-                    "ci_low": result.ci_low,
-                    "ci_high": result.ci_high,
-                    "n_resamples": result.n_resamples,
-                    "n_redrawn": result.n_redrawn,
-                }
+                boots[set_name][measure][key] = _result_numbers(result)
                 if args.emit_distributions:
                     _write_distribution(out_dir / f"dist_{set_name}_{measure}_{key}.csv", samples)
             diffs[set_name][measure] = {}
             for key in others:
-                if (
-                    points[set_name][measure][key] is None
-                    or points[set_name][measure][fed] is None
-                ):
+                if point[key] is None or point[fed] is None:
                     diffs[set_name][measure][key] = None
                     continue
                 result, samples = bootstrap_diff(
-                    scored[key][set_name],
-                    scored[fed][set_name],
+                    sets[key],
+                    sets[fed],
                     measure,
                     n_resamples=n_resamples,
                     seed=derive_report_seed(seed, "diff", set_name, measure, key),
                     pair=(key, fed),
                     return_samples=True,
                 )
-                diffs[set_name][measure][key] = {
-                    "mean_diff": result.mean_diff,
-                    "ci_low": result.ci_low,
-                    "ci_high": result.ci_high,
-                    "significant": result.significant,
-                    "n_resamples": result.n_resamples,
-                    "n_redrawn": result.n_redrawn,
-                }
+                diffs[set_name][measure][key] = _result_numbers(result)
                 if args.emit_distributions:
                     _write_distribution(
                         out_dir / f"dist_{set_name}_{measure}_{key}_minus_{fed}.csv", samples
                     )
 
-        conting[set_name] = {}
-        fed_correct = scored[fed][set_name].predictions == scored[fed][set_name].labels
-        for key in others:
-            other_correct = scored[key][set_name].predictions == scored[key][set_name].labels
-            counts = contingency(fed_correct, other_correct)
-            conting[set_name][key] = {
-                "both_correct": counts.both_correct,
-                "federated_only": counts.first_only,
-                "treatment_only": counts.second_only,
-                "neither": counts.neither,
-            }
-        agreement = common_agreement([scored[key][set_name] for key in TREATMENT_KEYS])
-        common[set_name] = {
-            "neg_correct": agreement.neg_correct,
-            "neg_wrong": agreement.neg_wrong,
-            "neg_disagree": agreement.neg_disagree,
-            "pos_correct": agreement.pos_correct,
-            "pos_wrong": agreement.pos_wrong,
-            "pos_disagree": agreement.pos_disagree,
-            "agreement_rate": agreement.agreement_rate,
+        correct = {key: s.predictions == s.labels for key, s in sets.items()}
+        conting[set_name] = {
+            key: dict(zip(CONTINGENCY_KEYS, contingency(correct[fed], correct[key]))) for key in others
         }
-        for key in TREATMENT_KEYS:
-            s = scored[key][set_name]
+        agreement = common_agreement(list(sets.values()))
+        common[set_name] = {**asdict(agreement), "agreement_rate": agreement.agreement_rate}
+        for key, s in sets.items():
             try:
                 curve = roc_curve(s.labels, s.scores)
             except UndefinedMetricError:
                 continue
-            with open(out_dir / f"roc_{key}_{set_name}.csv", "w", encoding="utf-8") as fh:
-                fh.write("fpr,tpr,threshold\n")
-                for fpr, tpr, threshold in curve:
-                    fh.write(f"{fpr!r},{tpr!r},{threshold!r}\n")
+            _write_lines(
+                out_dir / f"roc_{key}_{set_name}.csv",
+                ["fpr,tpr,threshold"] + [f"{fpr!r},{tpr!r},{threshold!r}" for fpr, tpr, threshold in curve],
+            )
 
     payload = {
         "config": {
@@ -569,10 +527,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         "bootstrap": boots,
         "differences_vs_federated": diffs,
     }
-    (out_dir / "comparison.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out_dir / "comparison.txt").write_text(_render_text_report(payload), encoding="utf-8")
+    _write_json(out_dir / "comparison.json", payload)
+    _write_lines(out_dir / "comparison.txt", _render_text_report(payload))
     print(f"report written to {out_dir}")
     return 0
 
@@ -581,10 +537,13 @@ def derive_report_seed(seed: int, *parts: str) -> int:
     return derive_seed(seed, "report", *parts)
 
 
+def _result_numbers(result) -> dict:
+    """A bootstrap or difference result without its measure and pair labels."""
+    return {k: v for k, v in asdict(result).items() if k not in ("measure", "pair")}
+
+
 def _write_distribution(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for value in samples:
-            fh.write(f"{float(value)!r}\n")
+    _write_lines(path, (f"{float(value)!r}" for value in samples))
 
 
 def _fmt(value) -> str:
@@ -593,7 +552,7 @@ def _fmt(value) -> str:
     return f"{value:.3f}"
 
 
-def _render_text_report(payload: dict) -> str:
+def _render_text_report(payload: dict) -> list[str]:
     lines: list[str] = []
     keys = payload["config"]["treatments"]
     lines.append("treatment comparison")
@@ -647,7 +606,7 @@ def _render_text_report(payload: dict) -> str:
                     f"[{diff['ci_low']:+.3f}, {diff['ci_high']:+.3f}] {verdict}"
                 )
         lines.append("")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------- parser ----------

@@ -62,9 +62,9 @@ class AdmissionRecord:
     label: int
 
     def __post_init__(self):
-        if not self.patient_id:
+        if not isinstance(self.patient_id, str) or not self.patient_id:
             raise ValueError("patient_id must be a non-empty string")
-        if not self.ward:
+        if not isinstance(self.ward, str) or not self.ward:
             raise ValueError("ward must be a non-empty string")
         ts = self.admission_ts
         if ts.tzinfo is None:
@@ -299,26 +299,18 @@ def verify_split_plan(records: list[AdmissionRecord], plan: SplitPlan) -> list[s
     if leaked:
         violations.append(f"patient-test-overlap: patients in both folds and test: {leaked[:5]}")
 
-    latest_train: dict[str, datetime] = {}
-    earliest_test: dict[str, datetime] = {}
-    for i in folded:
-        if not 0 <= i < n:
-            continue
-        inst = plan.institution_of_ward.get(records[i].ward)
-        if inst is None:
-            continue  # already reported as an institution-map violation
-        ts = records[i].admission_ts
-        if inst not in latest_train or ts > latest_train[inst]:
-            latest_train[inst] = ts
-    for i in test:
-        if not 0 <= i < n:
-            continue
-        inst = plan.institution_of_ward.get(records[i].ward)
-        if inst is None:
-            continue
-        ts = records[i].admission_ts
-        if inst not in earliest_test or ts < earliest_test[inst]:
-            earliest_test[inst] = ts
+    def extreme_ts(ids, pick) -> dict[str, datetime]:
+        """pick (min or max) of the admission times per institution."""
+        out: dict[str, datetime] = {}
+        for i in ids:
+            inst = plan.institution_of_ward.get(records[i].ward) if 0 <= i < n else None
+            if inst is not None:  # an unmapped ward is already an institution-map violation
+                ts = records[i].admission_ts
+                out[inst] = pick(out.get(inst, ts), ts)
+        return out
+
+    latest_train = extreme_ts(folded, max)
+    earliest_test = extreme_ts(test, min)
     for inst, latest in sorted(latest_train.items()):
         if inst in earliest_test and earliest_test[inst] < latest:
             violations.append(f"test-time-order: institution {inst} has a test record earlier than a train/val record")
@@ -426,6 +418,10 @@ def record_to_dict(record: AdmissionRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> AdmissionRecord:
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if not isinstance(data["admission_ts"], str):
+        raise ValueError(f"admission_ts must be a string like 2019-03-01T00:00:00Z, got {data['admission_ts']!r}")
     return AdmissionRecord(
         patient_id=data["patient_id"],
         ward=data["ward"],
@@ -451,7 +447,7 @@ def load_records(path) -> list[AdmissionRecord]:
                 continue
             try:
                 records.append(record_from_dict(json.loads(line)))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad record on line {line_no}: {exc}") from exc
     return records
 
@@ -471,6 +467,8 @@ SPLIT_PLAN_KEYS = {"institution_of_ward": dict, "test_ids": list, "fold_of_recor
 
 def load_split_plan(path) -> SplitPlan:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"split plan {path} must be a JSON object, got {type(data).__name__}")
     missing = [key for key in SPLIT_PLAN_KEYS if key not in data]
     if missing:
         raise ValueError(f"split plan {path} is missing key(s): {', '.join(missing)}")
@@ -478,6 +476,10 @@ def load_split_plan(path) -> SplitPlan:
         if not isinstance(data[key], kind):
             expected = "an object" if kind is dict else "an array"
             raise ValueError(f"split plan {path}: {key} must be {expected}, got {type(data[key]).__name__}")
+    if any(inst not in (INSTITUTION_A, INSTITUTION_B) for inst in data["institution_of_ward"].values()):
+        raise ValueError(
+            f"split plan {path}: institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}"
+        )
     try:
         return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})
     except (TypeError, ValueError) as exc:

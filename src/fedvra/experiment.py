@@ -8,9 +8,7 @@ folds for a fixed epoch budget (the median of the per-fold best
 epochs), and evaluation on the per-institution and combined test sets.
 
 Local and centralised treatments reuse the federated loop with a
-single silo, which is exactly plain training. An independent
-centralized trainer (train_centralized) implements the same procedure
-as a flat loop so the equivalence is checkable rather than assumed.
+single silo, which is exactly plain training.
 """
 
 from __future__ import annotations
@@ -32,18 +30,8 @@ from .federated import (
     resolve_pos_weight,
     train_for_epochs,
 )
-from .network import (
-    ModelParams,
-    TrainConfig,
-    batch_loss,
-    forward_batch,
-    init_model,
-    lr_at_epoch,
-    sgd_step,
-    backward,
-    sigmoid,
-)
-from .seeds import derive_seed, make_rng
+from .network import ModelParams, TrainConfig, forward_batch, sigmoid
+from .seeds import derive_seed
 from .stats import THRESHOLD, Confusion, confusion, metric_bundle, prf1
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 256, 512)
@@ -64,19 +52,18 @@ class Treatment(Enum):
     def key(self) -> str:
         return self.value
 
-    @classmethod
-    def from_key(cls, key: str) -> "Treatment":
-        for t in cls:
-            if t.value == key:
-                return t
-        raise ValueError(f"unknown treatment {key!r}")
-
 
 @dataclass(frozen=True)
 class HyperCombo:
     hidden_size: int
     learning_rate: float
     weight_decay: float
+
+    def config(self, base: TrainConfig, seed: int) -> TrainConfig:
+        """The base config with this combo's settings and the given seed."""
+        return replace(
+            base, hidden_size=self.hidden_size, lr0=self.learning_rate, weight_decay=self.weight_decay, seed=seed
+        )
 
 
 @dataclass(frozen=True)
@@ -127,26 +114,6 @@ class CvResult:
     def best_epochs(self) -> tuple[int, ...]:
         return tuple(fit.best_epoch for fit in self.fold_fits)
 
-    @property
-    def min_fold_f1(self) -> float:
-        return min(self.fold_f1s)
-
-    @property
-    def mean_fold_f1(self) -> float:
-        return sum(self.fold_f1s) / len(self.fold_f1s)
-
-    @property
-    def max_fold_f1(self) -> float:
-        return max(self.fold_f1s)
-
-
-@dataclass(frozen=True)
-class FinalModel:
-    treatment: Treatment
-    params: ModelParams
-    combo: HyperCombo
-    epochs_trained: int
-
 
 @dataclass(frozen=True, eq=False)
 class TestSet:
@@ -174,18 +141,6 @@ class SetEvaluation:
     f1: float
     roc_auc: float | None
     pr_auc: float | None
-
-    @property
-    def auc_undefined(self) -> bool:
-        return self.roc_auc is None
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    treatment: Treatment
-    combo: HyperCombo
-    epochs_trained: int
-    evaluations: dict[str, SetEvaluation]
 
 
 def _institution_indices(records, plan: SplitPlan, indices) -> dict[str, list[int]]:
@@ -220,14 +175,8 @@ def silos_for_treatment(
         return [build(CENTRAL_SILO_NAME, train_ids, val_ids)]
     train_by_inst = _institution_indices(records, plan, train_ids)
     val_by_inst = _institution_indices(records, plan, val_ids)
-    if treatment is Treatment.LOCAL_A:
-        return [build("A", train_by_inst["A"], val_by_inst["A"])]
-    if treatment is Treatment.LOCAL_B:
-        return [build("B", train_by_inst["B"], val_by_inst["B"])]
-    return [
-        build("A", train_by_inst["A"], val_by_inst["A"]),
-        build("B", train_by_inst["B"], val_by_inst["B"]),
-    ]
+    names = {Treatment.LOCAL_A: ("A",), Treatment.LOCAL_B: ("B",), Treatment.FEDERATED: ("A", "B")}[treatment]
+    return [build(name, train_by_inst[name], val_by_inst[name]) for name in names]
 
 
 def _fit_fold(
@@ -241,13 +190,7 @@ def _fit_fold(
     uniform_weights: bool,
 ) -> FoldFit:
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
-    cfg = replace(
-        base_config,
-        hidden_size=combo.hidden_size,
-        lr0=combo.learning_rate,
-        weight_decay=combo.weight_decay,
-        seed=derive_seed(base_config.seed, treatment.key, combo_index, fold),
-    )
+    cfg = combo.config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
     params, logs = federated_train(silos, cfg, uniform_weights=uniform_weights)
     losses = [log.val_loss for log in logs]
     best_index = int(np.argmin(losses))
@@ -338,20 +281,14 @@ def train_final(
     plan: SplitPlan,
     base_config: TrainConfig,
     uniform_weights: bool = False,
-) -> tuple[FinalModel, list[RoundLog]]:
-    """Refit the selected combo on all folds for the median epoch budget."""
-    combo = cv_result.combo
+) -> tuple[ModelParams, int, list[RoundLog]]:
+    """Refit the selected combo on all folds for the median epoch budget;
+    returns the parameters, the budget and one log per epoch."""
     budget = final_epoch_budget(cv_result.best_epochs)
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=None)
-    cfg = replace(
-        base_config,
-        hidden_size=combo.hidden_size,
-        lr0=combo.learning_rate,
-        weight_decay=combo.weight_decay,
-        seed=derive_seed(base_config.seed, treatment.key, "final"),
-    )
+    cfg = cv_result.combo.config(base_config, derive_seed(base_config.seed, treatment.key, "final"))
     params, logs = train_for_epochs(silos, cfg, budget, uniform_weights=uniform_weights)
-    return FinalModel(treatment=treatment, params=params, combo=combo, epochs_trained=budget), logs
+    return params, budget, logs
 
 
 def test_sets_from_plan(
@@ -381,95 +318,30 @@ def _evaluate_set(params: ModelParams, ts: TestSet) -> SetEvaluation:
     )
 
 
-def evaluate(final: FinalModel, test_a: TestSet, test_b: TestSet) -> EvalReport:
-    """Score the final model on A, B, and the combined set (A then B)."""
+def evaluate(params: ModelParams, test_a: TestSet, test_b: TestSet) -> dict[str, SetEvaluation]:
+    """Score a model on A, B, and the combined set (A then B), by set name."""
     combined = TestSet(
         name="combined",
         record_ids=test_a.record_ids + test_b.record_ids,
         features=np.concatenate([test_a.features, test_b.features]),
         labels=np.concatenate([test_a.labels, test_b.labels]),
     )
-    evaluations = {
-        ts.name: _evaluate_set(final.params, ts) for ts in (test_a, test_b, combined)
-    }
-    return EvalReport(
-        treatment=final.treatment,
-        combo=final.combo,
-        epochs_trained=final.epochs_trained,
-        evaluations=evaluations,
-    )
-
-
-def train_centralized(
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
-    val_features: np.ndarray,
-    val_labels: np.ndarray,
-    config: TrainConfig,
-    name: str = CENTRAL_SILO_NAME,
-) -> tuple[ModelParams, list[RoundLog]]:
-    """Plain single-pool trainer, written as a flat loop.
-
-    Follows the same seeding conventions as the federated loop (init
-    stream, per-epoch shuffle stream named by `name`) so the two can be
-    compared bit for bit, while sharing none of its orchestration code.
-    """
-    pool = Silo(name, train_features, train_labels, val_features, val_labels)  # validates the arrays
-    if pool.n_train < 1 or pool.n_val < 1:
-        raise ValueError("training and validation sets must be non-empty")
-    x, y, vx, vy = pool.train_features, pool.train_labels, pool.val_features, pool.val_labels
-    if config.pos_weight is not None:
-        pos_weight = config.pos_weight
-    else:
-        n_pos = float(y.sum())
-        if n_pos == 0:
-            raise ValueError("cannot derive pos_weight: no positive training samples")
-        pos_weight = (y.shape[0] - n_pos) / n_pos
-
-    model = init_model(config.hidden_size, derive_seed(config.seed, "init"))
-    best_loss = np.inf
-    best_model = model
-    since_improvement = 0
-    logs: list[RoundLog] = []
-    for epoch in range(config.max_epochs):
-        lr = lr_at_epoch(config.lr0, config.gamma, epoch)
-        order = make_rng(config.seed, "shuffle", name, epoch).permutation(x.shape[0])
-        for start in range(0, x.shape[0], config.batch_size):
-            chunk = order[start : start + config.batch_size]
-            model = sgd_step(model, backward(model, x[chunk], y[chunk], pos_weight), lr, config.weight_decay)
-        train_loss = batch_loss(model, x, y, pos_weight)
-        val_loss = batch_loss(model, vx, vy, pos_weight)
-        val_scores = sigmoid(forward_batch(model, vx))
-        logs.append(
-            RoundLog(
-                epoch=epoch,
-                lr=lr,
-                train_losses={name: train_loss},
-                val_loss=val_loss,
-                metrics=metric_bundle(vy, val_scores)[1],
-            )
-        )
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_model = model
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= config.patience:
-                break
-    return best_model, logs
+    return {ts.name: _evaluate_set(params, ts) for ts in (test_a, test_b, combined)}
 
 
 @dataclass(frozen=True)
 class TreatmentRun:
-    """Everything one treatment produced."""
+    """Everything one treatment produced: its cross-validation, the
+    selected combo refitted for the epoch budget, and that model's test
+    evaluations by set name."""
 
     treatment: Treatment
     cv_results: list[CvResult]
     best_combo: HyperCombo
-    final: FinalModel
+    epoch_budget: int
+    params: ModelParams
     final_logs: list[RoundLog]
-    report: EvalReport
+    evaluations: dict[str, SetEvaluation]
 
 
 def run_treatment(
@@ -487,18 +359,17 @@ def run_treatment(
     )
     best_combo = select_best(cv_results)
     best_cv = next(r for r in cv_results if r.combo == best_combo)
-    final, final_logs = train_final(
+    params, budget, final_logs = train_final(
         treatment, best_cv, records, plan, base_config, uniform_weights=uniform_weights
     )
-    test_a, test_b = test_sets_from_plan(records, plan)
-    report = evaluate(final, test_a, test_b)
     return TreatmentRun(
         treatment=treatment,
         cv_results=cv_results,
         best_combo=best_combo,
-        final=final,
+        epoch_budget=budget,
+        params=params,
         final_logs=final_logs,
-        report=report,
+        evaluations=evaluate(params, *test_sets_from_plan(records, plan)),
     )
 
 

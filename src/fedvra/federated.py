@@ -18,12 +18,17 @@ local_train_epoch, local_validate, and the aggregate counters
 that interface; only parameters travel in, and parameters or
 (logits, labels) travel out. The concatenated validation labels do
 leave each silo, which is the documented cost of central validation.
+
+Each local epoch, training loss, averaging and validation pass runs
+with floating-point overflow and invalid operations raising, so a
+diverging run stops where it first produces a non-finite number, with
+a NumericalError naming the silo (or the server) and the epoch.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,6 +142,18 @@ def early_stop_update(
     return replace(state, epochs_since_improvement=counter), counter >= state.patience
 
 
+@contextmanager
+def _raise_numerical(where: str, epoch: int):
+    """Overflow or an invalid operation inside raises, and any numerical
+    failure leaves as a NumericalError naming where and in which epoch it
+    happened. The error state is set once per block, not per step."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, NumericalError) as exc:
+        raise NumericalError(f"{where}, epoch {epoch}: {exc}") from None
+
+
 def local_train_epoch(model: ModelParams, silo: Silo, config: TrainConfig, epoch: int) -> ModelParams:
     """One full local pass in shuffled minibatches; returns new parameters.
 
@@ -150,9 +167,10 @@ def local_train_epoch(model: ModelParams, silo: Silo, config: TrainConfig, epoch
     lr = lr_at_epoch(config.lr0, config.gamma, epoch)
     order = make_rng(config.seed, "shuffle", silo.name, epoch).permutation(silo.n_train)
     x, y = silo.train_features, silo.train_labels
-    for start in range(0, silo.n_train, config.batch_size):
-        chunk = order[start : start + config.batch_size]
-        model = sgd_step(model, backward(model, x[chunk], y[chunk], config.pos_weight), lr, config.weight_decay)
+    with _raise_numerical(f"silo {silo.name!r}", epoch):
+        for start in range(0, silo.n_train, config.batch_size):
+            chunk = order[start : start + config.batch_size]
+            model = sgd_step(model, backward(model, x[chunk], y[chunk], config.pos_weight), lr, config.weight_decay)
     return model
 
 
@@ -224,11 +242,12 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, uniform_wei
     model = init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
     for epoch in range(max_epochs):
         updated = [local_train_epoch(model, silo, cfg, epoch) for silo in silos]
-        model = average_models(updated, weights)
         train_losses = {
-            silo.name: _silo_train_loss(local_model, silo, pos_weight)
+            silo.name: _silo_train_loss(local_model, silo, pos_weight, epoch)
             for silo, local_model in zip(silos, updated)
         }
+        with _raise_numerical("averaging on the server", epoch):
+            model = average_models(updated, weights)
         log = RoundLog(
             epoch=epoch,
             lr=lr_at_epoch(cfg.lr0, cfg.gamma, epoch),
@@ -239,9 +258,10 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, uniform_wei
         yield model, log, pos_weight
 
 
-def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float) -> float:
+def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: int) -> float:
     """Silo-side: loss of its own updated model over its training shard."""
-    return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
+    with _raise_numerical(f"silo {silo.name!r} training loss", epoch):
+        return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
 
 
 def federated_train(
@@ -259,7 +279,8 @@ def federated_train(
     state = EarlyStopState(patience=config.patience)
     logs: list[RoundLog] = []
     for model, log, pos_weight in _rounds(silos, config, config.max_epochs, uniform_weights):
-        val_loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
+        with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
+            val_loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
         logs.append(replace(log, val_loss=val_loss, metrics=metrics))
         state, stop = early_stop_update(state, val_loss, model)
         if stop:
@@ -278,20 +299,3 @@ def train_for_epochs(
     for model, log, _ in _rounds(silos, config, n_epochs, uniform_weights):
         logs.append(log)
     return model, logs
-
-
-def round_log_to_dict(log: RoundLog) -> dict:
-    return {
-        "epoch": log.epoch,
-        "lr": log.lr,
-        "train_losses": dict(sorted(log.train_losses.items())),
-        "val_loss": log.val_loss,
-        "metrics": log.metrics,
-    }
-
-
-def write_round_logs(path, logs: list[RoundLog]) -> None:
-    """One JSON object per epoch."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(json.dumps(round_log_to_dict(log)) + "\n")

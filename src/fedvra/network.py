@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,20 +95,14 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Gradients:
-    """Loss gradients, same shapes as the matching ModelParams."""
+class Gradients(NamedTuple):
+    """Loss gradients as float64 arrays (and a float b2), shaped like the
+    matching ModelParams; stored as given, without a copy."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w1", np.asarray(self.w1, dtype=np.float64))
-        object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
-        object.__setattr__(self, "w2", np.asarray(self.w2, dtype=np.float64))
-        object.__setattr__(self, "b2", float(self.b2))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ seeded result equals the one a per-resample loop would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,11 +68,12 @@ class CommonAgreement:
 
 @dataclass(frozen=True, eq=False)
 class ScoredSet:
-    """Labels, scores in [0, 1], and the thresholded predictions."""
+    """Labels, scores in [0, 1], and the predictions: the scores
+    thresholded at THRESHOLD."""
 
     labels: np.ndarray
     scores: np.ndarray
-    predictions: np.ndarray | None = None
+    predictions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # private copies: freezing them leaves the caller's arrays writeable
@@ -84,13 +85,7 @@ class ScoredSet:
             raise ValueError("labels must be 0 or 1")
         if not np.isfinite(s).all() or (s < 0).any() or (s > 1).any():
             raise ValueError("scores must lie in [0, 1]")
-        derived = (s >= THRESHOLD).astype(np.int64)
-        if self.predictions is None:
-            preds = derived
-        else:
-            preds = np.array(self.predictions, dtype=np.int64)
-            if not np.array_equal(preds, derived):
-                raise ValueError("predictions must equal scores thresholded at 0.5")
+        preds = (s >= THRESHOLD).astype(np.int64)
         for arr in (y, s, preds):
             arr.setflags(write=False)
         object.__setattr__(self, "labels", y)

@@ -21,13 +21,7 @@ from fedvra.data import (
     make_split_plan,
     verify_split_plan,
 )
-from fedvra.experiment import (
-    CENTRAL_SILO_NAME,
-    GridSpec,
-    Treatment,
-    run_treatments,
-    train_centralized,
-)
+from fedvra.experiment import CENTRAL_SILO_NAME, GridSpec, Treatment, run_treatments
 from fedvra.federated import Silo, federated_train
 from fedvra.network import (
     INPUT_DIM,
@@ -40,6 +34,8 @@ from fedvra.network import (
 )
 from fedvra.seeds import derive_seed
 from fedvra.stats import Confusion, ScoredSet, bootstrap_ci, bootstrap_diff, prf1, roc_auc
+
+from central_oracle import train_centralized
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -446,7 +442,7 @@ def test_09_end_to_end_directional():
         lr0=0.005, hidden_size=32, seed=seed, batch_size=32, max_epochs=40, patience=7
     )
     runs = run_treatments(list(Treatment), records, plan, grid, cfg, threads=4)
-    f1 = {key: run.report.evaluations["combined"].f1 for key, run in runs.items()}
+    f1 = {key: run.evaluations["combined"].f1 for key, run in runs.items()}
     elapsed = time.perf_counter() - start
     beats_locals = f1["federated"] >= f1["a"] - 0.01 and f1["federated"] >= f1["b"] - 0.01
     near_central = abs(f1["federated"] - f1["central"]) <= 0.05

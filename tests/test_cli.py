@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedvra.cli import load_config_file, main, resolve_options
+from fedvra.cli import _round_log_line, _write_lines, load_config_file, main, resolve_options
 from fedvra.data import (
     AdmissionRecord,
     load_records,
@@ -23,6 +23,7 @@ from fedvra.data import (
     save_records,
     verify_split_plan,
 )
+from fedvra.federated import RoundLog
 from fedvra.network import INPUT_DIM
 
 BASE_TS = datetime(2019, 3, 1, tzinfo=timezone.utc)
@@ -229,6 +230,27 @@ def test_split_missing_data_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda rec: list(rec),
+        lambda rec: {**rec, "admission_ts": 5},
+        lambda rec: {**rec, "ward": ["x"]},
+        lambda rec: {**rec, "patient_id": 7},
+    ],
+    ids=["array", "numeric_admission_ts", "list_ward", "numeric_patient_id"],
+)
+def test_split_malformed_record_exits_2(chain, tmp_path, change):
+    lines = chain["data"].read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:3] + [json.dumps(change(json.loads(lines[3])))] + lines[4:]) + "\n")
+    code, _, err = run_cli("split", "--data", str(bad), "--out", str(tmp_path / "p.json"), "--seed", "9")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and "line 4" in err
+    assert "Traceback" not in err
+
+
 # ---------- run ----------
 
 TREATMENT_FILES = {
@@ -328,10 +350,22 @@ def test_run_plan_missing_key_exits_2(chain, tmp_path):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("dropped_ids", 5), ("fold_of_record", [1, 2]), ("test_ids", [None])])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dropped_ids", 5),
+        ("fold_of_record", [1, 2]),
+        ("test_ids", [None]),
+        ("institution_of_ward", {"A1": ["A"], "A2J": ["B"], "A2V": ["A"], "A3": ["B"]}),
+        (None, 5),  # the whole plan is a number
+    ],
+)
 def test_run_plan_wrongly_typed_key_exits_2(chain, tmp_path, key, value):
     plan_data = json.loads(chain["plan"].read_text())
-    plan_data[key] = value
+    if key is None:
+        plan_data = value
+    else:
+        plan_data[key] = value
     bad = tmp_path / "bad_plan.json"
     bad.write_text(json.dumps(plan_data))
     code, _, err = run_cli(
@@ -340,7 +374,7 @@ def test_run_plan_wrongly_typed_key_exits_2(chain, tmp_path, key, value):
     )
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
-    assert str(bad) in err and key in err
+    assert str(bad) in err and (key or "JSON object") in err
     assert "Traceback" not in err
 
 
@@ -353,7 +387,27 @@ def test_run_diverging_learning_rate_exits_4(chain, tmp_path):
     )
     assert code == 4
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "epoch 0" in err and "overflow" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_round_log_serialisation(tmp_path):
+    log = RoundLog(
+        epoch=3,
+        lr=0.004,
+        train_losses={"B": 0.5, "A": 0.25},
+        val_loss=0.75,
+        metrics={"f1": 0.5, "roc_auc": None},
+    )
+    line = _round_log_line(log)
+    assert list(json.loads(line)) == ["epoch", "lr", "train_losses", "val_loss", "metrics"]
+    assert list(json.loads(line)["train_losses"]) == ["A", "B"]
+    path = tmp_path / "rounds.jsonl"
+    _write_lines(path, [line, line])
+    lines = path.read_text().strip().split("\n")
+    assert len(lines) == 2
+    assert json.loads(lines[0])["epoch"] == 3
+    assert json.loads(lines[1])["metrics"]["roc_auc"] is None
 
 
 # ---------- report ----------

@@ -483,9 +483,17 @@ def test_load_records_reports_bad_line(tmp_path):
     good = record_to_dict(record("P1", "A1", 0))
     import json
 
-    path.write_text(json.dumps(good) + "\n" + '{"patient_id": "P2"}' + "\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_records(path)
+    bad_lines = [
+        {"patient_id": "P2"},
+        [good["patient_id"], good["ward"]],
+        {**good, "admission_ts": 5},
+        {**good, "ward": ["x"]},
+        {**good, "patient_id": 7},
+    ]
+    for bad in bad_lines:
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_records(path)
 
 
 def test_split_plan_round_trip(tmp_path):

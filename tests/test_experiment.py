@@ -9,7 +9,6 @@ from fedvra.data import SynthConfig, features_matrix, generate_synthetic, make_s
 from fedvra.experiment import (
     CENTRAL_SILO_NAME,
     CvResult,
-    FinalModel,
     FoldFit,
     GridSpec,
     HyperCombo,
@@ -21,7 +20,6 @@ from fedvra.experiment import (
     run_treatments,
     select_best,
     silos_for_treatment,
-    train_centralized,
     train_final,
 )
 from fedvra.experiment import TestSet as EvalTestSet
@@ -30,6 +28,8 @@ from fedvra.federated import federated_train, federated_validate, resolve_pos_we
 from fedvra.network import TrainConfig, init_model
 from fedvra.seeds import derive_seed
 from fedvra.stats import THRESHOLD, confusion, prf1
+
+from central_oracle import train_centralized
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +82,10 @@ def test_grid_rejects_empty_axis():
 
 def test_treatment_keys_round_trip():
     for t in Treatment:
-        assert Treatment.from_key(t.key) is t
-    assert Treatment.from_key("central") is Treatment.CENTRALISED
+        assert Treatment(t.key) is t
+    assert Treatment("central") is Treatment.CENTRALISED
     with pytest.raises(ValueError):
-        Treatment.from_key("nope")
+        Treatment("nope")
 
 
 # ---------- silo construction ----------
@@ -277,13 +277,12 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
 def test_train_final_uses_median_budget_and_is_deterministic(dataset):
     records, plan = dataset
     cv = grid_search_cv(Treatment.CENTRALISED, records, plan, tiny_grid(), base_config())[0]
-    final1, logs1 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
-    final2, logs2 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
-    assert final1.epochs_trained == final_epoch_budget(cv.best_epochs)
-    assert len(logs1) == final1.epochs_trained
-    assert final1.params == final2.params
-    assert final1.combo == cv.combo
-    assert final1.treatment is Treatment.CENTRALISED
+    params1, budget1, logs1 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
+    params2, budget2, logs2 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
+    assert budget1 == budget2 == final_epoch_budget(cv.best_epochs)
+    assert len(logs1) == budget1
+    assert params1 == params2
+    assert params1.hidden_size == cv.combo.hidden_size
 
 
 def test_single_silo_federated_matches_flat_loop(dataset):
@@ -324,20 +323,14 @@ def eval_test_set(name, labels, seed):
 def test_evaluate_builds_combined_in_a_then_b_order():
     a = eval_test_set("A", [0, 0, 1], seed=1)
     b = eval_test_set("B", [1, 0], seed=2)
-    final = FinalModel(
-        treatment=Treatment.FEDERATED,
-        params=init_model(4, 3),
-        combo=HyperCombo(4, 0.01, 0.0),
-        epochs_trained=2,
-    )
-    report = evaluate(final, a, b)
-    assert set(report.evaluations) == {"A", "B", "combined"}
-    combined = report.evaluations["combined"]
+    evaluations = evaluate(init_model(4, 3), a, b)
+    assert set(evaluations) == {"A", "B", "combined"}
+    combined = evaluations["combined"]
     assert combined.record_ids == a.record_ids + b.record_ids
-    assert np.array_equal(combined.labels[:3], report.evaluations["A"].labels)
-    assert np.array_equal(combined.scores[:3], report.evaluations["A"].scores)
-    assert np.array_equal(combined.scores[3:], report.evaluations["B"].scores)
-    for ev in report.evaluations.values():
+    assert np.array_equal(combined.labels[:3], evaluations["A"].labels)
+    assert np.array_equal(combined.scores[:3], evaluations["A"].scores)
+    assert np.array_equal(combined.scores[3:], evaluations["B"].scores)
+    for ev in evaluations.values():
         conf = ev.confusion
         assert conf.tn + conf.fp + conf.fn + conf.tp == len(ev.record_ids)
         assert np.array_equal(ev.predictions, (ev.scores >= THRESHOLD).astype(np.int64))
@@ -346,17 +339,10 @@ def test_evaluate_builds_combined_in_a_then_b_order():
 def test_evaluate_single_class_set_has_undefined_auc():
     a = eval_test_set("A", [0, 0, 0, 0], seed=3)
     b = eval_test_set("B", [1, 0, 1], seed=4)
-    final = FinalModel(
-        treatment=Treatment.LOCAL_A,
-        params=init_model(4, 5),
-        combo=HyperCombo(4, 0.01, 0.0),
-        epochs_trained=1,
-    )
-    report = evaluate(final, a, b)
-    assert report.evaluations["A"].roc_auc is None
-    assert report.evaluations["A"].pr_auc is None
-    assert report.evaluations["A"].auc_undefined
-    assert report.evaluations["combined"].roc_auc is not None
+    evaluations = evaluate(init_model(4, 5), a, b)
+    assert evaluations["A"].roc_auc is None
+    assert evaluations["A"].pr_auc is None
+    assert evaluations["combined"].roc_auc is not None
 
 
 def test_test_sets_from_plan_cover_test_ids(dataset):
@@ -385,11 +371,12 @@ def test_run_treatment_smoke_and_determinism(dataset):
     )
     run2 = run_treatment(Treatment.FEDERATED, records, plan, tiny_grid(), base_config())
     assert run1.best_combo == tiny_grid().combos()[0]
-    assert run1.final.params == run2.final.params
-    assert set(run1.report.evaluations) == {"A", "B", "combined"}
-    assert run1.report.evaluations["combined"].f1 == run2.report.evaluations["combined"].f1
+    assert run1.params == run2.params
+    assert set(run1.evaluations) == {"A", "B", "combined"}
+    assert run1.evaluations["combined"].f1 == run2.evaluations["combined"].f1
     assert len(run1.cv_results) == 1
-    assert len(run1.final_logs) == run1.final.epochs_trained
+    assert run1.epoch_budget == final_epoch_budget(run1.cv_results[0].best_epochs)
+    assert len(run1.final_logs) == run1.epoch_budget
 
 
 def test_run_treatments_returns_keyed_runs(dataset):
@@ -400,5 +387,5 @@ def test_run_treatments_returns_keyed_runs(dataset):
     assert set(runs) == {"a", "central"}
     assert runs["a"].treatment is Treatment.LOCAL_A
     assert runs["central"].treatment is Treatment.CENTRALISED
-    combined = runs["central"].report.evaluations["combined"]
+    combined = runs["central"].evaluations["combined"]
     assert len(combined.record_ids) == len(plan.test_ids)

@@ -8,7 +8,6 @@ helpers).
 
 import ast
 import inspect
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ import fedvra.federated as fed
 from fedvra.errors import NumericalError
 from fedvra.federated import (
     EarlyStopState,
-    RoundLog,
     Silo,
     early_stop_update,
     federated_train,
@@ -26,9 +24,7 @@ from fedvra.federated import (
     local_train_epoch,
     local_validate,
     resolve_pos_weight,
-    round_log_to_dict,
     train_for_epochs,
-    write_round_logs,
 )
 from fedvra.network import (
     INPUT_DIM,
@@ -209,6 +205,14 @@ def test_local_train_epoch_raises_where_the_update_diverges():
     cfg = config(lr0=1e100, batch_size=2, pos_weight=2.0)
     with pytest.raises(NumericalError):
         local_train_epoch(init_model(4, 9), silo, cfg, epoch=0)
+
+
+def test_diverging_training_names_the_silo_and_the_epoch():
+    silos = [make_silo("A", 16, 4, seed=5), make_silo("B", 16, 4, seed=6)]
+    with pytest.raises(NumericalError, match=r"^silo 'A', epoch 0: overflow"):
+        federated_train(silos, config(lr0=1e100, batch_size=2))
+    with pytest.raises(NumericalError, match=r"^silo 'B', epoch 3: "):
+        local_train_epoch(init_model(4, 9), silos[1], config(lr0=1e100, batch_size=2, pos_weight=2.0), epoch=3)
 
 
 def test_local_train_epoch_deterministic():
@@ -463,23 +467,3 @@ def test_orchestrator_runtime_attribute_audit(monkeypatch):
     train_for_epochs(silos, config(), n_epochs=2)
     assert accessed <= {"name", "n_train", "n_val", "label_counts"}, accessed
 
-
-# ---------- logs ----------
-
-
-def test_round_log_serialisation(tmp_path):
-    log = RoundLog(
-        epoch=3,
-        lr=0.004,
-        train_losses={"B": 0.5, "A": 0.25},
-        val_loss=0.75,
-        metrics={"f1": 0.5, "roc_auc": None},
-    )
-    data = round_log_to_dict(log)
-    assert list(data["train_losses"]) == ["A", "B"]
-    path = tmp_path / "rounds.jsonl"
-    write_round_logs(path, [log, log])
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    assert json.loads(lines[0])["epoch"] == 3
-    assert json.loads(lines[1])["metrics"]["roc_auc"] is None

@@ -310,7 +310,7 @@ def test_backward_rejects_bad_shapes():
 
 def test_sgd_worked_value():
     m = ModelParams(w1=np.zeros((1, INPUT_DIM)), b1=[1.0], w2=[1.0], b2=1.0)
-    g = Gradients(w1=np.zeros((1, INPUT_DIM)), b1=[0.5], w2=[0.5], b2=0.5)
+    g = Gradients(w1=np.zeros((1, INPUT_DIM)), b1=np.array([0.5]), w2=np.array([0.5]), b2=0.5)
     out = sgd_step(m, g, lr=0.1, weight_decay=0.01)
     assert out.w2[0] == 1.0 - 0.1 * (0.5 + 0.01)  # 0.949, decay hits weights
     assert out.b1[0] == 1.0 - 0.1 * 0.5  # 0.95, biases are not decayed
@@ -327,10 +327,10 @@ def test_sgd_identity_cases():
 
 def test_sgd_rejects_non_finite():
     m = init_model(1, 1)
-    bad = Gradients(w1=np.full((1, INPUT_DIM), np.nan), b1=[0.0], w2=[0.0], b2=0.0)
+    bad = Gradients(w1=np.full((1, INPUT_DIM), np.nan), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
     with pytest.raises(NumericalError):
         sgd_step(m, bad, lr=0.1, weight_decay=0.0)
-    huge = Gradients(w1=np.full((1, INPUT_DIM), 1e308), b1=[0.0], w2=[0.0], b2=0.0)
+    huge = Gradients(w1=np.full((1, INPUT_DIM), 1e308), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
     with pytest.raises(NumericalError):
         sgd_step(m, huge, lr=1e10, weight_decay=0.0)
 

@@ -208,22 +208,16 @@ def test_scored_set_validation():
         ScoredSet(labels=np.array([0, 2]), scores=np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         ScoredSet(labels=np.array([0, 1]), scores=np.array([0.1, 1.2]))
-    with pytest.raises(ValueError):
-        ScoredSet(
-            labels=np.array([0, 1]),
-            scores=np.array([0.1, 0.9]),
-            predictions=np.array([1, 1]),
-        )
 
 
 def test_scored_set_leaves_the_callers_arrays_writeable():
     labels = np.array([0, 1, 1])
     scores = np.array([0.2, 0.5, 0.9])
-    predictions = np.array([0, 1, 1])
-    s = ScoredSet(labels=labels, scores=scores, predictions=predictions)
-    for mine, theirs in ((s.labels, labels), (s.scores, scores), (s.predictions, predictions)):
+    s = ScoredSet(labels=labels, scores=scores)
+    for mine, theirs in ((s.labels, labels), (s.scores, scores)):
         assert theirs.flags.writeable and not mine.flags.writeable
         assert not np.shares_memory(mine, theirs)
+    assert not s.predictions.flags.writeable
 
 
 def test_metric_bundle_matches_the_single_measures():

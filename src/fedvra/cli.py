@@ -43,6 +43,7 @@ from .experiment import (
     TEST_SET_NAMES,
     Treatment,
     TreatmentRun,
+    check_cv_folds,
     run_treatments,
 )
 from .federated import RoundLog
@@ -339,11 +340,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = load_records(opt["data"])
     plan = load_split_plan(opt["split"])
     check_split_plan(records, plan)
-
     if opt["treatment"] == "all":
         treatments = list(Treatment)
     else:
         treatments = [Treatment(opt["treatment"])]
+    check_cv_folds(treatments, records, plan)
+
     grid = GridSpec(
         hidden_sizes=opt["hidden_sizes"],
         learning_rates=opt["learning_rates"],

@@ -14,6 +14,7 @@ single silo, which is exactly plain training.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -143,6 +144,11 @@ class SetEvaluation:
     pr_auc: float | None
 
 
+# the institutions whose silos a treatment trains; the centralised
+# treatment pools both institutions into one silo instead
+_SILO_INSTITUTIONS = {Treatment.LOCAL_A: ("A",), Treatment.LOCAL_B: ("B",), Treatment.FEDERATED: ("A", "B")}
+
+
 def _institution_indices(records, plan: SplitPlan, indices) -> dict[str, list[int]]:
     out: dict[str, list[int]] = {"A": [], "B": []}
     for i in indices:
@@ -175,8 +181,30 @@ def silos_for_treatment(
         return [build(CENTRAL_SILO_NAME, train_ids, val_ids)]
     train_by_inst = _institution_indices(records, plan, train_ids)
     val_by_inst = _institution_indices(records, plan, val_ids)
-    names = {Treatment.LOCAL_A: ("A",), Treatment.LOCAL_B: ("B",), Treatment.FEDERATED: ("A", "B")}[treatment]
-    return [build(name, train_by_inst[name], val_by_inst[name]) for name in names]
+    return [build(name, train_by_inst[name], val_by_inst[name]) for name in _SILO_INSTITUTIONS[treatment]]
+
+
+def check_cv_folds(treatments: list[Treatment], records: list[AdmissionRecord], plan: SplitPlan) -> None:
+    """Raise ValueError naming the first fold and institution that would
+    leave a silo of one of the treatments' cross-validation fits without
+    validation records (the held-out fold) or training records (the
+    other folds). A run calls this before it writes anything."""
+    per_fold = Counter((f, plan.institution_of_ward[records[i].ward]) for i, f in plan.fold_of_record.items())
+    folds = sorted(set(plan.fold_of_record.values()))
+    for treatment in treatments:
+        groups = [(inst,) for inst in _SILO_INSTITUTIONS.get(treatment, ())] or [("A", "B")]
+        for insts in groups:
+            held_out = {fold: sum(per_fold[fold, inst] for inst in insts) for fold in folds}
+            total = sum(held_out.values())
+            name = f"institution{'s' * (len(insts) > 1)} {' and '.join(insts)}"
+            key = treatment.key
+            for fold in folds:
+                if held_out[fold] == 0:
+                    raise ValueError(f"fold {fold} holds no records of {name}, which treatment {key!r} trains on")
+                if held_out[fold] == total:
+                    raise ValueError(
+                        f"fold {fold} holds every record of {name}: treatment {key!r} has no other fold to train on"
+                    )
 
 
 def _fit_fold(

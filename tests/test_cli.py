@@ -237,13 +237,16 @@ def test_split_missing_data_file_exits_2(tmp_path):
         lambda rec: {**rec, "admission_ts": 5},
         lambda rec: {**rec, "ward": ["x"]},
         lambda rec: {**rec, "patient_id": 7},
+        lambda rec: json.dumps(rec).replace("A", "\xc4").encode("latin-1"),  # not UTF-8
     ],
-    ids=["array", "numeric_admission_ts", "list_ward", "numeric_patient_id"],
+    ids=["array", "numeric_admission_ts", "list_ward", "numeric_patient_id", "latin1_bytes"],
 )
 def test_split_malformed_record_exits_2(chain, tmp_path, change):
-    lines = chain["data"].read_text().splitlines()
+    lines = chain["data"].read_bytes().splitlines()
+    line = change(json.loads(lines[3]))
+    line = line if isinstance(line, bytes) else json.dumps(line).encode()
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines[:3] + [json.dumps(change(json.loads(lines[3])))] + lines[4:]) + "\n")
+    bad.write_bytes(b"\n".join(lines[:3] + [line] + lines[4:]) + b"\n")
     code, _, err = run_cli("split", "--data", str(bad), "--out", str(tmp_path / "p.json"), "--seed", "9")
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
@@ -335,6 +338,72 @@ def test_run_corrupted_plan_exits_3(chain, tmp_path):
     assert err.startswith("error:")
 
 
+def test_run_fold_renumbered_to_zero_exits_3(chain, tmp_path):
+    plan_data = json.loads(chain["plan"].read_text())
+    plan_data["fold_of_record"] = {i: 0 if f == 1 else f for i, f in plan_data["fold_of_record"].items()}
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan_data))
+    out = tmp_path / "x"
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(out), "--seed", "9",
+    )
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "fold numbers outside 1..2: [0]" in err and "hold no records: [1]" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fold_without_institution_a(tmp_path_factory):
+    """40 patients at seed 1 in 5 folds: fold 1 holds no record of institution A."""
+    root = tmp_path_factory.mktemp("gap")
+    data, plan = root / "data.jsonl", root / "plan.json"
+    assert run_cli("synth", "--out", str(data), "--seed", "1", "--n-patients", "40")[0] == 0
+    code, out, _ = run_cli("split", "--data", str(data), "--out", str(plan), "--seed", "1", "--folds", "5")
+    assert code == 0
+    assert out.splitlines()[4].split()[:2] == ["1", "0/0"]  # fold 1, A neg/pos
+    return data, plan
+
+
+SMALL_RUN = ["--hidden-sizes", "4", "--learning-rates", "0.05", "--weight-decays", "0.0001", "--max-epochs", "2"]
+
+
+@pytest.mark.parametrize("treatment", ["a", "federated", "all"])
+def test_run_fold_without_an_institutions_records_exits_2(fold_without_institution_a, tmp_path, treatment):
+    data, plan = fold_without_institution_a
+    out = tmp_path / "x"
+    code, _, err = run_cli(
+        "run", "--data", str(data), "--split", str(plan), "--out", str(out), "--seed", "1",
+        "--treatment", treatment, *SMALL_RUN,
+    )
+    assert code == 2
+    assert err.startswith("error: fold 1 holds no records of institution A,") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_pooled_treatment_trains_on_a_fold_without_institution_a(fold_without_institution_a, tmp_path):
+    data, plan = fold_without_institution_a
+    code, _, err = run_cli(
+        "run", "--data", str(data), "--split", str(plan), "--out", str(tmp_path / "x"), "--seed", "1",
+        "--treatment", "central", *SMALL_RUN,
+    )
+    assert (code, err) == (0, "")
+
+
+def test_run_single_fold_has_nothing_to_train_on_exits_2(fold_without_institution_a, tmp_path):
+    data, _ = fold_without_institution_a
+    plan = tmp_path / "plan.json"
+    assert run_cli("split", "--data", str(data), "--out", str(plan), "--seed", "1", "--folds", "1")[0] == 0
+    out = tmp_path / "x"
+    code, _, err = run_cli(
+        "run", "--data", str(data), "--split", str(plan), "--out", str(out), "--seed", "1",
+        "--treatment", "central", *SMALL_RUN,
+    )
+    assert code == 2
+    assert "fold 1 holds every record of institutions A and B" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_plan_missing_key_exits_2(chain, tmp_path):
     plan_data = json.loads(chain["plan"].read_text())
     del plan_data["dropped_ids"]
@@ -376,6 +445,17 @@ def test_run_plan_wrongly_typed_key_exits_2(chain, tmp_path, key, value):
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err and (key or "JSON object") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"{\"test_ids\": \"\xff\"}", b"{not json"], ids=["latin1_byte", "not_json"])
+def test_run_plan_not_utf8_json_exits_2(chain, tmp_path, content):
+    bad = tmp_path / "bad_plan.json"
+    bad.write_bytes(content)
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(tmp_path / "x"), "--seed", "9",
+    )
+    assert code == 2
+    assert err.startswith(f"error: split plan {bad} is not UTF-8 JSON:") and err.count("\n") == 1
 
 
 def test_run_diverging_learning_rate_exits_4(chain, tmp_path):

@@ -5,7 +5,10 @@ leakage checks re-derive patient and time invariants from raw sets
 rather than trusting the package's own verifier.
 """
 
+import io
+import json
 import math
+import time
 from datetime import datetime, timedelta, timezone
 from itertools import product
 
@@ -259,6 +262,28 @@ def test_verifier_catches_partition_violations():
     assert any("partition" in v for v in violations)
 
 
+def test_verifier_catches_fold_numbers_outside_the_range():
+    records = synthetic_records(seed=6)
+    plan = make_split_plan(records, n_folds=5, seed=6)
+
+    def renumbered(old, new):
+        return SplitPlan(
+            institution_of_ward=plan.institution_of_ward,
+            test_ids=plan.test_ids,
+            fold_of_record={i: new if f == old else f for i, f in plan.fold_of_record.items()},
+            dropped_ids=plan.dropped_ids,
+        )
+
+    assert verify_split_plan(records, renumbered(1, 0)) == [
+        "fold-range: fold numbers outside 1..5: [0]",
+        "fold-range: folds of 1..5 that hold no records: [1]",
+    ]
+    assert verify_split_plan(records, renumbered(3, -2))[0] == "fold-range: fold numbers outside 1..5: [-2]"
+    assert verify_split_plan(records, renumbered(5, 7)) == ["fold-range: folds of 1..7 that hold no records: [5, 6]"]
+    assert verify_split_plan(records, renumbered(2, 1)) == ["fold-range: folds of 1..5 that hold no records: [2]"]
+    assert verify_split_plan(records, renumbered(5, 5)) == []
+
+
 def test_verifier_catches_patient_fold_overlap():
     records = synthetic_records(seed=7, admissions_per_patient=(2, 3))
     plan = make_split_plan(records, seed=7)
@@ -459,16 +484,156 @@ def test_admission_record_validation():
         record("P1", "A1", 0, label=2)
 
 
-def test_records_round_trip(tmp_path):
+def sidecar_of(path):
+    return path.with_name(path.name + ".npz")
+
+
+def assert_same_records(expected, loaded):
+    assert len(loaded) == len(expected)
+    for a, b in zip(expected, loaded):
+        assert a.patient_id == b.patient_id and a.ward == b.ward and a.label == b.label
+        assert type(b.label) is int
+        assert a.admission_ts == b.admission_ts and b.admission_ts.tzinfo == timezone.utc
+        assert a.features.tobytes() == b.features.tobytes()  # repr round-trips float64 exactly
+        assert not b.features.flags.writeable and b.features.flags.owndata
+
+
+@pytest.mark.parametrize("sidecar", ["present", "deleted"])
+def test_records_round_trip(tmp_path, monkeypatch, sidecar):
     records = synthetic_records(n_patients=12, seed=13)
     path = tmp_path / "data.jsonl"
     save_records(path, records)
+    assert sidecar_of(path).is_file()
+    if sidecar == "present":
+        # the sidecar path must not parse a single line
+        monkeypatch.setattr("fedvra.data.record_from_dict", lambda data: pytest.fail("parsed a line"))
+    else:
+        sidecar_of(path).unlink()
+    assert_same_records(records, load_records(path))
+    assert not (sidecar == "deleted" and sidecar_of(path).exists())  # loading never writes one
+
+
+def test_save_records_writes_the_same_sidecar_bytes_twice(tmp_path, monkeypatch):
+    records = synthetic_records(n_patients=12, seed=13)
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    save_records(one, records)
+    first = sidecar_of(one).read_bytes()
+    later = time.time() + 86400 * 400
+    monkeypatch.setattr(time, "time", lambda: later)  # a rerun on another day
+    save_records(one, records)
+    save_records(two, records)
+    assert sidecar_of(one).read_bytes() == first == sidecar_of(two).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.jsonl", "one.jsonl.npz", "two.jsonl", "two.jsonl.npz"]
+
+
+def test_records_round_trip_without_any_record(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    save_records(path, [])
+    assert path.read_bytes() == b""
+    assert load_records(path) == []
+
+
+def test_ids_ending_in_nul_are_never_cached(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_records(path, synthetic_records(n_patients=3, seed=13))
+    assert sidecar_of(path).is_file()
+    records = [record("P1\0", "A1", 0), record("P2", "A2V\0", 1)]
+    save_records(path, records)  # numpy strings would drop the NULs, so the old sidecar goes
+    assert not sidecar_of(path).exists()
+    assert_same_records(records, load_records(path))
+
+
+def test_edited_file_outranks_its_stale_sidecar(tmp_path):
+    records = synthetic_records(n_patients=12, seed=13)
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    lines = path.read_text().splitlines()
+    edited = record_to_dict(records[0])
+    edited["label"] = 1 - edited["label"]
+    edited["ward"] = "EDITED"
+    path.write_text("\n".join([json.dumps(edited)] + lines[1:-1]) + "\n")
     loaded = load_records(path)
-    assert len(loaded) == len(records)
-    for a, b in zip(records, loaded):
-        assert a.patient_id == b.patient_id and a.ward == b.ward and a.label == b.label
-        assert a.admission_ts == b.admission_ts
-        assert np.array_equal(a.features, b.features)  # repr round-trips float64 exactly
+    assert len(loaded) == len(records) - 1
+    assert loaded[0].ward == "EDITED" and loaded[0].label == 1 - records[0].label
+    assert_same_records(records[1:-1], loaded[1:])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: blob[:100],
+        lambda blob: b"",
+        lambda blob: b"not a zip file at all",
+        lambda blob: blob.replace(b"P000001", b"P000009"),  # a zip entry whose CRC no longer matches
+        lambda blob: npy_bytes(np.zeros(3)),  # a bare .npy array
+        lambda blob: npy_bytes(np.array([{"a": 1}], dtype=object)),  # pickled objects are never loaded
+    ],
+    ids=["half", "head", "empty", "garbage", "crc", "npy", "pickle"],
+)
+def test_damaged_sidecar_falls_back_to_the_file(tmp_path, damage):
+    records = synthetic_records(n_patients=12, seed=13)
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    sidecar = sidecar_of(path)
+    sidecar.write_bytes(damage(sidecar.read_bytes()))
+    assert_same_records(records, load_records(path))
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda a: dict(features=a["features"][:-1]),  # the count no longer matches the rows
+        lambda a: dict(features=a["features"].astype(np.float32)),
+        lambda a: dict(features=np.asfortranarray(a["features"])),
+        lambda a: dict(features=None),  # a missing array
+        lambda a: dict(label=a["label"].astype(np.float64)),
+        lambda a: dict(count=a["count"] + 1),
+        lambda a: dict(ward=None),
+    ],
+    ids=["short_features", "float32_features", "fortran_features", "missing_features", "float_labels",
+         "wrong_count", "missing_ward"],
+)
+def test_sidecar_with_the_wrong_layout_is_ignored(tmp_path, monkeypatch, change):
+    records = synthetic_records(n_patients=12, seed=13)
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    with np.load(sidecar_of(path)) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(change(arrays))
+    np.savez(sidecar_of(path), **{name: a for name, a in arrays.items() if a is not None})
+    parsed = []
+    monkeypatch.setattr("fedvra.data.record_from_dict", lambda data: parsed.append(data) or record_from_dict(data))
+    assert_same_records(records, load_records(path))
+    assert len(parsed) == len(records)  # every line was parsed
+
+
+def test_sidecar_resaved_by_numpy_is_still_used(tmp_path, monkeypatch):
+    records = synthetic_records(n_patients=12, seed=13)
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    with np.load(sidecar_of(path)) as npz:
+        np.savez(sidecar_of(path), **{name: npz[name] for name in npz.files})
+    monkeypatch.setattr("fedvra.data.record_from_dict", lambda data: pytest.fail("parsed a line"))
+    assert_same_records(records, load_records(path))
+
+
+def test_malformed_line_is_reported_beside_a_foreign_sidecar(tmp_path):
+    records = synthetic_records(n_patients=12, seed=13)
+    other = tmp_path / "other.jsonl"
+    save_records(other, records)
+    path = tmp_path / "data.jsonl"
+    lines = other.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ['{"patient_id": "P2"}'] + lines[3:]) + "\n")
+    other.with_name("data.jsonl.npz").write_bytes(sidecar_of(other).read_bytes())
+    with pytest.raises(ValueError, match=r"data\.jsonl: bad record on line 3"):
+        load_records(path)
 
 
 def test_record_dict_round_trip():
@@ -481,8 +646,6 @@ def test_record_dict_round_trip():
 def test_load_records_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = record_to_dict(record("P1", "A1", 0))
-    import json
-
     bad_lines = [
         {"patient_id": "P2"},
         [good["patient_id"], good["ward"]],
@@ -494,6 +657,9 @@ def test_load_records_reports_bad_line(tmp_path):
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ValueError, match="line 2"):
             load_records(path)
+    path.write_bytes((json.dumps(good) + "\n").encode() + b'{"patient_id": "P\xff"}\n')  # not UTF-8
+    with pytest.raises(ValueError, match=r"bad\.jsonl: bad record on line 2: 'utf-8' codec can't decode"):
+        load_records(path)
 
 
 def test_split_plan_round_trip(tmp_path):

@@ -11,7 +11,7 @@ reproducible from a single seed.
 __version__ = "0.1.0"
 
 from .data import (
-    AdmissionRecord,
+    RecordTable,
     SplitPlan,
     SynthConfig,
     assign_institutions,

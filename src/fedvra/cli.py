@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -110,8 +112,8 @@ def _unit_float(text: str) -> float:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise ValueError("must be non-negative")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("must be finite and non-negative")
     return value
 
 
@@ -132,10 +134,17 @@ def _choice(options):
     return conv
 
 
+def _read_utf8(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
 def load_config_file(path) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(path, "config file")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -197,11 +206,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     save_records(opt["out"], records)
     print(f"wrote {len(records)} records to {opt['out']}")
     print(f"{'ward':<6} {'records':>8} {'positives':>10}")
-    for ward in sorted(ward_counts(records)):
-        in_ward = [r for r in records if r.ward == ward]
-        pos = sum(r.label for r in in_ward)
-        print(f"{ward:<6} {len(in_ward):>8} {pos:>10}")
-    print(f"{'total':<6} {len(records):>8} {sum(r.label for r in records):>10}")
+    counts = ward_counts(records)
+    positives = Counter(ward for ward, label in zip(records.ward, records.label.tolist()) if label)
+    for ward in sorted(counts):
+        print(f"{ward:<6} {counts[ward]:>8} {positives[ward]:>10}")
+    print(f"{'total':<6} {len(records):>8} {sum(positives.values()):>10}")
     return 0
 
 
@@ -233,12 +242,13 @@ def cmd_split(args: argparse.Namespace) -> int:
     header = ["fold"] + [f"{inst} neg/pos" for inst in insts] + ["total neg/pos"]
     print("  ".join(f"{h:>14}" for h in header))
     rows = [(str(fold), plan.fold_ids(fold)) for fold in range(1, plan.n_folds + 1)]
+    labels = records.label.tolist()
     for name, ids in rows + [("test", plan.test_ids)]:
         by_inst = {inst: [0, 0] for inst in insts}
         total = [0, 0]
         for i in ids:
-            by_inst[plan.institution_of_ward[records[i].ward]][records[i].label] += 1
-            total[records[i].label] += 1
+            by_inst[plan.institution_of_ward[records.ward[i]]][labels[i]] += 1
+            total[labels[i]] += 1
         cells = [name] + [f"{by_inst[i][0]}/{by_inst[i][1]}" for i in insts]
         cells.append(f"{total[0]}/{total[1]}")
         print("  ".join(f"{c:>14}" for c in cells))
@@ -417,19 +427,18 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
             labels: list[int] = []
             scores: list[float] = []
             rids: list[str] = []
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
-                if missing:
-                    raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
-                for row in reader:
-                    try:
-                        label, score = int(row["label"]), float(row["score"])
-                    except (TypeError, ValueError):
-                        raise ValueError(f"{path} line {reader.line_num}: label and score must be numbers") from None
-                    rids.append(row["record_id"])
-                    labels.append(label)
-                    scores.append(score)
+            reader = csv.DictReader(_read_utf8(path, "scores file").splitlines())
+            missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
+            for row in reader:
+                try:
+                    label, score = int(row["label"]), float(row["score"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path} line {reader.line_num}: label and score must be numbers") from None
+                rids.append(row["record_id"])
+                labels.append(label)
+                scores.append(score)
             if not labels:
                 raise ValueError(f"{path} holds no scores")
             scored[key][set_name] = ScoredSet(labels=np.array(labels), scores=np.array(scores))
@@ -443,8 +452,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     opt = resolve_options(args, REPORT_FIELDS)
     run_dir = Path(opt["run"])
     out_dir = Path(opt["out"]) if opt["out"] else run_dir / "report"
-    out_dir.mkdir(parents=True, exist_ok=True)
     scored = _load_scored_sets(run_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     seed = opt["seed"]
     n_resamples = opt["bootstrap_n"]
     fed = Treatment.FEDERATED.key

@@ -1,5 +1,6 @@
 """Admission records, leakage-safe splitting, and a synthetic generator.
 
+A dataset is one RecordTable: a validated column per record field.
 Records are grouped two ways: by ward (which determines the owning
 institution) and by patient (the leakage unit). A split plan carves a
 dataset into a time-ordered test set, five patient-grouped
@@ -15,11 +16,12 @@ import json
 import math
 import os
 import tempfile
+import time
 import zipfile
 import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
 
@@ -44,52 +46,75 @@ DEFAULT_WARD_MIX = {
 DEFAULT_POSITIVE_RATE = 425 / 4280
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_WINDOW_START = datetime(2018, 1, 1, tzinfo=timezone.utc)
+_WINDOW_START = int(datetime(2018, 1, 1, tzinfo=timezone.utc).timestamp())  # seconds since 1970-01-01 UTC
 _WINDOW_SECONDS = 2 * 365 * 24 * 3600  # two-year admission window
 
 
-def format_ts(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(_TS_FORMAT)
+def format_ts(seconds: int) -> str:
+    """Seconds since 1970-01-01 UTC as text like 2019-03-01T00:00:00Z."""
+    return time.strftime(_TS_FORMAT, time.gmtime(seconds))
 
 
-def parse_ts(text: str) -> datetime:
-    return datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc)
+def parse_ts(text: str) -> int:
+    return int(datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc).timestamp())
 
 
 @dataclass(frozen=True, eq=False)
-class AdmissionRecord:
-    """One admission: who, where, when, the feature vector, and the label."""
+class RecordTable:
+    """Admission records as columns: row i of every column is record i.
 
-    patient_id: str
-    ward: str
-    admission_ts: datetime
+    patient_id and ward are tuples of non-empty Python strings (numpy's
+    fixed-width strings drop trailing NULs). admission_ts holds seconds
+    since 1970-01-01 UTC and label 0 or 1, both int64; features is one
+    finite float64 row of FEATURE_DIM values per record. The arrays are
+    read-only: the table adopts a read-only array of the right dtype and
+    copies anything else.
+    """
+
+    patient_id: tuple[str, ...]
+    ward: tuple[str, ...]
+    admission_ts: np.ndarray
     features: np.ndarray
-    label: int
+    label: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.patient_id, str) or not self.patient_id:
-            raise ValueError("patient_id must be a non-empty string")
-        if not isinstance(self.ward, str) or not self.ward:
-            raise ValueError("ward must be a non-empty string")
-        ts = self.admission_ts
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        else:
-            ts = ts.astimezone(timezone.utc)
-        ts = ts.replace(microsecond=0)  # second resolution
-        x = np.asarray(self.features, dtype=np.float64)
-        if x.shape != (FEATURE_DIM,):
-            raise ValueError(f"features must be a vector of length {FEATURE_DIM}")
-        if not np.isfinite(x).all():
-            raise ValueError("features must be finite")
-        x = x.copy()
-        x.setflags(write=False)
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-        object.__setattr__(self, "admission_ts", ts)
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "label", int(self.label))
+        ids, wards = tuple(self.patient_id), tuple(self.ward)
+        ts, x = _column(self.admission_ts, np.int64), _column(self.features, np.float64)
+        _check_rows(ids, wards, ts, x, np.asarray(self.label))
+        label = _column(self.label, np.int64)
+        for name, value in zip(_COLUMNS, (ids, wards, ts, x, label)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.patient_id)
+
+
+_COLUMNS = ("patient_id", "ward", "admission_ts", "features", "label")
+
+
+def _column(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype; a writeable array is copied,
+    so its owner cannot change the table."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_rows(patient_id, ward, admission_ts: np.ndarray, features: np.ndarray, label: np.ndarray) -> None:
+    """The rules every record meets; raises ValueError for the first one broken."""
+    for name, column in (("patient_id", patient_id), ("ward", ward)):
+        if not all(isinstance(s, str) and s for s in column):
+            raise ValueError(f"{name} must be a non-empty string")
+    if features.ndim != 2 or features.shape[1] != FEATURE_DIM:
+        raise ValueError(f"features must be vectors of length {FEATURE_DIM}")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+    if label.ndim != 1 or not ((label == 0) | (label == 1)).all():
+        raise ValueError("label must be 0 or 1")
+    if admission_ts.ndim != 1 or not len(patient_id) == len(ward) == len(admission_ts) == len(features) == len(label):
+        raise ValueError("columns must be vectors of equal length")
 
 
 @dataclass(frozen=True)
@@ -153,8 +178,8 @@ class SynthConfig:
             raise ValueError("class_separation and ward_shift must be non-negative")
 
 
-def ward_counts(records: list[AdmissionRecord]) -> dict[str, int]:
-    return dict(Counter(r.ward for r in records))
+def ward_counts(records: RecordTable) -> dict[str, int]:
+    return dict(Counter(records.ward))
 
 
 def assign_institutions(counts: dict[str, int]) -> dict[str, str]:
@@ -182,7 +207,7 @@ def assign_institutions(counts: dict[str, int]) -> dict[str, str]:
 
 
 def split_time_test(
-    records: list[AdmissionRecord],
+    records: RecordTable,
     test_fraction: float,
     institution_of_ward: dict[str, str] | None = None,
 ) -> tuple[list[int], list[int]]:
@@ -191,41 +216,43 @@ def split_time_test(
     Timestamp ties are resolved by stable record order. With no
     institution map the whole dataset is treated as one pool.
     """
-    if not records:
+    if not len(records):
         raise ValueError("records must not be empty")
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     groups: dict[str, list[int]] = defaultdict(list)
-    for i, rec in enumerate(records):
+    for i, ward in enumerate(records.ward):
         if institution_of_ward is None:
             groups["ALL"].append(i)
         else:
-            if rec.ward not in institution_of_ward:
-                raise ValueError(f"record {i} has ward {rec.ward!r} missing from the institution map")
-            groups[institution_of_ward[rec.ward]].append(i)
+            if ward not in institution_of_ward:
+                raise ValueError(f"record {i} has ward {ward!r} missing from the institution map")
+            groups[institution_of_ward[ward]].append(i)
+    times = records.admission_ts.tolist()
     train_val: list[int] = []
     test: list[int] = []
     for name in sorted(groups):
         idxs = groups[name]
         n_test = math.ceil(test_fraction * len(idxs))
-        by_time = sorted(idxs, key=lambda i: records[i].admission_ts)  # stable
+        by_time = sorted(idxs, key=times.__getitem__)  # stable
         test.extend(by_time[len(idxs) - n_test :])
         train_val.extend(by_time[: len(idxs) - n_test])
     return sorted(train_val), sorted(test)
 
 
 def remove_patient_overlap(
-    records: list[AdmissionRecord], train_val: list[int], test: list[int]
+    records: RecordTable, train_val: list[int], test: list[int]
 ) -> tuple[list[int], list[int]]:
     """Drop train/val records of patients that also appear in the test set."""
-    test_patients = {records[i].patient_id for i in test}
-    pruned = [i for i in train_val if records[i].patient_id not in test_patients]
-    dropped = [i for i in train_val if records[i].patient_id in test_patients]
+    pid = records.patient_id
+    test_patients = {pid[i] for i in test}
+    pruned = [i for i in train_val if pid[i] not in test_patients]
+    dropped = [i for i in train_val if pid[i] in test_patients]
     return pruned, dropped
 
 
 def make_folds(
-    records: list[AdmissionRecord], train_val: list[int], k: int = 5, seed: int = 0
+    records: RecordTable, train_val: list[int], k: int = 5, seed: int = 0
 ) -> dict[int, int]:
     """Patient-grouped folds 1..k balanced by record count.
 
@@ -237,7 +264,7 @@ def make_folds(
         raise ValueError("k must be at least 1")
     by_patient: dict[str, list[int]] = defaultdict(list)
     for i in train_val:
-        by_patient[records[i].patient_id].append(i)
+        by_patient[records.patient_id[i]].append(i)
     if len(by_patient) < k:
         raise ValueError(f"need at least {k} distinct patients, got {len(by_patient)}")
     pids = sorted(by_patient)
@@ -255,7 +282,7 @@ def make_folds(
 
 
 def make_split_plan(
-    records: list[AdmissionRecord],
+    records: RecordTable,
     test_fraction: float = 0.2,
     n_folds: int = 5,
     seed: int = 0,
@@ -273,7 +300,7 @@ def make_split_plan(
     )
 
 
-def verify_split_plan(records: list[AdmissionRecord], plan: SplitPlan) -> list[str]:
+def verify_split_plan(records: RecordTable, plan: SplitPlan) -> list[str]:
     """Independent invariant check; returns a list of violation messages."""
     violations: list[str] = []
     n = len(records)
@@ -296,31 +323,34 @@ def verify_split_plan(records: list[AdmissionRecord], plan: SplitPlan) -> list[s
     if empty:
         violations.append(f"fold-range: folds of 1..{k} that hold no records: {empty[:5]}")
 
-    for i in range(n):
-        if records[i].ward not in plan.institution_of_ward:
-            violations.append(f"institution-map: ward {records[i].ward!r} of record {i} is unmapped")
+    for i, ward in enumerate(records.ward):
+        if ward not in plan.institution_of_ward:
+            violations.append(f"institution-map: ward {ward!r} of record {i} is unmapped")
             break
 
+    pid = records.patient_id
     patient_folds: dict[str, set[int]] = defaultdict(set)
     for i, fold in plan.fold_of_record.items():
         if 0 <= i < n:
-            patient_folds[records[i].patient_id].add(fold)
+            patient_folds[pid[i]].add(fold)
     spread = sorted(pid for pid, folds in patient_folds.items() if len(folds) > 1)
     if spread:
         violations.append(f"patient-fold-overlap: patients in multiple folds: {spread[:5]}")
 
-    test_patients = {records[i].patient_id for i in test if 0 <= i < n}
+    test_patients = {pid[i] for i in test if 0 <= i < n}
     leaked = sorted(pid for pid in patient_folds if pid in test_patients)
     if leaked:
         violations.append(f"patient-test-overlap: patients in both folds and test: {leaked[:5]}")
 
-    def extreme_ts(ids, pick) -> dict[str, datetime]:
+    times = records.admission_ts.tolist()
+
+    def extreme_ts(ids, pick) -> dict[str, int]:
         """pick (min or max) of the admission times per institution."""
-        out: dict[str, datetime] = {}
+        out: dict[str, int] = {}
         for i in ids:
-            inst = plan.institution_of_ward.get(records[i].ward) if 0 <= i < n else None
+            inst = plan.institution_of_ward.get(records.ward[i]) if 0 <= i < n else None
             if inst is not None:  # an unmapped ward is already an institution-map violation
-                ts = records[i].admission_ts
+                ts = times[i]
                 out[inst] = pick(out.get(inst, ts), ts)
         return out
 
@@ -333,7 +363,7 @@ def verify_split_plan(records: list[AdmissionRecord], plan: SplitPlan) -> list[s
     return violations
 
 
-def check_split_plan(records: list[AdmissionRecord], plan: SplitPlan) -> None:
+def check_split_plan(records: RecordTable, plan: SplitPlan) -> None:
     """Raise SplitInvariantError if the plan violates any invariant."""
     violations = verify_split_plan(records, plan)
     if violations:
@@ -355,7 +385,7 @@ def ward_direction(ward: str) -> np.ndarray:
     return _unit_direction("ward:" + ward)
 
 
-def generate_synthetic(config: SynthConfig) -> list[AdmissionRecord]:
+def generate_synthetic(config: SynthConfig) -> RecordTable:
     """Deterministic synthetic dataset per the config.
 
     The positive count is allocated exactly (round(rate * n) records,
@@ -379,114 +409,97 @@ def generate_synthetic(config: SynthConfig) -> list[AdmissionRecord]:
     offsets = rng.integers(0, _WINDOW_SECONDS, size=total)
     noise = rng.standard_normal((total, FEATURE_DIM))
 
-    u = label_direction()
-    ward_dirs = {w: ward_direction(w) for w in wards}
-
-    records: list[AdmissionRecord] = []
-    row = 0
-    for p in range(config.n_patients):
-        ward = wards[int(patient_wards[p])]
-        pid = f"P{p + 1:06d}"
-        for _ in range(int(n_admissions[p])):
-            x = (
-                noise[row]
-                + config.class_separation * labels[row] * u
-                + config.ward_shift * ward_dirs[ward]
-            )
-            records.append(
-                AdmissionRecord(
-                    patient_id=pid,
-                    ward=ward,
-                    admission_ts=_WINDOW_START + timedelta(seconds=int(offsets[row])),
-                    features=x,
-                    label=int(labels[row]),
-                )
-            )
-            row += 1
-    return records
+    ward_dirs = np.stack([ward_direction(w) for w in wards])
+    row_ward = np.repeat(patient_wards, n_admissions)
+    # noise + separation * label * u + shift * ward direction, summed in
+    # place: one (total, FEATURE_DIM) temporary at a time keeps synth's
+    # peak RSS below the run stage's
+    features = noise
+    features += (config.class_separation * labels)[:, None] * label_direction()
+    features += (config.ward_shift * ward_dirs)[row_ward]
+    timestamps = _WINDOW_START + offsets
+    for column in (timestamps, features, labels):
+        column.setflags(write=False)  # fresh, so the table adopts them
+    patients = np.repeat(np.arange(1, config.n_patients + 1), n_admissions)
+    return RecordTable(
+        patient_id=tuple(f"P{p:06d}" for p in patients.tolist()),
+        ward=tuple(wards[w] for w in row_ward.tolist()),
+        admission_ts=timestamps,
+        features=features,
+        label=labels,
+    )
 
 
-def features_matrix(records: list[AdmissionRecord], indices) -> tuple[np.ndarray, np.ndarray]:
-    """Stack features and labels for the given record indices.
+def features_matrix(records: RecordTable, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels (as float64) of the given record indices.
 
     Both arrays are fresh and read-only, so a Silo adopts them as they are.
     """
-    idx = list(indices)
-    if not idx:
-        x, y = np.zeros((0, FEATURE_DIM)), np.zeros(0)
-    else:
-        x = np.stack([records[i].features for i in idx])
-        y = np.array([records[i].label for i in idx], dtype=np.float64)
+    idx = np.fromiter(indices, dtype=np.intp)
+    x, y = records.features[idx], records.label[idx].astype(np.float64)
     x.setflags(write=False)
     y.setflags(write=False)
     return x, y
 
 
-def record_to_dict(record: AdmissionRecord) -> dict:
-    return {
-        "patient_id": record.patient_id,
-        "ward": record.ward,
-        "admission_ts": format_ts(record.admission_ts),
-        "features": record.features.tolist(),
-        "label": record.label,
-    }
-
-
-def record_from_dict(data: dict) -> AdmissionRecord:
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    if not isinstance(data["admission_ts"], str):
-        raise ValueError(f"admission_ts must be a string like 2019-03-01T00:00:00Z, got {data['admission_ts']!r}")
-    return AdmissionRecord(
-        patient_id=data["patient_id"],
-        ward=data["ward"],
-        admission_ts=parse_ts(data["admission_ts"]),
-        features=data["features"],
-        label=data["label"],
-    )
-
-
-def save_records(path, records: list[AdmissionRecord]) -> None:
+def save_records(path, records: RecordTable) -> None:
     """One JSON object per line, then the sidecar `<path>.npz` that lets
     load_records skip the parse (see load_records)."""
     digest = hashlib.sha256()
+    rows = zip(records.patient_id, records.ward, records.admission_ts.tolist(), records.features, records.label.tolist())
     with open(path, "wb") as fh:
-        for rec in records:
-            line = (json.dumps(record_to_dict(rec)) + "\n").encode("utf-8")
+        for pid, ward, ts, x, label in rows:
+            row = dict(zip(_COLUMNS, (pid, ward, format_ts(ts), x.tolist(), label)))
+            line = (json.dumps(row) + "\n").encode("utf-8")
             fh.write(line)
             digest.update(line)
     _write_sidecar(path, records, digest.hexdigest())
 
 
-def load_records(path) -> list[AdmissionRecord]:
+def load_records(path) -> RecordTable:
     """Records of a JSON-lines file.
 
     The file is the source of truth. When its sidecar `<path>.npz` holds
-    the SHA-256 of the file's current bytes, the records are built from
-    the sidecar's arrays instead of parsing every line; a missing,
-    stale, truncated or foreign sidecar is ignored. Either way every
-    record passes AdmissionRecord's checks. Loading never writes a
-    sidecar.
+    the SHA-256 of the file's current bytes, the table is built from the
+    sidecar's arrays instead of parsing every line; a missing, stale,
+    truncated or foreign sidecar is ignored. Either way RecordTable
+    checks every record. Loading never writes a sidecar.
     """
     cached = _records_from_sidecar(path)
     if cached is not None:
         return cached
-    records = []
+    columns = tuple([] for _ in _COLUMNS)
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    records.append(record_from_dict(json.loads(line)))
+                    for column, value in zip(columns, _parse_row(line)):
+                        column.append(value)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad record on line {line_no}: {exc}") from exc
-    return records
+    ids, wards, times, features, labels = columns
+    return RecordTable(ids, wards, times, features or np.zeros((0, FEATURE_DIM)), labels)
 
 
-# The sidecar is an uncompressed .npz: these arrays, by name, with their
-# dtype kind, item size and shape (-1 is the record count), plus the
-# float64 features.npy of shape (count, FEATURE_DIM). Its zip entries
-# carry a fixed time, so rewriting the same records gives the same bytes.
+def _parse_row(line: str) -> tuple:
+    """One JSON line as a row of the table's columns, checked by the
+    table's rules so a bad line can be named."""
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    pid, ward, ts, x, label = (data[name] for name in _COLUMNS)
+    if not isinstance(ts, str):
+        raise ValueError(f"admission_ts must be a string like 2019-03-01T00:00:00Z, got {ts!r}")
+    ts, x = parse_ts(ts), np.asarray(x, dtype=np.float64)
+    _check_rows((pid,), (ward,), np.array([ts]), x[None], np.array([label]))
+    return pid, ward, ts, x, label
+
+
+# The sidecar is an uncompressed .npz of these arrays, by name, with
+# their dtype kind, item size and shape (-1 is the record count). Its
+# zip entries carry a fixed time, so rewriting the same records gives
+# the same bytes.
 _SIDECAR_LAYOUT = {
     "digest": ("U", None, ()),
     "count": ("i", 8, ()),
@@ -494,17 +507,13 @@ _SIDECAR_LAYOUT = {
     "ward": ("U", None, (-1,)),
     "admission_ts": ("i", 8, (-1,)),  # seconds since 1970-01-01 UTC
     "label": ("i", 8, (-1,)),
+    "features": ("f", 8, (-1, FEATURE_DIM)),
 }
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 # what opening the sidecar and reading its arrays raise when it is missing, damaged or foreign
-# (KeyError: a missing array)
+# (KeyError: a missing array; ValueError also: arrays the table rejects)
 _SIDECAR_READ_ERRORS = (OSError, ValueError, EOFError, KeyError, NotImplementedError, zipfile.BadZipFile, zlib.error)
 _HASH_BLOCK = 1 << 20
-# Features are read 32 rows (75 KB) at a time. Reading the whole matrix
-# allocates and frees one large block, which raises glibc's mmap
-# threshold: the training arrays allocated later then fragment the heap,
-# and the run stage's peak RSS rose 1.2 MB (2.5%) on 800 records.
-_ROWS_PER_READ = 32
 
 
 def _sidecar_path(path) -> Path:
@@ -519,30 +528,22 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_sidecar(path, records: list[AdmissionRecord], digest: str) -> None:
+def _write_sidecar(path, records: RecordTable, digest: str) -> None:
     """Write `<path>.npz` through a temporary file and os.replace, so a
-    reader never sees half a sidecar. Features are streamed row by row."""
+    reader never sees half a sidecar."""
     sidecar = _sidecar_path(path)
-    ids = [r.patient_id for r in records]
-    wards = [r.ward for r in records]
-    if any(s.endswith("\0") for s in ids + wards):
+    if any(s.endswith("\0") for s in records.patient_id + records.ward):
         # fixed-width numpy strings drop trailing NULs; such files always parse
         sidecar.unlink(missing_ok=True)
         return
     arrays = {
         "digest": np.array(digest),
         "count": np.array(len(records), dtype=np.int64),
-        "patient_id": np.array(ids, dtype=str),
-        "ward": np.array(wards, dtype=str),
-        "admission_ts": np.array(
-            [(r.admission_ts - _EPOCH) // timedelta(seconds=1) for r in records], dtype=np.int64
-        ),
-        "label": np.array([r.label for r in records], dtype=np.int64),
-    }
-    features_header = {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-        "fortran_order": False,
-        "shape": (len(records), FEATURE_DIM),
+        "patient_id": np.array(records.patient_id, dtype=str),
+        "ward": np.array(records.ward, dtype=str),
+        "admission_ts": records.admission_ts,
+        "label": records.label,
+        "features": records.features,
     }
     fd, tmp = tempfile.mkstemp(prefix=sidecar.name + ".", suffix=".tmp", dir=sidecar.parent)
     try:
@@ -550,17 +551,13 @@ def _write_sidecar(path, records: list[AdmissionRecord], digest: str) -> None:
             for name, array in arrays.items():
                 with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_TIME), "w", force_zip64=True) as out:
                     np.lib.format.write_array(out, array, allow_pickle=False)
-            with zf.open(zipfile.ZipInfo("features.npy", _ZIP_TIME), "w", force_zip64=True) as out:
-                np.lib.format.write_array_header_1_0(out, features_header)
-                for rec in records:
-                    out.write(rec.features.tobytes())
         os.replace(tmp, sidecar)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _records_from_sidecar(path) -> list[AdmissionRecord] | None:
+def _records_from_sidecar(path) -> RecordTable | None:
     """The records of `<path>.npz` if it was written for the file's
     current bytes, else None."""
     try:
@@ -570,29 +567,16 @@ def _records_from_sidecar(path) -> list[AdmissionRecord] | None:
             if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
                 return None
             with npz:
+                if str(npz["digest"]) != _sha256_file(path):  # stale: its arrays are never read
+                    return None
                 arrays = {name: npz[name] for name in _SIDECAR_LAYOUT}
-                n = arrays["label"].size
-                if not _layout_ok(arrays, n) or int(arrays["count"]) != n:
-                    return None
-                if str(arrays["digest"]) != _sha256_file(path):  # stale
-                    return None
-                with npz.zip.open("features.npy") as member:
-                    return [
-                        AdmissionRecord(
-                            patient_id=pid,
-                            ward=ward,
-                            admission_ts=_EPOCH + timedelta(seconds=ts),
-                            features=x,
-                            label=label,
-                        )
-                        for pid, ward, ts, x, label in zip(
-                            arrays["patient_id"].tolist(),
-                            arrays["ward"].tolist(),
-                            arrays["admission_ts"].tolist(),
-                            _feature_rows(member, n),
-                            arrays["label"].tolist(),
-                        )
-                    ]
+        n = arrays["label"].size
+        if not _layout_ok(arrays, n) or int(arrays["count"]) != n:
+            return None
+        numeric = {name: arrays[name] for name in ("admission_ts", "features", "label")}
+        for array in numeric.values():
+            array.setflags(write=False)  # fresh, so the table adopts them
+        return RecordTable(tuple(arrays["patient_id"].tolist()), tuple(arrays["ward"].tolist()), **numeric)
     except _SIDECAR_READ_ERRORS:  # no sidecar, or a damaged or foreign one: parse the file
         return None
 
@@ -602,21 +586,9 @@ def _layout_ok(arrays: dict[str, np.ndarray], n: int) -> bool:
         kind, itemsize, shape = _SIDECAR_LAYOUT[name]
         if array.dtype.kind != kind or itemsize not in (None, array.dtype.itemsize):
             return False
-        if array.shape != tuple(n if d == -1 else d for d in shape):
+        if array.shape != tuple(n if d == -1 else d for d in shape) or not array.flags.c_contiguous:
             return False
     return True
-
-
-def _feature_rows(fh, n: int):
-    """The n feature rows of an open features.npy, _ROWS_PER_READ at a time."""
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError("features.npy: unknown format version")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    if shape != (n, FEATURE_DIM) or fortran_order or dtype.kind != "f" or dtype.itemsize != 8:
-        raise ValueError("features.npy: not an (n, FEATURE_DIM) float64 array")
-    for start in range(0, n, _ROWS_PER_READ):
-        rows = min(_ROWS_PER_READ, n - start)
-        yield from np.frombuffer(fh.read(rows * FEATURE_DIM * 8), dtype=dtype).reshape(rows, FEATURE_DIM)
 
 
 def save_split_plan(path, plan: SplitPlan) -> None:

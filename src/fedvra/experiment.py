@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import AdmissionRecord, SplitPlan, features_matrix
+from .data import RecordTable, SplitPlan, features_matrix
 from .federated import (
     RoundLog,
     Silo,
@@ -152,13 +152,13 @@ _SILO_INSTITUTIONS = {Treatment.LOCAL_A: ("A",), Treatment.LOCAL_B: ("B",), Trea
 def _institution_indices(records, plan: SplitPlan, indices) -> dict[str, list[int]]:
     out: dict[str, list[int]] = {"A": [], "B": []}
     for i in indices:
-        out[plan.institution_of_ward[records[i].ward]].append(i)
+        out[plan.institution_of_ward[records.ward[i]]].append(i)
     return out
 
 
 def silos_for_treatment(
     treatment: Treatment,
-    records: list[AdmissionRecord],
+    records: RecordTable,
     plan: SplitPlan,
     heldout_fold: int | None,
 ) -> list[Silo]:
@@ -184,20 +184,24 @@ def silos_for_treatment(
     return [build(name, train_by_inst[name], val_by_inst[name]) for name in _SILO_INSTITUTIONS[treatment]]
 
 
-def check_cv_folds(treatments: list[Treatment], records: list[AdmissionRecord], plan: SplitPlan) -> None:
+def check_cv_folds(treatments: list[Treatment], records: RecordTable, plan: SplitPlan) -> None:
     """Raise ValueError naming the first fold and institution that would
     leave a silo of one of the treatments' cross-validation fits without
     validation records (the held-out fold) or training records (the
-    other folds). A run calls this before it writes anything."""
-    per_fold = Counter((f, plan.institution_of_ward[records[i].ward]) for i, f in plan.fold_of_record.items())
+    other folds), or leave a fit's training silos without a positive
+    record between them (pos_weight is their negative/positive ratio).
+    A run calls this before it writes anything."""
+    cells = {i: (f, plan.institution_of_ward[records.ward[i]]) for i, f in plan.fold_of_record.items()}
+    per_fold = Counter(cells.values())
+    positives = Counter(cell for i, cell in cells.items() if records.label[i])
     folds = sorted(set(plan.fold_of_record.values()))
     for treatment in treatments:
         groups = [(inst,) for inst in _SILO_INSTITUTIONS.get(treatment, ())] or [("A", "B")]
+        key = treatment.key
         for insts in groups:
             held_out = {fold: sum(per_fold[fold, inst] for inst in insts) for fold in folds}
             total = sum(held_out.values())
-            name = f"institution{'s' * (len(insts) > 1)} {' and '.join(insts)}"
-            key = treatment.key
+            name = _institutions_name(insts)
             for fold in folds:
                 if held_out[fold] == 0:
                     raise ValueError(f"fold {fold} holds no records of {name}, which treatment {key!r} trains on")
@@ -205,6 +209,18 @@ def check_cv_folds(treatments: list[Treatment], records: list[AdmissionRecord], 
                     raise ValueError(
                         f"fold {fold} holds every record of {name}: treatment {key!r} has no other fold to train on"
                     )
+        trained = sum(groups, ())  # pos_weight pools the positives of all the treatment's silos
+        held_out = {fold: sum(positives[fold, inst] for inst in trained) for fold in folds}
+        for fold in folds:
+            if held_out[fold] == sum(held_out.values()):
+                raise ValueError(
+                    f"holding out fold {fold} leaves no positive record of {_institutions_name(trained)} "
+                    f"for treatment {key!r} to train on"
+                )
+
+
+def _institutions_name(insts) -> str:
+    return f"institution{'s' * (len(insts) > 1)} {' and '.join(insts)}"
 
 
 def _fit_fold(
@@ -237,7 +253,7 @@ def _fit_fold(
 
 def grid_search_cv(
     treatment: Treatment,
-    records: list[AdmissionRecord],
+    records: RecordTable,
     plan: SplitPlan,
     grid: GridSpec,
     base_config: TrainConfig,
@@ -305,7 +321,7 @@ def final_epoch_budget(best_epochs) -> int:
 def train_final(
     treatment: Treatment,
     cv_result: CvResult,
-    records: list[AdmissionRecord],
+    records: RecordTable,
     plan: SplitPlan,
     base_config: TrainConfig,
     uniform_weights: bool = False,
@@ -320,7 +336,7 @@ def train_final(
 
 
 def test_sets_from_plan(
-    records: list[AdmissionRecord], plan: SplitPlan
+    records: RecordTable, plan: SplitPlan
 ) -> tuple[TestSet, TestSet]:
     """Per-institution test sets in stable record order."""
     by_inst = _institution_indices(records, plan, plan.test_ids)
@@ -374,7 +390,7 @@ class TreatmentRun:
 
 def run_treatment(
     treatment: Treatment,
-    records: list[AdmissionRecord],
+    records: RecordTable,
     plan: SplitPlan,
     grid: GridSpec,
     base_config: TrainConfig,
@@ -403,7 +419,7 @@ def run_treatment(
 
 def run_treatments(
     treatments: list[Treatment],
-    records: list[AdmissionRecord],
+    records: RecordTable,
     plan: SplitPlan,
     grid: GridSpec,
     base_config: TrainConfig,

@@ -277,18 +277,18 @@ def rederive_invariants(records, plan):
         return "partition overlaps"
     fold_of_patient = {}
     for i, fold in plan.fold_of_record.items():
-        pid = records[i].patient_id
+        pid = records.patient_id[i]
         if fold_of_patient.setdefault(pid, fold) != fold:
             return f"patient {pid} in two folds"
-    test_patients = {records[i].patient_id for i in test}
+    test_patients = {records.patient_id[i] for i in test}
     if test_patients & set(fold_of_patient):
         return "patient in both folds and test"
-    if not all(records[i].patient_id in test_patients for i in dropped):
+    if not all(records.patient_id[i] in test_patients for i in dropped):
         return "dropped record of a non-test patient"
     for inst in set(plan.institution_of_ward.values()):
-        ids = [i for i in range(n) if plan.institution_of_ward[records[i].ward] == inst]
-        train_ts = [records[i].admission_ts for i in ids if i in folded or i in dropped]
-        test_ts = [records[i].admission_ts for i in ids if i in test]
+        ids = [i for i in range(n) if plan.institution_of_ward[records.ward[i]] == inst]
+        train_ts = [records.admission_ts[i] for i in ids if i in folded or i in dropped]
+        test_ts = [records.admission_ts[i] for i in ids if i in test]
         if train_ts and test_ts and max(train_ts) > min(test_ts):
             return f"institution {inst} test record earlier than training data"
     return None
@@ -333,7 +333,7 @@ def test_06_split_invariants_randomized():
             )
             unmapped = type(plan)(
                 institution_of_ward={
-                    w: i for w, i in plan.institution_of_ward.items() if w != records[0].ward
+                    w: i for w, i in plan.institution_of_ward.items() if w != records.ward[0]
                 },
                 test_ids=plan.test_ids,
                 fold_of_record=plan.fold_of_record,

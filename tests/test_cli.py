@@ -9,24 +9,14 @@ import io
 import json
 import shutil
 import subprocess
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fedvra.cli import _round_log_line, _write_lines, load_config_file, main, resolve_options
-from fedvra.data import (
-    AdmissionRecord,
-    load_records,
-    load_split_plan,
-    save_records,
-    verify_split_plan,
-)
+from fedvra.data import load_records, load_split_plan, save_records, verify_split_plan
 from fedvra.federated import RoundLog
-from fedvra.network import INPUT_DIM
-
-BASE_TS = datetime(2019, 3, 1, tzinfo=timezone.utc)
+from record_rows import record, table
 
 
 def run_cli(*argv):
@@ -34,16 +24,6 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
-
-
-def record(pid, ward, hours, label=0):
-    return AdmissionRecord(
-        patient_id=pid,
-        ward=ward,
-        admission_ts=BASE_TS + timedelta(hours=hours),
-        features=np.zeros(INPUT_DIM),
-        label=label,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +153,36 @@ def test_synth_bad_config_value_names_the_source(tmp_path):
     assert "config file" in err
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("synth", "--class-separation", "nan"),
+        ("synth", "--ward-shift", "inf"),
+        ("run", "--learning-rates", "0.01,inf"),
+        ("run", "--weight-decays", "0.1,nan"),
+    ],
+)
+def test_non_finite_option_exits_2_before_writing(tmp_path, command, option, value):
+    out = tmp_path / "out"
+    common = ["--out", str(out), "--seed", "1"]
+    args = ["--n-patients", "10"] if command == "synth" else ["--data", "d.jsonl", "--split", "p.json"]
+    code, _, err = run_cli(command, *common, *args, option, value)
+    assert code == 2
+    assert err.startswith(f"error: bad value for {option[2:].replace('-', '_')} (from flag)") and err.count("\n") == 1
+    assert "finite" in err
+    assert not out.exists()
+
+
+def test_config_file_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=1\nn_patients=\xff\n")
+    out = tmp_path / "d.jsonl"
+    code, _, err = run_cli("synth", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: config file {cfg} is not UTF-8:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------- split ----------
 
 
@@ -197,6 +207,7 @@ def test_split_drops_train_records_of_test_patients(tmp_path):
     records += [record(f"q{i}", "A1", hours=i) for i in range(6)]
     records += [record("px", "A2V", hours=1), record("px", "A2V", hours=50)]
     records += [record("py", "A1", hours=2), record("py", "A1", hours=51)]
+    records = table(records)
     data = tmp_path / "crossing.jsonl"
     save_records(data, records)
     plan_path = tmp_path / "plan.json"
@@ -207,14 +218,14 @@ def test_split_drops_train_records_of_test_patients(tmp_path):
     assert code == 0
     plan = load_split_plan(plan_path)
     assert len(plan.dropped_ids) > 0
-    test_patients = {records[i].patient_id for i in plan.test_ids}
+    test_patients = {records.patient_id[i] for i in plan.test_ids}
     for i in plan.dropped_ids:
-        assert records[i].patient_id in test_patients
+        assert records.patient_id[i] in test_patients
 
 
 def test_split_too_few_patients_exits_2(tmp_path):
     data = tmp_path / "tiny.jsonl"
-    save_records(data, [record("solo", "A1", hours=h) for h in range(4)])
+    save_records(data, table([record("solo", "A1", hours=h) for h in range(4)]))
     code, _, err = run_cli(
         "split", "--data", str(data), "--out", str(tmp_path / "p.json"), "--seed", "0"
     )
@@ -379,6 +390,23 @@ def test_run_fold_without_an_institutions_records_exits_2(fold_without_instituti
     assert code == 2
     assert err.startswith("error: fold 1 holds no records of institution A,") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("treatment", ["a", "all"])
+def test_run_fold_holding_every_positive_exits_2(tmp_path, treatment):
+    data, plan = tmp_path / "data.jsonl", tmp_path / "plan.json"
+    assert run_cli("synth", "--out", str(data), "--seed", "1", "--n-patients", "40")[0] == 0
+    code, out, _ = run_cli("split", "--data", str(data), "--out", str(plan), "--seed", "1", "--folds", "2")
+    assert code == 0
+    assert out.splitlines()[4].split()[:2] == ["1", "7/0"]  # fold 1, A neg/pos
+    run_dir = tmp_path / "x"
+    code, _, err = run_cli(
+        "run", "--data", str(data), "--split", str(plan), "--out", str(run_dir), "--seed", "1",
+        "--treatment", treatment, *SMALL_RUN,
+    )
+    assert code == 2
+    assert err == "error: holding out fold 2 leaves no positive record of institution A for treatment 'a' to train on\n"
+    assert not (run_dir / "run_config.json").exists()
 
 
 def test_run_pooled_treatment_trains_on_a_fold_without_institution_a(fold_without_institution_a, tmp_path):
@@ -565,6 +593,22 @@ def test_report_missing_treatment_exits_2(chain, tmp_path):
     )
     assert code == 2
     assert "missing treatment outputs: a" in err
+    assert not (tmp_path / "rep").exists()
+    code, _, err = run_cli("report", "--run", str(partial), "--seed", "5")
+    assert code == 2
+    assert "missing treatment outputs: a" in err
+    assert not (partial / "report").exists()
+
+
+def test_report_scores_not_utf8_exits_2(chain, tmp_path):
+    mangled = tmp_path / "run"
+    shutil.copytree(chain["run"], mangled)
+    path = mangled / "b" / "scores_A.csv"
+    path.write_bytes(path.read_bytes().replace(b"record_id", b"record_\xefd"))
+    code, _, err = run_cli("report", "--run", str(mangled), "--seed", "5")
+    assert code == 2
+    assert err.startswith(f"error: scores file {path} is not UTF-8:") and err.count("\n") == 1
+    assert not (mangled / "report").exists()
 
 
 def test_report_record_order_mismatch_exits_2(chain, tmp_path):

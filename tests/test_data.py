@@ -9,7 +9,6 @@ import io
 import json
 import math
 import time
-from datetime import datetime, timedelta, timezone
 from itertools import product
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from fedvra.data import (
     DEFAULT_POSITIVE_RATE,
     DEFAULT_WARD_MIX,
-    AdmissionRecord,
+    RecordTable,
     SplitPlan,
     SynthConfig,
     WARDS,
@@ -32,9 +31,8 @@ from fedvra.data import (
     load_split_plan,
     make_folds,
     make_split_plan,
+    _parse_row,
     parse_ts,
-    record_from_dict,
-    record_to_dict,
     remove_patient_overlap,
     save_records,
     save_split_plan,
@@ -45,15 +43,7 @@ from fedvra.data import (
 from fedvra.errors import SplitInvariantError
 from fedvra.network import INPUT_DIM
 from fedvra.stats import roc_auc
-
-BASE_TS = datetime(2019, 3, 1, tzinfo=timezone.utc)
-
-
-def record(pid, ward, hours, label=0, features=None):
-    x = np.zeros(INPUT_DIM) if features is None else features
-    return AdmissionRecord(
-        patient_id=pid, ward=ward, admission_ts=BASE_TS + timedelta(hours=hours), features=x, label=label
-    )
+from record_rows import record, table
 
 
 def brute_force_min_diff(counts) -> int:
@@ -106,14 +96,14 @@ def test_assign_institutions_needs_two_nonzero_wards():
 
 
 def test_split_time_test_takes_latest():
-    records = [record(f"P{i}", "A1", hours=i) for i in range(10)]
+    records = table([record(f"P{i}", "A1", hours=i) for i in range(10)])
     train_val, test = split_time_test(records, 0.2)
     assert test == [8, 9]
     assert train_val == list(range(8))
 
 
 def test_split_time_test_all_equal_timestamps_uses_stable_order():
-    records = [record(f"P{i}", "A1", hours=0) for i in range(10)]
+    records = table([record(f"P{i}", "A1", hours=0) for i in range(10)])
     train_val, test = split_time_test(records, 0.2)
     assert test == [8, 9]  # stable sort keeps input order on ties
 
@@ -121,19 +111,20 @@ def test_split_time_test_all_equal_timestamps_uses_stable_order():
 def test_split_time_test_per_institution_counts():
     records = [record(f"P{i}", "A1", hours=i) for i in range(7)]
     records += [record(f"Q{i}", "A2V", hours=i) for i in range(5)]
+    records = table(records)
     inst = {"A1": "B", "A2V": "A"}
     train_val, test = split_time_test(records, 0.25, inst)
     test_by_inst = {"A": 0, "B": 0}
     for i in test:
-        test_by_inst[inst[records[i].ward]] += 1
+        test_by_inst[inst[records.ward[i]]] += 1
     assert test_by_inst == {"A": math.ceil(0.25 * 5), "B": math.ceil(0.25 * 7)}
     assert sorted(train_val + test) == list(range(12))
 
 
 def test_split_time_test_rejects_bad_inputs():
-    records = [record("P1", "A1", hours=0)]
+    records = table([record("P1", "A1", hours=0)])
     with pytest.raises(ValueError):
-        split_time_test([], 0.2)
+        split_time_test(table([]), 0.2)
     with pytest.raises(ValueError):
         split_time_test(records, 0.0)
     with pytest.raises(ValueError):
@@ -146,13 +137,13 @@ def test_split_time_test_rejects_bad_inputs():
 
 
 def test_remove_patient_overlap_disjoint():
-    records = [record("P1", "A1", 0), record("P2", "A1", 1), record("P3", "A1", 2)]
+    records = table([record("P1", "A1", 0), record("P2", "A1", 1), record("P3", "A1", 2)])
     pruned, dropped = remove_patient_overlap(records, [0, 1], [2])
     assert pruned == [0, 1] and dropped == []
 
 
 def test_remove_patient_overlap_shared_patient():
-    records = [record("P1", "A1", 0), record("P1", "A1", 1), record("P2", "A1", 2), record("P1", "A1", 3)]
+    records = table([record("P1", "A1", 0), record("P1", "A1", 1), record("P2", "A1", 2), record("P1", "A1", 3)])
     pruned, dropped = remove_patient_overlap(records, [0, 1, 2], [3])
     assert pruned == [2] and dropped == [0, 1]
 
@@ -161,12 +152,12 @@ def test_remove_patient_overlap_randomized_oracle():
     rng = np.random.default_rng(32)
     for _ in range(20):
         n = int(rng.integers(5, 40))
-        records = [record(f"P{int(rng.integers(1, 8))}", "A1", hours=i) for i in range(n)]
+        records = table([record(f"P{int(rng.integers(1, 8))}", "A1", hours=i) for i in range(n)])
         split_at = int(rng.integers(1, n))
         train_val, test = list(range(split_at)), list(range(split_at, n))
         pruned, dropped = remove_patient_overlap(records, train_val, test)
-        pruned_patients = {records[i].patient_id for i in pruned}
-        test_patients = {records[i].patient_id for i in test}
+        pruned_patients = {records.patient_id[i] for i in pruned}
+        test_patients = {records.patient_id[i] for i in test}
         assert pruned_patients & test_patients == set()
         assert sorted(pruned + dropped) == train_val
 
@@ -175,14 +166,14 @@ def test_remove_patient_overlap_randomized_oracle():
 
 
 def test_make_folds_one_patient_each():
-    records = [record(f"P{i}", "A1", hours=i) for i in range(5)]
+    records = table([record(f"P{i}", "A1", hours=i) for i in range(5)])
     folds = make_folds(records, list(range(5)), k=5, seed=0)
     assert sorted(folds.values()) == [1, 2, 3, 4, 5]
 
 
 def test_make_folds_keeps_patients_together():
     records = [record("P1", "A1", 0), record("P1", "A1", 1), record("P1", "A1", 2)]
-    records += [record(f"Q{i}", "A1", 10 + i) for i in range(4)]
+    records = table(records + [record(f"Q{i}", "A1", 10 + i) for i in range(4)])
     folds = make_folds(records, list(range(7)), k=2, seed=1)
     assert len({folds[0], folds[1], folds[2]}) == 1
 
@@ -193,6 +184,7 @@ def test_make_folds_balanced_and_deterministic():
     for p in range(40):
         for a in range(int(rng.integers(1, 4))):
             records.append(record(f"P{p}", "A1", hours=len(records)))
+    records = table(records)
     ids = list(range(len(records)))
     folds = make_folds(records, ids, k=5, seed=7)
     assert folds == make_folds(records, ids, k=5, seed=7)
@@ -202,7 +194,7 @@ def test_make_folds_balanced_and_deterministic():
 
 
 def test_make_folds_requires_enough_patients():
-    records = [record("P1", "A1", 0), record("P1", "A1", 1)]
+    records = table([record("P1", "A1", 0), record("P1", "A1", 1)])
     with pytest.raises(ValueError):
         make_folds(records, [0, 1], k=2, seed=0)
 
@@ -227,15 +219,15 @@ def test_make_split_plan_passes_independent_checks():
     # patient-disjoint folds and test set, re-derived from raw ids
     fold_patients = {}
     for i, fold in plan.fold_of_record.items():
-        fold_patients.setdefault(records[i].patient_id, set()).add(fold)
+        fold_patients.setdefault(records.patient_id[i], set()).add(fold)
     assert all(len(f) == 1 for f in fold_patients.values())
-    assert not set(fold_patients) & {records[i].patient_id for i in test}
+    assert not set(fold_patients) & {records.patient_id[i] for i in test}
 
     # test records no earlier than any train/val record of their institution
     for inst in ("A", "B"):
-        in_inst = lambda i: plan.institution_of_ward[records[i].ward] == inst
-        train_ts = [records[i].admission_ts for i in folded if in_inst(i)]
-        test_ts = [records[i].admission_ts for i in test if in_inst(i)]
+        in_inst = lambda i: plan.institution_of_ward[records.ward[i]] == inst
+        train_ts = [records.admission_ts[i] for i in folded if in_inst(i)]
+        test_ts = [records.admission_ts[i] for i in test if in_inst(i)]
         if train_ts and test_ts:
             assert min(test_ts) >= max(train_ts)
 
@@ -289,7 +281,7 @@ def test_verifier_catches_patient_fold_overlap():
     plan = make_split_plan(records, seed=7)
     by_patient = {}
     for i, fold in plan.fold_of_record.items():
-        by_patient.setdefault(records[i].patient_id, []).append(i)
+        by_patient.setdefault(records.patient_id[i], []).append(i)
     pid, ids = next((p, ids) for p, ids in by_patient.items() if len(ids) >= 2)
     mutated = dict(plan.fold_of_record)
     mutated[ids[0]] = 1 + (mutated[ids[0]] % plan.n_folds)  # push one record elsewhere
@@ -323,14 +315,14 @@ def test_verifier_catches_time_order_violation():
     # swap the latest folded record with the earliest test record of one institution
     folded = max(
         (i for i in plan.fold_of_record),
-        key=lambda i: (records[i].admission_ts, inst[records[i].ward] == "A"),
+        key=lambda i: (records.admission_ts[i], inst[records.ward[i]] == "A"),
     )
-    target = inst[records[folded].ward]
+    target = inst[records.ward[folded]]
     test_candidates = [
         i for i in plan.test_ids
-        if inst[records[i].ward] == target and records[i].admission_ts > records[folded].admission_ts
+        if inst[records.ward[i]] == target and records.admission_ts[i] > records.admission_ts[folded]
     ]
-    early_test = min(test_candidates, key=lambda i: records[i].admission_ts)
+    early_test = min(test_candidates, key=lambda i: records.admission_ts[i])
     mutated = dict(plan.fold_of_record)
     fold = mutated.pop(folded)
     mutated[early_test] = fold
@@ -347,7 +339,7 @@ def test_verifier_catches_time_order_violation():
 def test_verifier_catches_unmapped_ward():
     records = synthetic_records(seed=10)
     plan = make_split_plan(records, seed=10)
-    partial = {w: i for w, i in plan.institution_of_ward.items() if w != records[0].ward}
+    partial = {w: i for w, i in plan.institution_of_ward.items() if w != records.ward[0]}
     bad = SplitPlan(
         institution_of_ward=partial,
         test_ids=plan.test_ids,
@@ -378,28 +370,27 @@ def test_generate_synthetic_deterministic():
     a = generate_synthetic(SynthConfig(n_patients=30, seed=42))
     b = generate_synthetic(SynthConfig(n_patients=30, seed=42))
     assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert ra.patient_id == rb.patient_id and ra.ward == rb.ward
-        assert ra.admission_ts == rb.admission_ts and ra.label == rb.label
-        assert np.array_equal(ra.features, rb.features)
+    assert a.patient_id == b.patient_id and a.ward == b.ward
+    assert np.array_equal(a.admission_ts, b.admission_ts) and np.array_equal(a.label, b.label)
+    assert np.array_equal(a.features, b.features)
 
 
 def test_generate_synthetic_counts_and_allocation():
     config = SynthConfig(n_patients=200, seed=1, positive_rate=0.25)
     records = generate_synthetic(config)
     assert 200 <= len(records) <= 600
-    assert sum(r.label for r in records) == round(0.25 * len(records))
-    for r in records:
-        assert r.ward in WARDS
-        assert r.features.shape == (INPUT_DIM,)
-        assert parse_ts(format_ts(r.admission_ts)) == r.admission_ts
+    assert records.label.sum() == round(0.25 * len(records))
+    assert set(records.ward) <= set(WARDS)
+    assert records.features.shape == (len(records), INPUT_DIM)
+    for ts in records.admission_ts.tolist():
+        assert parse_ts(format_ts(ts)) == ts
 
 
 def test_generate_synthetic_one_ward_per_patient():
     records = generate_synthetic(SynthConfig(n_patients=80, seed=2, admissions_per_patient=(2, 4)))
     wards_by_patient = {}
-    for r in records:
-        wards_by_patient.setdefault(r.patient_id, set()).add(r.ward)
+    for pid, ward in zip(records.patient_id, records.ward):
+        wards_by_patient.setdefault(pid, set()).add(ward)
     assert all(len(w) == 1 for w in wards_by_patient.values())
 
 
@@ -409,7 +400,7 @@ def test_generate_synthetic_ward_proportions():
     counts = ward_counts(records)
     for ward, want in DEFAULT_WARD_MIX.items():
         assert abs(counts[ward] / len(records) - want) <= 0.02, ward
-    rate = sum(r.label for r in records) / len(records)
+    rate = records.label.sum() / len(records)
     assert abs(rate - DEFAULT_POSITIVE_RATE) <= 0.001
 
 
@@ -438,7 +429,7 @@ def test_features_matrix_returns_fresh_read_only_arrays():
         assert x.shape == (len(ids), INPUT_DIM) and y.shape == (len(ids),)
         for arr in (x, y):
             assert arr.flags.owndata and not arr.flags.writeable
-        assert not any(np.shares_memory(x, records[i].features) for i in ids)
+        assert not np.shares_memory(x, records.features)
 
 
 def test_synth_config_validation():
@@ -459,29 +450,39 @@ def test_synth_config_validation():
 # ---------- records and persistence ----------
 
 
-def test_admission_record_normalises_timestamps():
-    naive = AdmissionRecord(
-        patient_id="P1",
-        ward="A1",
-        admission_ts=datetime(2019, 5, 1, 12, 30, 15, 999999),
-        features=np.zeros(INPUT_DIM),
-        label=0,
-    )
-    assert naive.admission_ts.tzinfo == timezone.utc
-    assert naive.admission_ts.microsecond == 0
+def test_timestamps_are_utc_seconds():
+    assert format_ts(0) == "1970-01-01T00:00:00Z"
+    assert parse_ts("2019-05-01T12:30:15Z") == 1556713815
+    assert format_ts(1556713815) == "2019-05-01T12:30:15Z"
 
 
 def test_admission_record_validation():
-    with pytest.raises(ValueError):
-        record("", "A1", 0)
-    with pytest.raises(ValueError):
-        record("P1", "", 0)
-    with pytest.raises(ValueError):
-        record("P1", "A1", 0, features=np.zeros(INPUT_DIM - 1))
-    with pytest.raises(ValueError):
-        record("P1", "A1", 0, features=np.full(INPUT_DIM, np.nan))
-    with pytest.raises(ValueError):
-        record("P1", "A1", 0, label=2)
+    with pytest.raises(ValueError, match="patient_id"):
+        table([record("", "A1", 0)])
+    with pytest.raises(ValueError, match="ward"):
+        table([record("P1", "", 0)])
+    with pytest.raises(ValueError, match="length"):
+        table([record("P1", "A1", 0, features=np.zeros(INPUT_DIM - 1))])
+    with pytest.raises(ValueError, match="finite"):
+        table([record("P1", "A1", 0, features=np.full(INPUT_DIM, np.nan))])
+    with pytest.raises(ValueError, match="label"):
+        table([record("P1", "A1", 0, label=2)])
+    with pytest.raises(ValueError, match="label"):
+        table([record("P1", "A1", 0, label=0.5)])
+    with pytest.raises(ValueError, match="equal length"):
+        RecordTable(("P1", "P2"), ("A1",), [0, 1], np.zeros((2, INPUT_DIM)), [0, 1])
+
+
+def test_record_table_is_read_only_and_leaves_the_callers_arrays_alone():
+    x, label = np.zeros((2, INPUT_DIM)), np.array([0, 1])
+    records = RecordTable(["P1", "P2"], ["A1", "A1"], [0, 1], x, label)
+    assert records.patient_id == ("P1", "P2") and len(records) == 2
+    for column in (records.admission_ts, records.features, records.label):
+        assert not column.flags.writeable
+    assert records.admission_ts.dtype == records.label.dtype == np.int64
+    assert x.flags.writeable and label.flags.writeable
+    x[0, 0] = 5.0  # the table holds a copy of a writeable array
+    assert records.features[0, 0] == 0.0
 
 
 def sidecar_of(path):
@@ -490,12 +491,20 @@ def sidecar_of(path):
 
 def assert_same_records(expected, loaded):
     assert len(loaded) == len(expected)
-    for a, b in zip(expected, loaded):
-        assert a.patient_id == b.patient_id and a.ward == b.ward and a.label == b.label
-        assert type(b.label) is int
-        assert a.admission_ts == b.admission_ts and b.admission_ts.tzinfo == timezone.utc
-        assert a.features.tobytes() == b.features.tobytes()  # repr round-trips float64 exactly
-        assert not b.features.flags.writeable and b.features.flags.owndata
+    assert loaded.patient_id == expected.patient_id and loaded.ward == expected.ward
+    assert np.array_equal(loaded.label, expected.label) and np.array_equal(loaded.admission_ts, expected.admission_ts)
+    assert loaded.label.dtype == loaded.admission_ts.dtype == np.int64
+    assert loaded.features.tobytes() == expected.features.tobytes()  # repr round-trips float64 exactly
+    for column in (loaded.admission_ts, loaded.features, loaded.label):
+        assert not column.flags.writeable
+
+
+def rows(records, which) -> RecordTable:
+    """The records of a slice of a table."""
+    return RecordTable(
+        records.patient_id[which], records.ward[which], records.admission_ts[which],
+        records.features[which], records.label[which],
+    )
 
 
 @pytest.mark.parametrize("sidecar", ["present", "deleted"])
@@ -506,7 +515,7 @@ def test_records_round_trip(tmp_path, monkeypatch, sidecar):
     assert sidecar_of(path).is_file()
     if sidecar == "present":
         # the sidecar path must not parse a single line
-        monkeypatch.setattr("fedvra.data.record_from_dict", lambda data: pytest.fail("parsed a line"))
+        monkeypatch.setattr("fedvra.data._parse_row", lambda line: pytest.fail("parsed a line"))
     else:
         sidecar_of(path).unlink()
     assert_same_records(records, load_records(path))
@@ -528,16 +537,18 @@ def test_save_records_writes_the_same_sidecar_bytes_twice(tmp_path, monkeypatch)
 
 def test_records_round_trip_without_any_record(tmp_path):
     path = tmp_path / "empty.jsonl"
-    save_records(path, [])
+    save_records(path, table([]))
     assert path.read_bytes() == b""
-    assert load_records(path) == []
+    assert_same_records(table([]), load_records(path))
+    sidecar_of(path).unlink()
+    assert_same_records(table([]), load_records(path))
 
 
 def test_ids_ending_in_nul_are_never_cached(tmp_path):
     path = tmp_path / "data.jsonl"
     save_records(path, synthetic_records(n_patients=3, seed=13))
     assert sidecar_of(path).is_file()
-    records = [record("P1\0", "A1", 0), record("P2", "A2V\0", 1)]
+    records = table([record("P1\0", "A1", 0), record("P2", "A2V\0", 1)])
     save_records(path, records)  # numpy strings would drop the NULs, so the old sidecar goes
     assert not sidecar_of(path).exists()
     assert_same_records(records, load_records(path))
@@ -548,14 +559,14 @@ def test_edited_file_outranks_its_stale_sidecar(tmp_path):
     path = tmp_path / "data.jsonl"
     save_records(path, records)
     lines = path.read_text().splitlines()
-    edited = record_to_dict(records[0])
+    edited = json.loads(lines[0])
     edited["label"] = 1 - edited["label"]
     edited["ward"] = "EDITED"
     path.write_text("\n".join([json.dumps(edited)] + lines[1:-1]) + "\n")
     loaded = load_records(path)
     assert len(loaded) == len(records) - 1
-    assert loaded[0].ward == "EDITED" and loaded[0].label == 1 - records[0].label
-    assert_same_records(records[1:-1], loaded[1:])
+    assert loaded.ward[0] == "EDITED" and loaded.label[0] == 1 - records.label[0]
+    assert_same_records(rows(records, slice(1, -1)), rows(loaded, slice(1, None)))
 
 
 @pytest.mark.parametrize(
@@ -609,7 +620,7 @@ def test_sidecar_with_the_wrong_layout_is_ignored(tmp_path, monkeypatch, change)
     arrays.update(change(arrays))
     np.savez(sidecar_of(path), **{name: a for name, a in arrays.items() if a is not None})
     parsed = []
-    monkeypatch.setattr("fedvra.data.record_from_dict", lambda data: parsed.append(data) or record_from_dict(data))
+    monkeypatch.setattr("fedvra.data._parse_row", lambda line: parsed.append(line) or _parse_row(line))
     assert_same_records(records, load_records(path))
     assert len(parsed) == len(records)  # every line was parsed
 
@@ -620,7 +631,7 @@ def test_sidecar_resaved_by_numpy_is_still_used(tmp_path, monkeypatch):
     save_records(path, records)
     with np.load(sidecar_of(path)) as npz:
         np.savez(sidecar_of(path), **{name: npz[name] for name in npz.files})
-    monkeypatch.setattr("fedvra.data.record_from_dict", lambda data: pytest.fail("parsed a line"))
+    monkeypatch.setattr("fedvra.data._parse_row", lambda line: pytest.fail("parsed a line"))
     assert_same_records(records, load_records(path))
 
 
@@ -636,22 +647,33 @@ def test_malformed_line_is_reported_beside_a_foreign_sidecar(tmp_path):
         load_records(path)
 
 
-def test_record_dict_round_trip():
-    r = record("P9", "A2V", 5, label=1, features=np.linspace(-1, 1, INPUT_DIM))
-    again = record_from_dict(record_to_dict(r))
-    assert np.array_equal(r.features, again.features)
-    assert r.admission_ts == again.admission_ts
+def test_record_dict_round_trip(tmp_path):
+    records = table([record("P9", "A2V", 5, label=1, features=np.linspace(-1, 1, INPUT_DIM))])
+    path = tmp_path / "one.jsonl"
+    save_records(path, records)
+    sidecar_of(path).unlink()  # through the JSON line
+    again = load_records(path)
+    assert np.array_equal(records.features, again.features)
+    assert np.array_equal(records.admission_ts, again.admission_ts)
 
 
 def test_load_records_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = record_to_dict(record("P1", "A1", 0))
+    good = {"patient_id": "P1", "ward": "A1", "admission_ts": "2019-03-01T00:00:00Z", "features": [0.0] * INPUT_DIM,
+            "label": 0}
     bad_lines = [
         {"patient_id": "P2"},
         [good["patient_id"], good["ward"]],
         {**good, "admission_ts": 5},
+        {**good, "admission_ts": "yesterday"},
         {**good, "ward": ["x"]},
         {**good, "patient_id": 7},
+        {**good, "patient_id": ""},
+        {**good, "features": good["features"][:-1]},
+        {**good, "features": [float("nan")] * INPUT_DIM},
+        {**good, "features": "zeros"},
+        {**good, "label": 2},
+        {**good, "label": [0]},
     ]
     for bad in bad_lines:
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")

@@ -108,14 +108,14 @@ def test_silos_federated_partition_by_institution(dataset):
     for silo in silos:
         want = [
             i for i in sorted(train_ids)
-            if plan.institution_of_ward[records[i].ward] == silo.name
+            if plan.institution_of_ward[records.ward[i]] == silo.name
         ]
         x, y = features_matrix(records, want)
         assert np.array_equal(silo.train_features, x)
         assert np.array_equal(silo.train_labels, y)
         want_val = [
             i for i in plan.fold_ids(2)
-            if plan.institution_of_ward[records[i].ward] == silo.name
+            if plan.institution_of_ward[records.ward[i]] == silo.name
         ]
         assert silo.n_val == len(want_val)
     assert silos[0].n_train + silos[1].n_train == len(train_ids)
@@ -232,7 +232,7 @@ def test_grid_search_cv_fold_seed_contract(dataset):
 def test_grid_search_cv_rejects_bad_threads(dataset):
     records, plan = dataset
     with pytest.raises(ValueError):
-        grid_search_cv(Treatment.FEDERATED, records[0], dataset[1], tiny_grid(), base_config(), threads=0)
+        grid_search_cv(Treatment.FEDERATED, records, plan, tiny_grid(), base_config(), threads=0)
 
 
 def test_no_signal_cv_f1_matches_label_shuffle_null():
@@ -354,7 +354,7 @@ def test_test_sets_from_plan_cover_test_ids(dataset):
         assert ts.name == inst
         assert list(ts.record_ids) == sorted(ts.record_ids)
         for i in ts.record_ids:
-            assert plan.institution_of_ward[records[i].ward] == inst
+            assert plan.institution_of_ward[records.ward[i]] == inst
         x, y = features_matrix(records, ts.record_ids)
         assert np.array_equal(ts.features, x)
         assert np.array_equal(ts.labels, y)

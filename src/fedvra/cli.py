@@ -49,7 +49,7 @@ from .experiment import (
     run_treatments,
 )
 from .federated import RoundLog
-from .network import TrainConfig, params_to_dict
+from .network import TrainConfig, params_json_pieces
 from .seeds import derive_seed
 from .stats import (
     ScoredSet,
@@ -70,11 +70,15 @@ CONTINGENCY_KEYS = ("both_correct", "federated_only", "treatment_only", "neither
 # ---------- output files ----------
 
 
-def _write_lines(path, lines) -> None:
-    """The one writer of every file run and report produce: each line
-    followed by a newline, UTF-8."""
+def _write_text(path, pieces) -> None:
+    """The one writer of every file run and report produce: text pieces, UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(pieces)
+
+
+def _write_lines(path, lines) -> None:
+    """Each line followed by a newline."""
+    _write_text(path, (line + "\n" for line in lines))
 
 
 def _write_json(path, payload) -> None:
@@ -330,7 +334,7 @@ def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
         for fit in result.fold_fits
     )
     _write_lines(tdir / "cv_fits.jsonl", fit_lines)
-    _write_lines(tdir / "final_model.json", [json.dumps(params_to_dict(run.params))])
+    _write_text(tdir / "final_model.json", params_json_pieces(run.params))
     _write_lines(tdir / "round_logs.jsonl", map(_round_log_line, run.final_logs))
     for set_name, ev in run.evaluations.items():
         _write_json(tdir / f"report_{set_name}.json", _set_report_dict(run, set_name))

@@ -170,12 +170,14 @@ class SynthConfig:
         if not self.ward_mix:
             raise ValueError("ward_mix must not be empty")
         probs = np.array(list(self.ward_mix.values()), dtype=np.float64)
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("ward_mix proportions must be non-negative and sum to 1")
+        if not (np.isfinite(probs).all() and (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-9):
+            raise ValueError("ward_mix proportions must be finite, non-negative and sum to 1")
         if not (0.0 <= self.positive_rate <= 1.0):
             raise ValueError("positive_rate must lie in [0, 1]")
-        if self.class_separation < 0 or self.ward_shift < 0:
-            raise ValueError("class_separation and ward_shift must be non-negative")
+        for name in ("class_separation", "ward_shift"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 def ward_counts(records: RecordTable) -> dict[str, int]:

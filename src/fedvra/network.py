@@ -178,13 +178,19 @@ def init_model(hidden_size: int, seed: int) -> ModelParams:
     return ModelParams(w1=w1, b1=np.zeros(hidden_size), w2=w2, b2=0.0)
 
 
+def _hidden_layer(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """ReLU(x @ w1.T + b1), built in the one buffer the product allocates."""
+    hidden = x @ params.w1.T
+    hidden += params.b1
+    return np.maximum(hidden, 0.0, out=hidden)
+
+
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits for a whole feature matrix (n, INPUT_DIM) -> (n,)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != INPUT_DIM:
         raise ValueError(f"features must have shape (n, {INPUT_DIM}), got {x.shape}")
-    hidden = np.maximum(x @ params.w1.T + params.b1, 0.0)
-    return hidden @ params.w2 + params.b2
+    return _hidden_layer(params, x) @ params.w2 + params.b2
 
 
 def forward(params: ModelParams, x: np.ndarray) -> float:
@@ -232,14 +238,14 @@ def backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, pos_
     if x.ndim != 2 or x.shape[1] != INPUT_DIM or x.shape[0] < 1 or y.shape != x.shape[:1]:
         raise ValueError(f"need features (n >= 1, {INPUT_DIM}) and labels (n,), got {x.shape} and {y.shape}")
     n = x.shape[0]
-    z1 = x @ params.w1.T + params.b1
-    hidden = np.maximum(z1, 0.0)
+    hidden = _hidden_layer(params, x)
     logits = hidden @ params.w2 + params.b2
     # d(loss)/d(logit), mean already folded in
     delta = ((1.0 - y) * sigmoid(logits) - pos_weight * y * sigmoid(-logits)) / n
     g_w2 = hidden.T @ delta
     g_b2 = float(delta.sum())
-    d_hidden = np.outer(delta, params.w2) * (z1 > 0.0)
+    d_hidden = np.outer(delta, params.w2)
+    d_hidden *= hidden > 0.0  # the ReLU mask: hidden > 0 exactly where x @ w1.T + b1 > 0
     g_w1 = d_hidden.T @ x
     g_b1 = d_hidden.sum(axis=0)
     return Gradients(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
@@ -322,9 +328,9 @@ def average_models(models: list[ModelParams], weights) -> ModelParams:
         if c == 0.0:
             continue
         m = models[i]
-        w1 += c * (m.w1 - first.w1)
-        b1 += c * (m.b1 - first.b1)
-        w2 += c * (m.w2 - first.w2)
+        for acc, arr, anchor in ((w1, m.w1, first.w1), (b1, m.b1, first.b1), (w2, m.w2, first.w2)):
+            diff = arr - anchor
+            acc += np.multiply(diff, c, out=diff)
         b2 += c * (m.b2 - first.b2)
     return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2)
 
@@ -347,8 +353,19 @@ def params_from_dict(data: dict) -> ModelParams:
     return params
 
 
+def params_json_pieces(params: ModelParams):
+    """json.dumps(params_to_dict(params)) and a newline, in pieces: a header, one
+    piece per w1 row and a tail, so neither nested lists nor the whole text is built."""
+    yield f'{{"hidden_size": {params.hidden_size}, "w1": ['
+    for i, row in enumerate(params.w1):
+        yield (", " if i else "") + json.dumps(row.tolist())
+    yield f'], "b1": {json.dumps(params.b1.tolist())}, "w2": {json.dumps(params.w2.tolist())}, '
+    yield f'"b2": {json.dumps(params.b2)}}}\n'
+
+
 def save_params(path, params: ModelParams) -> None:
-    Path(path).write_text(json.dumps(params_to_dict(params)) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(params_json_pieces(params))
 
 
 def load_params(path) -> ModelParams:

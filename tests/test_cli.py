@@ -9,13 +9,23 @@ import io
 import json
 import shutil
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fedvra.cli import _round_log_line, _write_lines, load_config_file, main, resolve_options
+from fedvra.cli import (
+    _round_log_line,
+    _write_lines,
+    _write_treatment_outputs,
+    load_config_file,
+    main,
+    resolve_options,
+)
 from fedvra.data import load_records, load_split_plan, save_records, verify_split_plan
+from fedvra.experiment import HyperCombo, Treatment, TreatmentRun
 from fedvra.federated import RoundLog
+from fedvra.network import init_model, params_to_dict
 from record_rows import record, table
 
 
@@ -516,6 +526,32 @@ def test_round_log_serialisation(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[0])["epoch"] == 3
     assert json.loads(lines[1])["metrics"]["roc_auc"] is None
+
+
+def test_run_streams_a_large_final_model(tmp_path):
+    """run writes final_model.json row by row: the h=512 model's file
+    has the bytes of its dict form, and writing every output of the
+    treatment stays under 1 MB of traced memory (12 MB when the text
+    was built from nested lists)."""
+    params = init_model(512, 8)
+    run = TreatmentRun(
+        treatment=Treatment.FEDERATED,
+        cv_results=[],
+        best_combo=HyperCombo(hidden_size=512, learning_rate=0.01, weight_decay=0.0),
+        epoch_budget=2,
+        params=params,
+        final_logs=[],
+        evaluations={},
+    )
+    tracemalloc.start()
+    try:
+        _write_treatment_outputs(tmp_path, run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    written = (tmp_path / "federated" / "final_model.json").read_bytes()
+    assert written == (json.dumps(params_to_dict(params)) + "\n").encode("utf-8")
 
 
 # ---------- report ----------

@@ -445,6 +445,13 @@ def test_synth_config_validation():
         SynthConfig(n_patients=10, seed=1, positive_rate=1.5)
     with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=1, class_separation=-1.0)
+    # Non-finite values are refused here, not later by the generator.
+    with pytest.raises(ValueError, match="class_separation must be finite"):
+        SynthConfig(n_patients=5, seed=1, class_separation=float("nan"))
+    with pytest.raises(ValueError, match="ward_shift must be finite"):
+        SynthConfig(n_patients=5, seed=1, ward_shift=float("inf"))
+    with pytest.raises(ValueError, match="ward_mix proportions must be finite"):
+        SynthConfig(n_patients=5, seed=1, ward_mix={"A1": float("nan"), "A3": 1.0})
 
 
 # ---------- records and persistence ----------

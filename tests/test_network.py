@@ -8,6 +8,7 @@ Neither shares code with the package.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,80 @@ def test_params_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert data["hidden_size"] == 5
     assert len(data["w1"]) == 5 and len(data["w1"][0]) == INPUT_DIM
+
+
+# Values whose JSON text is easy to get wrong: signed zero, the smallest
+# subnormal, and floats repr writes in exponent or shortest form.
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0]
+
+
+def awkward_params(h: int) -> ModelParams:
+    rng = np.random.default_rng(h)
+    w1 = rng.normal(0.0, 0.05, size=(h, INPUT_DIM))
+    w1[:, : len(AWKWARD_FLOATS)] = AWKWARD_FLOATS
+    w1[-1, -len(AWKWARD_FLOATS) :] = AWKWARD_FLOATS
+    b1 = np.resize(AWKWARD_FLOATS, h)
+    w2 = np.resize(AWKWARD_FLOATS[::-1], h)
+    return ModelParams(w1=w1, b1=b1, w2=w2, b2=-0.0)
+
+
+def params_bytes(p: ModelParams) -> bytes:
+    return p.w1.tobytes() + p.b1.tobytes() + p.w2.tobytes() + np.float64(p.b2).tobytes()
+
+
+@pytest.mark.parametrize("h", [1, 8, 128, 512])
+def test_save_params_writes_the_bytes_of_the_dict_form(tmp_path, h):
+    m = awkward_params(h)
+    path = tmp_path / "model.json"
+    save_params(path, m)
+    assert path.read_bytes() == (json.dumps(params_to_dict(m)) + "\n").encode("utf-8")
+    assert params_bytes(load_params(path)) == params_bytes(m)
+
+
+def test_save_params_streams_a_large_model(tmp_path):
+    """The file is written row by row: a 3.2 MB file of an h=512 model
+    must not build the nested weight lists or the whole text (12 MB)."""
+    m = init_model(512, 3)
+    tracemalloc.start()
+    try:
+        save_params(tmp_path / "model.json", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_hidden_layer_and_average_match_the_plain_expressions():
+    """forward_batch, backward and average_models build their arrays in
+    place; the results equal the plain expressions bit for bit, also where
+    a pre-activation is exactly zero."""
+    rng = np.random.default_rng(11)
+    params = ModelParams(
+        w1=rng.normal(0.0, 0.1, size=(6, INPUT_DIM)), b1=np.zeros(6), w2=rng.normal(size=6), b2=0.2
+    )
+    x = rng.standard_normal((9, INPUT_DIM))
+    x[0] = 0.0  # z1 == 0 on this row
+    y = (rng.random(9) < 0.4).astype(np.float64)
+    z1 = x @ params.w1.T + params.b1
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ params.w2 + params.b2
+    assert forward_batch(params, x).tobytes() == logits.tobytes()
+    delta = ((1.0 - y) * sigmoid(logits) - 2.5 * y * sigmoid(-logits)) / 9
+    d_hidden = np.outer(delta, params.w2) * (z1 > 0.0)
+    g = backward(params, x, y, 2.5)
+    assert g.w1.tobytes() == (d_hidden.T @ x).tobytes()
+    assert g.b1.tobytes() == d_hidden.sum(axis=0).tobytes()
+    assert g.w2.tobytes() == (hidden.T @ delta).tobytes()
+    models = [params, awkward_params(6), init_model(6, 1)]
+    weights = np.array([0.2, 0.5, 0.3])
+    expected = [np.array(a) for a in (params.w1, params.b1, params.w2)]
+    b2 = params.b2
+    for c, m in zip(weights[1:], models[1:]):
+        for acc, arr, anchor in zip(expected, (m.w1, m.b1, m.w2), (params.w1, params.b1, params.w2)):
+            acc += c * (arr - anchor)
+        b2 += c * (m.b2 - params.b2)
+    avg = average_models(models, weights)
+    assert params_bytes(avg) == params_bytes(ModelParams(*expected, b2=b2))
 
 
 def test_params_dict_mismatch_rejected():

@@ -13,8 +13,8 @@ from fedvra.network import (
     forward_batch,
     init_model,
     lr_at_epoch,
-    predict_proba,
     sgd_step,
+    sigmoid,
 )
 
 rng = np.random.default_rng(7)
@@ -27,7 +27,7 @@ x = rng.standard_normal((8, INPUT_DIM))
 y = (rng.uniform(size=8) < 0.25).astype(np.float64)
 logits = forward_batch(model, x)
 print(f"logits[:3]       = {np.round(logits[:3], 4)}")
-print(f"one-record prob  = {predict_proba(model, x[0]):.4f}")
+print(f"one-record prob  = {sigmoid(logits[0]):.4f}")
 
 # the positive class is rare, so its loss term is up-weighted by the
 # negative-to-positive ratio

@@ -60,11 +60,9 @@ from .network import (
     average_models,
     backward,
     batch_loss,
-    forward,
     init_model,
     load_params,
     lr_at_epoch,
-    predict_proba,
     save_params,
     sgd_step,
 )

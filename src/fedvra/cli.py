@@ -164,7 +164,7 @@ def resolve_options(args: argparse.Namespace, fields: dict) -> dict:
     """Merge flags > config file > defaults into one dict."""
     file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
     out = {}
-    for key, (convert, default, required) in fields.items():
+    for key, (convert, default, required, *_) in fields.items():
         raw = getattr(args, key, None)
         source = "flag"
         if raw is None and key in file_cfg:
@@ -182,17 +182,22 @@ def resolve_options(args: argparse.Namespace, fields: dict) -> dict:
     return out
 
 
+# Each command's options: key -> (convert, default, required, help).
+# build_parser makes one --flag per key; the same keys are config-file keys.
+SEED_FIELD = (_uint, None, True, "root seed (required here or in the config file)")
+
+
 # ---------- synth ----------
 
 SYNTH_FIELDS = {
-    "out": (str, None, True),
-    "seed": (_uint, None, True),
-    "n_patients": (_posint, None, True),
-    "positive_rate": (_unit_float, DEFAULT_POSITIVE_RATE, False),
-    "class_separation": (_nonneg_float, 1.0, False),
-    "ward_shift": (_nonneg_float, 0.5, False),
-    "admissions_min": (_posint, 1, False),
-    "admissions_max": (_posint, 3, False),
+    "out": (str, None, True, "output dataset path"),
+    "seed": SEED_FIELD,
+    "n_patients": (_posint, None, True, "number of patients"),
+    "positive_rate": (_unit_float, DEFAULT_POSITIVE_RATE, False, "target positive fraction"),
+    "class_separation": (_nonneg_float, 1.0, False, "label mean shift"),
+    "ward_shift": (_nonneg_float, 0.5, False, "per-ward mean shift"),
+    "admissions_min": (_posint, 1, False, "min admissions per patient"),
+    "admissions_max": (_posint, 3, False, "max admissions per patient"),
 }
 
 
@@ -221,11 +226,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------- split ----------
 
 SPLIT_FIELDS = {
-    "data": (str, None, True),
-    "out": (str, None, True),
-    "seed": (_uint, None, True),
-    "test_fraction": (_unit_float, 0.2, False),
-    "folds": (_posint, 5, False),
+    "data": (str, None, True, "dataset path (JSON lines)"),
+    "out": (str, None, True, "output split plan path"),
+    "seed": SEED_FIELD,
+    "test_fraction": (_unit_float, 0.2, False, "held-out time slice per institution"),
+    "folds": (_posint, 5, False, "number of cross-validation folds"),
 }
 
 
@@ -263,20 +268,20 @@ def cmd_split(args: argparse.Namespace) -> int:
 # ---------- run ----------
 
 RUN_FIELDS = {
-    "data": (str, None, True),
-    "split": (str, None, True),
-    "out": (str, None, True),
-    "seed": (_uint, None, True),
-    "treatment": (_choice(TREATMENT_KEYS + ("all",)), "all", False),
-    "hidden_sizes": (_int_list, DEFAULT_HIDDEN_SIZES, False),
-    "learning_rates": (_float_list, DEFAULT_LEARNING_RATES, False),
-    "weight_decays": (_float_list, DEFAULT_WEIGHT_DECAYS, False),
-    "batch_size": (_posint, 32, False),
-    "gamma": (float, 0.975, False),
-    "max_epochs": (_posint, 120, False),
-    "patience": (_posint, 7, False),
-    "aggregation": (_choice(("size", "uniform")), "size", False),
-    "threads": (_posint, 1, False),
+    "data": (str, None, True, "dataset path (JSON lines)"),
+    "split": (str, None, True, "split plan path"),
+    "out": (str, None, True, "run output directory"),
+    "seed": SEED_FIELD,
+    "treatment": (_choice(TREATMENT_KEYS + ("all",)), "all", False, "a, b, federated, central, or all"),
+    "hidden_sizes": (_int_list, DEFAULT_HIDDEN_SIZES, False, "comma list, e.g. 64,128,256,512"),
+    "learning_rates": (_float_list, DEFAULT_LEARNING_RATES, False, "comma list, e.g. 0.005,0.001"),
+    "weight_decays": (_float_list, DEFAULT_WEIGHT_DECAYS, False, "comma list, e.g. 0.001,0.0001"),
+    "batch_size": (_posint, 32, False, "minibatch size"),
+    "gamma": (float, 0.975, False, "learning-rate decay per epoch"),
+    "max_epochs": (_posint, 120, False, "epoch cap per fit"),
+    "patience": (_posint, 7, False, "early-stopping patience in epochs"),
+    "aggregation": (_choice(("size", "uniform")), "size", False, "size (weight by silo training size) or uniform"),
+    "threads": (_posint, 1, False, "parallel cross-validation fits; outputs identical for any value"),
 }
 
 
@@ -407,10 +412,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------- report ----------
 
 REPORT_FIELDS = {
-    "run": (str, None, True),
-    "out": (str, None, False),
-    "seed": (_uint, None, True),
-    "bootstrap_n": (_posint, 10000, False),
+    "run": (str, None, True, "run directory produced by the run command"),
+    "out": (str, None, False, "report output directory (default: <run>/report)"),
+    "seed": SEED_FIELD,
+    "bootstrap_n": (_posint, 10000, False, "bootstrap resamples per measure"),
 }
 
 
@@ -418,12 +423,13 @@ SCORE_COLUMNS = ("record_id", "label", "score")
 
 
 def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
-    """scored[treatment][set]; requires all four treatments present."""
+    """scored[treatment][set]; requires all four treatments present, and
+    the same records with the same labels, in the same order, in each."""
     missing = [key for key in TREATMENT_KEYS if not (run_dir / key / "scores_combined.csv").exists()]
     if missing:
         raise ValueError(f"run directory {run_dir} is missing treatment outputs: {', '.join(missing)}")
     scored: dict[str, dict[str, ScoredSet]] = {}
-    ids: dict[str, list[str]] = {}
+    first: dict[str, tuple] = {}  # set -> (path, record ids, labels) of the first treatment
     for key in TREATMENT_KEYS:
         scored[key] = {}
         for set_name in TEST_SET_NAMES:
@@ -445,11 +451,66 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
                 scores.append(score)
             if not labels:
                 raise ValueError(f"{path} holds no scores")
-            scored[key][set_name] = ScoredSet(labels=np.array(labels), scores=np.array(scores))
-            if set_name in ids and ids[set_name] != rids:
-                raise ValueError(f"record order in {path} differs across treatments")
-            ids[set_name] = rids
+            try:
+                scored[key][set_name] = ScoredSet(labels=np.array(labels), scores=np.array(scores))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            first_path, first_rids, first_labels = first.setdefault(set_name, (path, rids, labels))
+            if (rids, labels) != (first_rids, first_labels):
+                raise ValueError(f"record order or labels in {path} differ from those in {first_path}")
     return scored
+
+
+def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resamples: int, distributions=False):
+    """The comparison.json payload, less config.run_dir, and the resample
+    values by dist_*.csv stem (empty unless `distributions`).
+
+    Each test set has one list of bootstrap entries: a CI per treatment,
+    then a paired difference against federated per other treatment.
+    An entry is None when the point estimate of a treatment it scores
+    is undefined.
+    """
+    fed = Treatment.FEDERATED.key
+    others = [k for k in TREATMENT_KEYS if k != fed]
+    entries = [("bootstrap", "ci", key, (key,), key) for key in TREATMENT_KEYS]
+    entries += [("differences_vs_federated", "diff", key, (key, fed), f"{key}_minus_{fed}") for key in others]
+    sections = ("point_estimates", "confusion", "contingency_vs_federated", "common_agreement")
+    payload = {section: {} for section in sections + ("bootstrap", "differences_vs_federated")}
+    payload["config"] = {
+        "seed": seed,
+        "n_resamples": n_resamples,
+        "measures": list(REPORT_MEASURES),
+        "treatments": list(TREATMENT_KEYS),
+    }
+    dists: dict[str, np.ndarray] = {}
+    for set_name in TEST_SET_NAMES:
+        sets = {key: scored[key][set_name] for key in TREATMENT_KEYS}
+        bundles = {key: metric_bundle(s.labels, s.scores) for key, s in sets.items()}
+        payload["confusion"][set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
+        correct = {key: s.predictions == s.labels for key, s in sets.items()}
+        payload["contingency_vs_federated"][set_name] = {
+            key: dict(zip(CONTINGENCY_KEYS, contingency(correct[fed], correct[key]))) for key in others
+        }
+        agreement = common_agreement(list(sets.values()))
+        payload["common_agreement"][set_name] = {**asdict(agreement), "agreement_rate": agreement.agreement_rate}
+        points = payload["point_estimates"][set_name] = {}
+        for measure in REPORT_MEASURES:
+            point = points[measure] = {key: bundles[key][1][measure] for key in TREATMENT_KEYS}
+            for section, label, key, keys, stem in entries:
+                cell = payload[section].setdefault(set_name, {}).setdefault(measure, {})
+                cell[key] = None
+                if any(point[k] is None for k in keys):
+                    continue
+                entry_seed = derive_report_seed(seed, label, set_name, measure, key)
+                kwargs = {"n_resamples": n_resamples, "seed": entry_seed, "return_samples": True}
+                if label == "ci":
+                    result, samples = bootstrap_ci(sets[key], measure, **kwargs)
+                else:
+                    result, samples = bootstrap_diff(sets[key], sets[fed], measure, pair=keys, **kwargs)
+                cell[key] = _result_numbers(result)
+                if distributions:
+                    dists[f"dist_{set_name}_{measure}_{stem}"] = samples
+    return payload, dists
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -457,91 +518,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(opt["run"])
     out_dir = Path(opt["out"]) if opt["out"] else run_dir / "report"
     scored = _load_scored_sets(run_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = opt["seed"]
-    n_resamples = opt["bootstrap_n"]
-    fed = Treatment.FEDERATED.key
-    others = [k for k in TREATMENT_KEYS if k != fed]
-
-    points: dict = {}
-    boots: dict = {}
-    diffs: dict = {}
-    conf: dict = {}
-    conting: dict = {}
-    common: dict = {}
-    for set_name in TEST_SET_NAMES:
-        sets = {key: scored[key][set_name] for key in TREATMENT_KEYS}
-        bundles = {key: metric_bundle(s.labels, s.scores) for key, s in sets.items()}
-        conf[set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
-        points[set_name], boots[set_name], diffs[set_name] = {}, {}, {}
-        for measure in REPORT_MEASURES:
-            point = points[set_name][measure] = {key: bundles[key][1][measure] for key in TREATMENT_KEYS}
-            boots[set_name][measure] = {}
-            for key in TREATMENT_KEYS:
-                if point[key] is None:
-                    boots[set_name][measure][key] = None
-                    continue
-                result, samples = bootstrap_ci(
-                    sets[key],
-                    measure,
-                    n_resamples=n_resamples,
-                    seed=derive_report_seed(seed, "ci", set_name, measure, key),
-                    return_samples=True,
-                )
-                boots[set_name][measure][key] = _result_numbers(result)
-                if args.emit_distributions:
-                    _write_distribution(out_dir / f"dist_{set_name}_{measure}_{key}.csv", samples)
-            diffs[set_name][measure] = {}
-            for key in others:
-                if point[key] is None or point[fed] is None:
-                    diffs[set_name][measure][key] = None
-                    continue
-                result, samples = bootstrap_diff(
-                    sets[key],
-                    sets[fed],
-                    measure,
-                    n_resamples=n_resamples,
-                    seed=derive_report_seed(seed, "diff", set_name, measure, key),
-                    pair=(key, fed),
-                    return_samples=True,
-                )
-                diffs[set_name][measure][key] = _result_numbers(result)
-                if args.emit_distributions:
-                    _write_distribution(
-                        out_dir / f"dist_{set_name}_{measure}_{key}_minus_{fed}.csv", samples
-                    )
-
-        correct = {key: s.predictions == s.labels for key, s in sets.items()}
-        conting[set_name] = {
-            key: dict(zip(CONTINGENCY_KEYS, contingency(correct[fed], correct[key]))) for key in others
-        }
-        agreement = common_agreement(list(sets.values()))
-        common[set_name] = {**asdict(agreement), "agreement_rate": agreement.agreement_rate}
-        for key, s in sets.items():
+    payload, dists = build_comparison(scored, opt["seed"], opt["bootstrap_n"], args.emit_distributions)
+    payload["config"]["run_dir"] = str(run_dir)
+    curves = {}
+    for key, sets in scored.items():
+        for set_name, s in sets.items():
             try:
-                curve = roc_curve(s.labels, s.scores)
+                curves[f"roc_{key}_{set_name}"] = roc_curve(s.labels, s.scores)
             except UndefinedMetricError:
                 continue
-            _write_lines(
-                out_dir / f"roc_{key}_{set_name}.csv",
-                ["fpr,tpr,threshold"] + [f"{fpr!r},{tpr!r},{threshold!r}" for fpr, tpr, threshold in curve],
-            )
 
-    payload = {
-        "config": {
-            "run_dir": str(run_dir),
-            "seed": seed,
-            "n_resamples": n_resamples,
-            "measures": list(REPORT_MEASURES),
-            "treatments": list(TREATMENT_KEYS),
-        },
-        "point_estimates": points,
-        "confusion": conf,
-        "contingency_vs_federated": conting,
-        "common_agreement": common,
-        "bootstrap": boots,
-        "differences_vs_federated": diffs,
-    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, samples in dists.items():
+        _write_lines(out_dir / f"{stem}.csv", (f"{float(value)!r}" for value in samples))
+    for stem, curve in curves.items():
+        rows = (f"{fpr!r},{tpr!r},{threshold!r}" for fpr, tpr, threshold in curve)
+        _write_lines(out_dir / f"{stem}.csv", ["fpr,tpr,threshold", *rows])
     _write_json(out_dir / "comparison.json", payload)
     _write_lines(out_dir / "comparison.txt", _render_text_report(payload))
     print(f"report written to {out_dir}")
@@ -555,10 +547,6 @@ def derive_report_seed(seed: int, *parts: str) -> int:
 def _result_numbers(result) -> dict:
     """A bootstrap or difference result without its measure and pair labels."""
     return {k: v for k, v in asdict(result).items() if k not in ("measure", "pair")}
-
-
-def _write_distribution(path, samples) -> None:
-    _write_lines(path, (f"{float(value)!r}" for value in samples))
 
 
 def _fmt(value) -> str:
@@ -635,58 +623,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fedvra {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def add_command(name, func, fields, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file; flags take precedence")
-        p.add_argument("--seed", help="root seed (required here or in the config file)")
+        for key, (*_, text) in fields.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic admission dataset (JSON lines)")
-    add_common(p_synth)
-    p_synth.add_argument("--out", help="output dataset path")
-    p_synth.add_argument("--n-patients", dest="n_patients", help="number of patients")
-    p_synth.add_argument("--positive-rate", dest="positive_rate", help="target positive fraction")
-    p_synth.add_argument("--class-separation", dest="class_separation", help="label mean shift")
-    p_synth.add_argument("--ward-shift", dest="ward_shift", help="per-ward mean shift")
-    p_synth.add_argument("--admissions-min", dest="admissions_min", help="min admissions per patient")
-    p_synth.add_argument("--admissions-max", dest="admissions_max", help="max admissions per patient")
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_split = sub.add_parser("split", help="build and verify a leakage-safe split plan")
-    add_common(p_split)
-    p_split.add_argument("--data", help="dataset path (JSON lines)")
-    p_split.add_argument("--out", help="output split plan path")
-    p_split.add_argument("--test-fraction", dest="test_fraction", help="held-out time slice per institution")
-    p_split.add_argument("--folds", help="number of cross-validation folds")
-    p_split.set_defaults(func=cmd_split)
-
-    p_run = sub.add_parser("run", help="grid search, final fits, and test evaluation per treatment")
-    add_common(p_run)
-    p_run.add_argument("--data", help="dataset path (JSON lines)")
-    p_run.add_argument("--split", help="split plan path")
-    p_run.add_argument("--out", help="run output directory")
-    p_run.add_argument("--treatment", help="a, b, federated, central, or all")
-    p_run.add_argument("--hidden-sizes", dest="hidden_sizes", help="comma list, e.g. 64,128,256,512")
-    p_run.add_argument("--learning-rates", dest="learning_rates", help="comma list, e.g. 0.005,0.001")
-    p_run.add_argument("--weight-decays", dest="weight_decays", help="comma list, e.g. 0.001,0.0001")
-    p_run.add_argument("--batch-size", dest="batch_size", help="minibatch size")
-    p_run.add_argument("--gamma", help="learning-rate decay per epoch")
-    p_run.add_argument("--max-epochs", dest="max_epochs", help="epoch cap per fit")
-    p_run.add_argument("--patience", help="early-stopping patience in epochs")
-    p_run.add_argument("--aggregation", help="size (weight by silo training size) or uniform")
-    p_run.add_argument("--threads", help="parallel cross-validation fits; outputs identical for any value")
+    add_command("synth", cmd_synth, SYNTH_FIELDS, "generate a synthetic admission dataset (JSON lines)")
+    add_command("split", cmd_split, SPLIT_FIELDS, "build and verify a leakage-safe split plan")
+    p_run = add_command("run", cmd_run, RUN_FIELDS, "grid search, final fits, and test evaluation per treatment")
     p_run.add_argument("--force", action="store_true", help="allow writing into a non-empty run directory")
-    p_run.set_defaults(func=cmd_run)
-
-    p_report = sub.add_parser("report", help="bootstrap comparison report over a completed run directory")
-    add_common(p_report)
-    p_report.add_argument("--run", help="run directory produced by the run command")
-    p_report.add_argument("--out", help="report output directory (default: <run>/report)")
-    p_report.add_argument("--bootstrap-n", dest="bootstrap_n", help="bootstrap resamples per measure")
+    p_report = add_command(
+        "report", cmd_report, REPORT_FIELDS, "bootstrap comparison report over a completed run directory"
+    )
     p_report.add_argument(
         "--emit-distributions",
         action="store_true",
         help="also write full resample distributions as CSV",
     )
-    p_report.set_defaults(func=cmd_report)
     return parser
 
 

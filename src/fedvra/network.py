@@ -193,21 +193,6 @@ def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return _hidden_layer(params, x) @ params.w2 + params.b2
 
 
-def forward(params: ModelParams, x: np.ndarray) -> float:
-    """Logit for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (INPUT_DIM,):
-        raise ValueError(f"input must be a vector of length {INPUT_DIM}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite entries")
-    return float(forward_batch(params, x[None, :])[0])
-
-
-def predict_proba(params: ModelParams, x: np.ndarray) -> float:
-    """Probability of the positive class for a single input vector."""
-    return float(sigmoid(forward(params, x)))
-
-
 def loss_from_logits(logits: np.ndarray, labels: np.ndarray, pos_weight: float) -> float:
     """Mean weighted cross-entropy given precomputed logits."""
     if not (np.isfinite(pos_weight) and pos_weight > 0):

@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 
 from fedvra.cli import (
+    _load_scored_sets,
+    _render_text_report,
     _round_log_line,
     _write_lines,
     _write_treatment_outputs,
+    build_comparison,
     load_config_file,
     main,
     resolve_options,
@@ -690,6 +693,41 @@ def test_report_short_score_row_exits_2(chain, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "treatment, column, value, message",
+    [
+        ("a", 1, "2", "labels must be 0 or 1"),
+        ("b", 2, "nan", "scores must lie in [0, 1]"),
+        ("central", 1, None, "differ from those in"),  # None: flip the label
+    ],
+    ids=["label_2", "score_nan", "label_differs_across_treatments"],
+)
+def test_report_bad_score_values_name_the_file(chain, tmp_path, treatment, column, value, message):
+    mangled = tmp_path / "run"
+    shutil.copytree(chain["run"], mangled)
+    path = mangled / treatment / "scores_B.csv"
+    header, first, *rest = path.read_text().split("\n")
+    cells = first.split(",")
+    cells[column] = value if value is not None else str(1 - int(cells[column]))
+    path.write_text("\n".join([header, ",".join(cells)] + rest))
+    out = tmp_path / "rep"
+    code, _, err = run_cli("report", "--run", str(mangled), "--out", str(out), "--seed", "5")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and message in err
+    assert not out.exists()
+
+
+def test_build_comparison_reproduces_the_written_report(chain):
+    scored = _load_scored_sets(chain["run"])
+    payload, dists = build_comparison(scored, 5, 200)
+    assert dists == {}
+    payload["config"]["run_dir"] = str(chain["run"])
+    assert payload == json.loads((chain["report"] / "comparison.json").read_text())
+    text = (chain["report"] / "comparison.txt").read_text()
+    assert "\n".join(_render_text_report(payload)) + "\n" == text
+
+
 def test_report_identical_treatments_have_zero_differences(tmp_path):
     csv_a = "record_id,label,score,prediction\n" + "".join(
         f"{i},{l},{s!r},{int(s >= 0.5)}\n"
@@ -723,15 +761,20 @@ def test_report_identical_treatments_have_zero_differences(tmp_path):
 
 
 def test_report_degenerate_bootstrap_exits_4(tmp_path):
-    # two-record combined set: about half of all resamples are single
-    # class, so the ROC-AUC bootstrap gives up
-    csv_a = "record_id,label,score,prediction\n0,0,0.2,0\n"
+    # set A has both classes, so its ROC curves and distributions exist
+    # before the combined set fails; the two-record combined set has
+    # about half of all resamples single class, so its ROC-AUC
+    # bootstrap gives up. Nothing may be written.
+    csv_a = "record_id,label,score,prediction\n2,0,0.1,0\n3,1,0.9,1\n4,0,0.6,1\n5,1,0.4,0\n"
     csv_b = "record_id,label,score,prediction\n1,1,0.8,1\n"
     csv_c = "record_id,label,score,prediction\n0,0,0.2,0\n1,1,0.8,1\n"
     run_dir = craft_run_dir(tmp_path / "run", {"A": csv_a, "B": csv_b, "combined": csv_c})
-    code, _, err = run_cli(
-        "report", "--run", str(run_dir), "--out", str(tmp_path / "rep"),
-        "--seed", "3", "--bootstrap-n", "101",
-    )
-    assert code == 4
-    assert "undefined on" in err
+    out = tmp_path / "rep"
+    for emit in ([], ["--emit-distributions"]):
+        code, _, err = run_cli(
+            "report", "--run", str(run_dir), "--out", str(out),
+            "--seed", "3", "--bootstrap-n", "101", *emit,
+        )
+        assert code == 4
+        assert "undefined on" in err
+        assert not out.exists()

@@ -22,7 +22,6 @@ from fedvra.network import (
     average_models,
     backward,
     batch_loss,
-    forward,
     forward_batch,
     init_model,
     load_params,
@@ -30,7 +29,6 @@ from fedvra.network import (
     lr_at_epoch,
     params_from_dict,
     params_to_dict,
-    predict_proba,
     save_params,
     sgd_step,
     sigmoid,
@@ -136,41 +134,27 @@ def test_init_rejects_bad_arguments():
 
 def test_forward_zero_params():
     m = ModelParams(w1=np.zeros((3, INPUT_DIM)), b1=np.zeros(3), w2=np.zeros(3), b2=0.0)
-    assert forward(m, np.ones(INPUT_DIM)) == 0.0
+    assert forward_batch(m, np.ones((4, INPUT_DIM))).tolist() == [0.0] * 4  # shape (n,)
 
 
 def test_forward_worked_values():
     m = ModelParams(w1=np.ones((1, INPUT_DIM)), b1=[0.0], w2=[1.0], b2=0.0)
-    x = np.full(INPUT_DIM, 0.01)
-    assert math.isclose(forward(m, x), 3.0, rel_tol=0, abs_tol=1e-12)
+    x = np.full((1, INPUT_DIM), 0.01)
+    assert math.isclose(forward_batch(m, x)[0], 3.0, rel_tol=0, abs_tol=1e-12)
 
     # ReLU clamps the hidden unit, leaving only the output bias
     clamped = ModelParams(w1=np.ones((1, INPUT_DIM)), b1=[-400.0], w2=[1.0], b2=5.0)
-    assert forward(clamped, x) == 5.0
-
-
-def test_forward_batch_matches_forward():
-    rng = np.random.default_rng(3)
-    m = init_model(5, 11)
-    x = rng.standard_normal((4, INPUT_DIM))
-    batched = forward_batch(m, x)
-    assert batched.shape == (4,)
-    for i in range(4):
-        assert math.isclose(batched[i], forward(m, x[i]), rel_tol=1e-15)
+    assert forward_batch(clamped, x)[0] == 5.0
 
 
 def test_forward_rejects_bad_shapes():
     m = init_model(2, 0)
     with pytest.raises(ValueError):
-        forward(m, np.ones(INPUT_DIM - 1))
+        forward_batch(m, np.ones(INPUT_DIM))
+    with pytest.raises(ValueError):
+        forward_batch(m, np.ones((1, INPUT_DIM - 1)))
     with pytest.raises(ValueError):
         forward_batch(m, np.ones((2, INPUT_DIM + 1)))
-
-
-def test_predict_proba_is_sigmoid_of_logit():
-    m = init_model(3, 5)
-    x = np.random.default_rng(1).standard_normal(INPUT_DIM)
-    assert predict_proba(m, x) == sigmoid(forward(m, x))
 
 
 # ---------- sigmoid / softplus ----------

@@ -36,7 +36,6 @@ from .experiment import (
     TreatmentRun,
     evaluate,
     grid_search_cv,
-    run_treatment,
     run_treatments,
     select_best,
     test_sets_from_plan,

@@ -281,7 +281,7 @@ RUN_FIELDS = {
     "max_epochs": (_posint, 120, False, "epoch cap per fit"),
     "patience": (_posint, 7, False, "early-stopping patience in epochs"),
     "aggregation": (_choice(("size", "uniform")), "size", False, "size (weight by silo training size) or uniform"),
-    "threads": (_posint, 1, False, "parallel cross-validation fits; outputs identical for any value"),
+    "threads": (_posint, 1, False, "parallel CV and final fits; outputs identical for any value"),
 }
 
 
@@ -378,6 +378,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         gamma=opt["gamma"],
         max_epochs=opt["max_epochs"],
         patience=opt["patience"],
+        uniform_weights=(opt["aggregation"] == "uniform"),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     effective = dict(opt)
@@ -386,15 +387,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     effective["version"] = __version__
     _write_json(out_dir / "run_config.json", effective)
 
-    runs = run_treatments(
-        treatments,
-        records,
-        plan,
-        grid,
-        base_config,
-        uniform_weights=(opt["aggregation"] == "uniform"),
-        threads=opt["threads"],
-    )
+    runs = run_treatments(treatments, records, plan, grid, base_config, threads=opt["threads"])
     for key in sorted(runs):
         run = runs[key]
         _write_treatment_outputs(out_dir, run)
@@ -527,6 +520,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                 curves[f"roc_{key}_{set_name}"] = roc_curve(s.labels, s.scores)
             except UndefinedMetricError:
                 continue
+    written = {f"{stem}.csv" for stem in [*dists, *curves]}
+    stale = sorted(
+        p.name for pattern in ("dist_*.csv", "roc_*.csv") for p in out_dir.glob(pattern) if p.name not in written
+    )
+    if stale:
+        raise ValueError(f"report directory {out_dir} holds {stale[0]}, which this report would not write")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, samples in dists.items():

@@ -9,6 +9,10 @@ epochs), and evaluation on the per-institution and combined test sets.
 
 Local and centralised treatments reuse the federated loop with a
 single silo, which is exactly plain training.
+
+A run is two task lists, every (treatment, combo, fold) CV fit and then
+every treatment's final fit. Each fit is a pure function of its derived
+seed, so _map may run the tasks in any order; results go by task index.
 """
 
 from __future__ import annotations
@@ -18,22 +22,16 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .data import RecordTable, SplitPlan, features_matrix
-from .federated import (
-    RoundLog,
-    Silo,
-    federated_train,
-    federated_validate,
-    resolve_pos_weight,
-    train_for_epochs,
-)
+from .federated import RoundLog, Silo, federated_train, train_for_epochs
 from .network import ModelParams, TrainConfig, forward_batch, sigmoid
 from .seeds import derive_seed
-from .stats import THRESHOLD, Confusion, confusion, metric_bundle, prf1
+from .stats import THRESHOLD, Confusion, metric_bundle, prf1
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 256, 512)
 DEFAULT_LEARNING_RATES = (0.005, 0.001, 0.0005)
@@ -88,15 +86,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FoldFit:
-    """Bookkeeping for one (combo, fold) cross-validation fit."""
+    """Bookkeeping for one (combo, fold) cross-validation fit, read from
+    the validation round of the checkpoint that early stopping kept."""
 
     fold: int
     best_epoch: int  # 1-based count of epochs through the best one
     epochs_run: int
     val_loss: float
     f1: float
-    scores: np.ndarray
-    labels: np.ndarray
+    confusion: Confusion  # of the held-out fold at the 0.5 threshold
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class CvResult:
 
     combo: HyperCombo
     fold_fits: tuple[FoldFit, ...]
-    f1: float  # over the concatenation of all fold predictions
+    f1: float  # of the summed fold confusions: over all fold predictions
 
     @property
     def fold_f1s(self) -> tuple[float, ...]:
@@ -223,89 +221,76 @@ def _institutions_name(insts) -> str:
     return f"institution{'s' * (len(insts) > 1)} {' and '.join(insts)}"
 
 
-def _fit_fold(
-    treatment: Treatment,
-    records,
-    plan: SplitPlan,
-    combo: HyperCombo,
-    combo_index: int,
-    fold: int,
-    base_config: TrainConfig,
-    uniform_weights: bool,
-) -> FoldFit:
+def _map(fn, tasks: list, threads: int) -> list:
+    """fn over the tasks, results in task order: in this thread at 1,
+    on a thread pool of that many workers above 1."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if threads == 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _fit_fold(records, plan: SplitPlan, combos: list[HyperCombo], base_config: TrainConfig, task) -> FoldFit:
+    """One (treatment, combo index, fold) task of grid_search_cv."""
+    treatment, combo_index, fold = task
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
-    cfg = combo.config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
-    params, logs = federated_train(silos, cfg, uniform_weights=uniform_weights)
-    losses = [log.val_loss for log in logs]
-    best_index = int(np.argmin(losses))
-    pos_weight = resolve_pos_weight(cfg, silos)
-    val_loss, metrics, scores, labels = federated_validate(params, silos, pos_weight)
+    cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
+    _, logs = federated_train(silos, cfg)
+    # the first round with the lowest loss holds the checkpoint early stopping kept
+    best = min(logs, key=lambda log: log.val_loss)
+    metrics = best.metrics
     return FoldFit(
         fold=fold,
-        best_epoch=best_index + 1,
+        best_epoch=best.epoch + 1,
         epochs_run=len(logs),
-        val_loss=val_loss,
+        val_loss=best.val_loss,
         f1=metrics["f1"],
-        scores=scores,
-        labels=labels,
+        confusion=Confusion(*(metrics[k] for k in Confusion._fields)),
     )
 
 
 def grid_search_cv(
-    treatment: Treatment,
+    treatments: list[Treatment],
     records: RecordTable,
     plan: SplitPlan,
     grid: GridSpec,
     base_config: TrainConfig,
-    uniform_weights: bool = False,
     threads: int = 1,
-) -> list[CvResult]:
-    """Cross-validate every combo; each fit gets its own derived seed.
+) -> dict[Treatment, list[CvResult]]:
+    """Cross-validate every combo of every treatment; each fit gets its
+    own derived seed.
 
-    Fits are independent, so they may run on a thread pool; results are
-    assembled by (combo, fold) index and do not depend on the schedule.
+    One task per (treatment, combo, fold), in that order; the results
+    are assembled by task index and do not depend on the schedule.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     folds = sorted(set(plan.fold_of_record.values()))
     if not folds:
         raise ValueError("split plan has no folds")
     combos = grid.combos()
-    tasks = [(ci, fold) for ci in range(len(combos)) for fold in folds]
-
-    def run(task):
-        ci, fold = task
-        return _fit_fold(
-            treatment, records, plan, combos[ci], ci, fold, base_config, uniform_weights
-        )
-
-    if threads == 1:
-        fits = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(run, tasks))
-
-    results = []
-    for ci, combo in enumerate(combos):
-        combo_fits = tuple(fits[ci * len(folds) + k] for k in range(len(folds)))
-        labels = np.concatenate([fit.labels for fit in combo_fits])
-        scores = np.concatenate([fit.scores for fit in combo_fits])
-        preds = (scores >= THRESHOLD).astype(np.int64)
-        _, _, f1 = prf1(confusion(labels.astype(np.int64), preds))
-        results.append(CvResult(combo=combo, fold_fits=combo_fits, f1=f1))
-    return results
+    tasks = list(product(treatments, range(len(combos)), folds))
+    by_task = dict(zip(tasks, _map(partial(_fit_fold, records, plan, combos, base_config), tasks, threads)))
+    return {
+        t: [_cv_result(combo, tuple(by_task[t, ci, fold] for fold in folds)) for ci, combo in enumerate(combos)]
+        for t in treatments
+    }
 
 
-def select_best(results: list[CvResult]) -> HyperCombo:
+def _cv_result(combo: HyperCombo, fold_fits: tuple[FoldFit, ...]) -> CvResult:
+    summed = Confusion(*map(sum, zip(*(fit.confusion for fit in fold_fits))))
+    return CvResult(combo=combo, fold_fits=fold_fits, f1=prf1(summed)[2])
+
+
+def select_best(results: list[CvResult]) -> CvResult:
     """Highest concatenated F1; ties prefer smaller hidden size, then
     larger weight decay, then lower learning rate."""
     if not results:
         raise ValueError("no cross-validation results to select from")
-    best = min(
+    return min(
         results,
         key=lambda r: (-r.f1, r.combo.hidden_size, -r.combo.weight_decay, r.combo.learning_rate),
     )
-    return best.combo
 
 
 def final_epoch_budget(best_epochs) -> int:
@@ -324,20 +309,17 @@ def train_final(
     records: RecordTable,
     plan: SplitPlan,
     base_config: TrainConfig,
-    uniform_weights: bool = False,
 ) -> tuple[ModelParams, int, list[RoundLog]]:
     """Refit the selected combo on all folds for the median epoch budget;
     returns the parameters, the budget and one log per epoch."""
     budget = final_epoch_budget(cv_result.best_epochs)
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=None)
     cfg = cv_result.combo.config(base_config, derive_seed(base_config.seed, treatment.key, "final"))
-    params, logs = train_for_epochs(silos, cfg, budget, uniform_weights=uniform_weights)
+    params, logs = train_for_epochs(silos, cfg, budget)
     return params, budget, logs
 
 
-def test_sets_from_plan(
-    records: RecordTable, plan: SplitPlan
-) -> tuple[TestSet, TestSet]:
+def test_sets_from_plan(records: RecordTable, plan: SplitPlan) -> tuple[TestSet, TestSet]:
     """Per-institution test sets in stable record order."""
     by_inst = _institution_indices(records, plan, plan.test_ids)
     sets = []
@@ -388,48 +370,30 @@ class TreatmentRun:
     evaluations: dict[str, SetEvaluation]
 
 
-def run_treatment(
-    treatment: Treatment,
-    records: RecordTable,
-    plan: SplitPlan,
-    grid: GridSpec,
-    base_config: TrainConfig,
-    uniform_weights: bool = False,
-    threads: int = 1,
-) -> TreatmentRun:
-    """Grid search, final fit, and evaluation for a single treatment."""
-    cv_results = grid_search_cv(
-        treatment, records, plan, grid, base_config, uniform_weights=uniform_weights, threads=threads
-    )
-    best_combo = select_best(cv_results)
-    best_cv = next(r for r in cv_results if r.combo == best_combo)
-    params, budget, final_logs = train_final(
-        treatment, best_cv, records, plan, base_config, uniform_weights=uniform_weights
-    )
-    return TreatmentRun(
-        treatment=treatment,
-        cv_results=cv_results,
-        best_combo=best_combo,
-        epoch_budget=budget,
-        params=params,
-        final_logs=final_logs,
-        evaluations=evaluate(params, *test_sets_from_plan(records, plan)),
-    )
-
-
 def run_treatments(
     treatments: list[Treatment],
     records: RecordTable,
     plan: SplitPlan,
     grid: GridSpec,
     base_config: TrainConfig,
-    uniform_weights: bool = False,
     threads: int = 1,
 ) -> dict[str, TreatmentRun]:
-    """Run several treatments over the same data and split plan."""
+    """Cross-validate the treatments, refit each one's best combo (one
+    task per treatment, through the same map), and evaluate every final
+    model on the test sets, which are built once."""
+    cv_results = grid_search_cv(treatments, records, plan, grid, base_config, threads=threads)
+    best = {t: select_best(cv_results[t]) for t in treatments}
+    finals = _map(lambda t: train_final(t, best[t], records, plan, base_config), treatments, threads)
+    test_a, test_b = test_sets_from_plan(records, plan)
     return {
-        t.key: run_treatment(
-            t, records, plan, grid, base_config, uniform_weights=uniform_weights, threads=threads
+        t.key: TreatmentRun(
+            treatment=t,
+            cv_results=cv_results[t],
+            best_combo=best[t].combo,
+            epoch_budget=budget,
+            params=params,
+            final_logs=logs,
+            evaluations=evaluate(params, test_a, test_b),
         )
-        for t in treatments
+        for t, (params, budget, logs) in zip(treatments, finals)
     }

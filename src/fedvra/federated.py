@@ -108,7 +108,7 @@ class RoundLog:
     lr: float
     train_losses: dict[str, float]
     val_loss: float | None
-    metrics: dict[str, float | None] | None
+    metrics: dict[str, float | int | None] | None
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,14 @@ def local_validate(model: ModelParams, silo: Silo) -> tuple[np.ndarray, np.ndarr
 
 def federated_validate(
     model: ModelParams, silos: list[Silo], pos_weight: float
-) -> tuple[float, dict[str, float | None], np.ndarray, np.ndarray]:
+) -> tuple[float, dict[str, float | int | None], np.ndarray, np.ndarray]:
     """Validate one model across all silos.
 
     Each silo evaluates locally; the server concatenates in fixed silo
     order and computes the loss and metrics over the concatenation.
-    Returns (loss, metrics, scores, labels).
+    Returns (loss, metrics, scores, labels); the metrics are
+    metric_bundle's five measures followed by the confusion counts
+    tn, fp, fn and tp.
     """
     if not silos:
         raise ValueError("at least one silo is required")
@@ -202,7 +204,8 @@ def federated_validate(
     labels = np.concatenate(label_parts)
     loss = loss_from_logits(logits, labels, pos_weight)
     scores = sigmoid(logits)
-    return loss, metric_bundle(labels, scores)[1], scores, labels
+    conf, metrics = metric_bundle(labels, scores)
+    return loss, {**metrics, **conf._asdict()}, scores, labels
 
 
 def resolve_pos_weight(config: TrainConfig, silos: list[Silo]) -> float:
@@ -220,7 +223,7 @@ def resolve_pos_weight(config: TrainConfig, silos: list[Silo]) -> float:
     return neg / pos
 
 
-def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, uniform_weights: bool):
+def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
     """The FedAvg round loop shared by both trainers.
 
     Checks the silos and resolves pos_weight and the aggregation weights
@@ -237,7 +240,7 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, uniform_wei
             raise ValueError(f"silo {silo.name!r} has no training data")
     pos_weight = resolve_pos_weight(config, silos)
     cfg = replace(config, pos_weight=pos_weight)
-    weights = [1.0] * len(silos) if uniform_weights else [float(s.n_train) for s in silos]
+    weights = [1.0] * len(silos) if config.uniform_weights else [float(s.n_train) for s in silos]
 
     model = init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
     for epoch in range(max_epochs):
@@ -264,9 +267,7 @@ def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: i
         return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
 
 
-def federated_train(
-    silos: list[Silo], config: TrainConfig, uniform_weights: bool = False
-) -> tuple[ModelParams, list[RoundLog]]:
+def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams, list[RoundLog]]:
     """Train across silos with per-epoch averaging and early stopping.
 
     Returns the checkpoint with the lowest validation loss and the
@@ -278,7 +279,7 @@ def federated_train(
             raise ValueError(f"silo {silo.name!r} has no validation data")
     state = EarlyStopState(patience=config.patience)
     logs: list[RoundLog] = []
-    for model, log, pos_weight in _rounds(silos, config, config.max_epochs, uniform_weights):
+    for model, log, pos_weight in _rounds(silos, config, config.max_epochs):
         with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
             val_loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
         logs.append(replace(log, val_loss=val_loss, metrics=metrics))
@@ -289,13 +290,11 @@ def federated_train(
     return state.best_params, logs
 
 
-def train_for_epochs(
-    silos: list[Silo], config: TrainConfig, n_epochs: int, uniform_weights: bool = False
-) -> tuple[ModelParams, list[RoundLog]]:
+def train_for_epochs(silos: list[Silo], config: TrainConfig, n_epochs: int) -> tuple[ModelParams, list[RoundLog]]:
     """Fixed-budget variant: no validation, no early stopping."""
     if n_epochs < 1:
         raise ValueError("n_epochs must be at least 1")
     logs: list[RoundLog] = []
-    for model, log, _ in _rounds(silos, config, n_epochs, uniform_weights):
+    for model, log, _ in _rounds(silos, config, n_epochs):
         logs.append(log)
     return model, logs

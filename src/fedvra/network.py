@@ -111,7 +111,8 @@ class TrainConfig:
 
     pos_weight left as None means "compute the negative/positive ratio
     from the training labels"; the trainers resolve it before any
-    silo-level work starts.
+    silo-level work starts. uniform_weights averages the silos' models
+    with equal weights instead of by training-set size.
     """
 
     lr0: float
@@ -123,6 +124,7 @@ class TrainConfig:
     max_epochs: int = 120
     patience: int = 7
     pos_weight: float | None = None
+    uniform_weights: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.lr0) and self.lr0 >= 0):

@@ -623,6 +623,22 @@ def test_report_emit_distributions(chain, tmp_path):
     assert len(lines) == 50
 
 
+def test_report_refuses_a_directory_holding_files_it_would_not_write(chain, tmp_path):
+    out = tmp_path / "rep"
+    base = ("report", "--run", str(chain["run"]), "--out", str(out), "--bootstrap-n", "20")
+    assert run_cli(*base, "--seed", "5", "--emit-distributions")[0] == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert any(name.startswith("dist_") for name in first)
+    # a rerun that writes the same set of files may overwrite them
+    assert run_cli(*base, "--seed", "5", "--emit-distributions")[0] == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    code, _, err = run_cli(*base, "--seed", "6")
+    assert code == 2
+    stale = min(name for name in first if name.startswith("dist_"))
+    assert err == f"error: report directory {out} holds {stale}, which this report would not write\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_report_missing_treatment_exits_2(chain, tmp_path):
     partial = tmp_path / "run"
     shutil.copytree(chain["run"], partial)

@@ -1,6 +1,7 @@
 """Grid search, model selection, final fits, and evaluation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fedvra.experiment import (
     evaluate,
     final_epoch_budget,
     grid_search_cv,
-    run_treatment,
     run_treatments,
     select_best,
     silos_for_treatment,
@@ -27,7 +27,7 @@ from fedvra.experiment import test_sets_from_plan as build_test_sets
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
 from fedvra.network import TrainConfig, init_model
 from fedvra.seeds import derive_seed
-from fedvra.stats import THRESHOLD, confusion, prf1
+from fedvra.stats import THRESHOLD, Confusion, confusion, prf1
 
 from central_oracle import train_centralized
 
@@ -59,6 +59,26 @@ def tiny_grid():
 
 def dummy_result(f1, hidden=64, lr=0.001, wd=1e-4):
     return CvResult(combo=HyperCombo(hidden, lr, wd), fold_fits=(), f1=f1)
+
+
+def refit_fold(records, plan, cfg, treatment, combo_index, fold):
+    """Refit one CV fit of tiny_grid() from its derived seed and validate
+    its checkpoint: (val_loss, confusion, scores, labels)."""
+    silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
+    combo = tiny_grid().combos()[combo_index]
+    refit_cfg = TrainConfig(
+        lr0=combo.learning_rate,
+        hidden_size=combo.hidden_size,
+        seed=derive_seed(cfg.seed, treatment.key, combo_index, fold),
+        batch_size=cfg.batch_size,
+        weight_decay=combo.weight_decay,
+        max_epochs=cfg.max_epochs,
+        patience=cfg.patience,
+    )
+    params, _ = federated_train(silos, refit_cfg)
+    val_loss, _, scores, labels = federated_validate(params, silos, resolve_pos_weight(refit_cfg, silos))
+    labels = labels.astype(np.int64)
+    return val_loss, confusion(labels, (scores >= THRESHOLD).astype(np.int64)), scores, labels
 
 
 # ---------- grid and treatments ----------
@@ -144,18 +164,19 @@ def test_silos_no_heldout_fold_means_empty_validation(dataset):
 
 def test_select_best_prefers_higher_f1():
     results = [dummy_result(0.4), dummy_result(0.6, hidden=512), dummy_result(0.5)]
-    assert select_best(results) == HyperCombo(512, 0.001, 1e-4)
+    assert select_best(results) is results[1]
+    assert select_best(results).combo == HyperCombo(512, 0.001, 1e-4)
 
 
 def test_select_best_tie_break_order():
     # equal f1: smaller hidden wins, then larger decay, then lower lr
     a = dummy_result(0.5, hidden=128, lr=0.001, wd=1e-4)
     b = dummy_result(0.5, hidden=64, lr=0.005, wd=1e-5)
-    assert select_best([a, b]) == b.combo
+    assert select_best([a, b]) is b
     c = dummy_result(0.5, hidden=64, lr=0.005, wd=1e-4)
-    assert select_best([a, b, c]) == c.combo
+    assert select_best([a, b, c]) is c
     d = dummy_result(0.5, hidden=64, lr=0.001, wd=1e-4)
-    assert select_best([a, b, c, d]) == d.combo
+    assert select_best([a, b, c, d]) is d
 
 
 def test_select_best_rejects_empty():
@@ -178,61 +199,52 @@ def test_final_epoch_budget_is_rounded_median():
 
 def test_grid_search_cv_shape_and_concatenated_f1(dataset):
     records, plan = dataset
-    results = grid_search_cv(
-        Treatment.FEDERATED, records, plan, tiny_grid(), base_config()
-    )
-    assert len(results) == 1
-    result = results[0]
+    results = grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), base_config())
+    assert list(results) == [Treatment.FEDERATED] and len(results[Treatment.FEDERATED]) == 1
+    result = results[Treatment.FEDERATED][0]
     assert [fit.fold for fit in result.fold_fits] == [1, 2, 3]
-    labels = np.concatenate([fit.labels for fit in result.fold_fits]).astype(np.int64)
-    scores = np.concatenate([fit.scores for fit in result.fold_fits])
+    refits = [refit_fold(records, plan, base_config(), Treatment.FEDERATED, 0, fit.fold) for fit in result.fold_fits]
+    labels = np.concatenate([labels for *_, labels in refits])
+    scores = np.concatenate([scores for _, _, scores, _ in refits])
     preds = (scores >= THRESHOLD).astype(np.int64)
     _, _, want_f1 = prf1(confusion(labels, preds))
     assert result.f1 == want_f1
-    for fit in result.fold_fits:
+    for fit, (val_loss, conf, _, _) in zip(result.fold_fits, refits):
         assert 1 <= fit.best_epoch <= fit.epochs_run <= base_config().max_epochs
-        assert len(fit.scores) == len(fit.labels) == len(plan.fold_ids(fit.fold))
+        assert (fit.val_loss, fit.confusion) == (val_loss, conf)
+        assert sum(fit.confusion) == len(plan.fold_ids(fit.fold))
 
 
 def test_grid_search_cv_thread_schedule_does_not_matter(dataset):
     records, plan = dataset
     grid = GridSpec(hidden_sizes=(4, 8), learning_rates=(0.05,), weight_decays=(1e-4,))
-    serial = grid_search_cv(Treatment.FEDERATED, records, plan, grid, base_config())
-    pooled = grid_search_cv(
-        Treatment.FEDERATED, records, plan, grid, base_config(), threads=2
-    )
-    assert len(serial) == len(pooled) == 2
-    for r1, r2 in zip(serial, pooled):
-        assert r1.combo == r2.combo and r1.f1 == r2.f1
-        for f1, f2 in zip(r1.fold_fits, r2.fold_fits):
-            assert f1.val_loss == f2.val_loss and f1.best_epoch == f2.best_epoch
-            assert np.array_equal(f1.scores, f2.scores)
+    treatments = [Treatment.FEDERATED, Treatment.LOCAL_B]
+    serial = grid_search_cv(treatments, records, plan, grid, base_config())
+    pooled = grid_search_cv(treatments, records, plan, grid, base_config(), threads=2)
+    assert list(serial) == list(pooled) == treatments
+    for t in treatments:
+        assert [r.combo for r in serial[t]] == grid.combos()
+        assert [[fit.fold for fit in r.fold_fits] for r in serial[t]] == [[1, 2, 3]] * 2
+    assert serial[Treatment.FEDERATED] != serial[Treatment.LOCAL_B]
+    # FoldFit and CvResult are plain values, so == compares every field
+    assert serial == pooled
 
 
 def test_grid_search_cv_fold_seed_contract(dataset):
     # each (combo, fold) fit must be reproducible from the derived seed
     records, plan = dataset
     cfg = base_config()
-    result = grid_search_cv(Treatment.FEDERATED, records, plan, tiny_grid(), cfg)[0]
-    silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=2)
-    refit_cfg = TrainConfig(
-        lr0=0.05,
-        hidden_size=4,
-        seed=derive_seed(cfg.seed, "federated", 0, 2),
-        batch_size=cfg.batch_size,
-        weight_decay=1e-4,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-    )
-    params, _ = federated_train(silos, refit_cfg)
-    val_loss, _, _, _ = federated_validate(params, silos, resolve_pos_weight(refit_cfg, silos))
-    assert val_loss == result.fold_fits[1].val_loss
+    result = grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), cfg)[Treatment.FEDERATED][0]
+    val_loss, conf, _, _ = refit_fold(records, plan, cfg, Treatment.FEDERATED, 0, 2)
+    assert result.fold_fits[1].fold == 2
+    assert result.fold_fits[1].val_loss == val_loss
+    assert result.fold_fits[1].confusion == conf
 
 
 def test_grid_search_cv_rejects_bad_threads(dataset):
     records, plan = dataset
     with pytest.raises(ValueError):
-        grid_search_cv(Treatment.FEDERATED, records, plan, tiny_grid(), base_config(), threads=0)
+        grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), base_config(), threads=0)
 
 
 def test_no_signal_cv_f1_matches_label_shuffle_null():
@@ -240,7 +252,9 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
 
     The null conditions on the model's prediction vector: shuffling the
     labels against the fixed predictions gives the chance distribution
-    of F1 for that prediction mix.
+    of F1 for that prediction mix. It depends only on the number of
+    records, positives and predicted positives, so vectors rebuilt from
+    the summed fold confusions give the same null.
     """
     records = generate_synthetic(
         SynthConfig(
@@ -253,12 +267,12 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
         )
     )
     plan = make_split_plan(records, test_fraction=0.2, n_folds=3, seed=0)
-    result = grid_search_cv(
-        Treatment.CENTRALISED, records, plan, tiny_grid(), base_config()
-    )[0]
-    labels = np.concatenate([fit.labels for fit in result.fold_fits]).astype(np.int64)
-    scores = np.concatenate([fit.scores for fit in result.fold_fits])
-    preds = (scores >= THRESHOLD).astype(np.int64)
+    results = grid_search_cv([Treatment.CENTRALISED], records, plan, tiny_grid(), base_config())
+    result = results[Treatment.CENTRALISED][0]
+    tn, fp, fn, tp = Confusion(*map(sum, zip(*(fit.confusion for fit in result.fold_fits))))
+    labels = np.repeat([0, 0, 1, 1], [tn, fp, fn, tp])
+    preds = np.repeat([0, 1, 0, 1], [tn, fp, fn, tp])
+    assert prf1(confusion(labels, preds))[2] == result.f1
 
     rng = np.random.default_rng(0)
     null_f1s = []
@@ -276,7 +290,7 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
 
 def test_train_final_uses_median_budget_and_is_deterministic(dataset):
     records, plan = dataset
-    cv = grid_search_cv(Treatment.CENTRALISED, records, plan, tiny_grid(), base_config())[0]
+    cv = grid_search_cv([Treatment.CENTRALISED], records, plan, tiny_grid(), base_config())[Treatment.CENTRALISED][0]
     params1, budget1, logs1 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
     params2, budget2, logs2 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
     assert budget1 == budget2 == final_epoch_budget(cv.best_epochs)
@@ -366,10 +380,8 @@ def test_test_sets_from_plan_cover_test_ids(dataset):
 
 def test_run_treatment_smoke_and_determinism(dataset):
     records, plan = dataset
-    run1 = run_treatment(
-        Treatment.FEDERATED, records, plan, tiny_grid(), base_config(), threads=2
-    )
-    run2 = run_treatment(Treatment.FEDERATED, records, plan, tiny_grid(), base_config())
+    run1 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), base_config(), threads=2)["federated"]
+    run2 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), base_config())["federated"]
     assert run1.best_combo == tiny_grid().combos()[0]
     assert run1.params == run2.params
     assert set(run1.evaluations) == {"A", "B", "combined"}
@@ -389,3 +401,38 @@ def test_run_treatments_returns_keyed_runs(dataset):
     assert runs["central"].treatment is Treatment.CENTRALISED
     combined = runs["central"].evaluations["combined"]
     assert len(combined.record_ids) == len(plan.test_ids)
+
+
+def test_each_cv_round_is_validated_once(dataset, monkeypatch):
+    # training validates every round; neither a CV fit nor a final fit
+    # validates its model again afterwards
+    records, plan = dataset
+    original = federated_validate
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fedvra"]:
+        if getattr(module, "federated_validate", None) is original:
+            monkeypatch.setattr(module, "federated_validate", counted)
+    grid = GridSpec(hidden_sizes=(4, 8), learning_rates=(0.05,), weight_decays=(1e-4,))
+    runs = run_treatments(list(Treatment), records, plan, grid, base_config())
+    epochs = [fit.epochs_run for run in runs.values() for r in run.cv_results for fit in r.fold_fits]
+    assert len(epochs) == 4 * 2 * 3
+    assert len(calls) == sum(epochs)
+
+
+def test_aggregation_reaches_every_fit_through_the_config(dataset):
+    # uniform averaging changes only the treatment that averages two silos
+    records, plan = dataset
+    silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=None)
+    assert silos[0].n_train != silos[1].n_train
+    sized = run_treatments(list(Treatment), records, plan, tiny_grid(), base_config())
+    uniform = run_treatments(list(Treatment), records, plan, tiny_grid(), base_config(uniform_weights=True))
+    assert uniform["federated"].params != sized["federated"].params
+    assert uniform["federated"].cv_results != sized["federated"].cv_results
+    for key in ("a", "b", "central"):
+        assert uniform[key].params == sized[key].params
+        assert uniform[key].cv_results == sized[key].cv_results

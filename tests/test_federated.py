@@ -247,8 +247,9 @@ def test_federated_validate_single_silo_matches_direct():
     logits, want_labels = local_validate(model, silo)
     assert loss == loss_from_logits(logits, want_labels, 3.0)
     assert np.array_equal(labels, want_labels)
-    assert metrics == metric_bundle(want_labels, scores)[1]
-    assert list(metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc"]
+    conf, measures = metric_bundle(want_labels, scores)
+    assert metrics == {**measures, **conf._asdict()}
+    assert list(metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc", "tn", "fp", "fn", "tp"]
 
 
 def test_federated_validate_loss_is_size_weighted():
@@ -335,7 +336,7 @@ def test_federated_train_identical_single_record_silos():
 def test_federated_train_aggregation_mode_matters():
     silos = [make_silo("A", 40, 8, seed=18), make_silo("B", 10, 8, seed=19)]
     sized, _ = federated_train(silos, config(max_epochs=3, patience=3))
-    uniform, _ = federated_train(silos, config(max_epochs=3, patience=3), uniform_weights=True)
+    uniform, _ = federated_train(silos, config(max_epochs=3, patience=3, uniform_weights=True))
     assert sized != uniform
 
 

@@ -22,7 +22,14 @@ from pipeline import child_env, run_pipeline_processes  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PINNED = json.loads((ROOT / "perfbench" / "pinned.json").read_text(encoding="utf-8"))
-CASES = [("cv-serial", 0), ("cv-serial", 5), ("report-bootstrap", 0), ("report-bootstrap", 5), ("cv-threads2", 0)]
+CASES = [
+    ("cv-serial", 0),
+    ("cv-serial", 5),
+    ("report-bootstrap", 0),
+    ("report-bootstrap", 5),
+    ("cv-threads2", 0),
+    ("cv-threads2", 5),
+]
 
 
 @pytest.mark.parametrize("workload, seed", CASES, ids=[f"{w}-seed{s}" for w, s in CASES])

@@ -35,7 +35,7 @@ print(f"trained for {len(pooled_logs)} epochs; best validation loss {min(log.val
 print("\n== what averaging does to held-out loss ==")
 # train each silo alone and compare it, the federation and the pool on
 # the full validation pool
-pos_weight = resolve_pos_weight(config, silos)
+pos_weight = resolve_pos_weight(silos)
 models = {"A alone": federated_train(silos[:1], config)[0], "B alone": federated_train(silos[1:], config)[0]}
 models.update(federated=params, pooled=pooled_params)
 for label, model in models.items():

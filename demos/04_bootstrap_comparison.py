@@ -37,14 +37,14 @@ for name, scored in (("good", good), ("weak", weak)):
 
 print("\n== paired difference (same resample indices for both models) ==")
 for measure in ("f1", "roc_auc"):
-    diff = bootstrap_diff(weak, good, measure, n_resamples=2000, seed=2, pair=("weak", "good"))
+    diff = bootstrap_diff(weak, good, measure, n_resamples=2000, seed=2)
     verdict = "significant" if diff.significant else "not significant"
     print(
         f"  weak - good {measure:<8} {diff.mean_diff:+.3f} "
         f"[{diff.ci_low:+.3f}, {diff.ci_high:+.3f}]  {verdict}"
     )
 
-self_diff = bootstrap_diff(good, good, "f1", n_resamples=2000, seed=3, pair=("good", "good"))
+self_diff = bootstrap_diff(good, good, "f1", n_resamples=2000, seed=3)
 print(f"  good - good f1       {self_diff.mean_diff:+.3f} "
       f"[{self_diff.ci_low:+.3f}, {self_diff.ci_high:+.3f}]  (exactly zero by construction)")
 

@@ -10,6 +10,7 @@ Run with: python3 demos/05_full_experiment.py
 from fedvra.data import SynthConfig, generate_synthetic, make_split_plan
 from fedvra.experiment import GridSpec, Treatment, run_treatments
 from fedvra.network import TrainConfig
+from fedvra.stats import metric_bundle
 
 records = generate_synthetic(
     SynthConfig(n_patients=500, seed=23, positive_rate=0.15, class_separation=1.2, ward_shift=1.0)
@@ -36,11 +37,13 @@ print("\n== combined test set ==")
 header = f"  {'treatment':<10} {'precision':>9} {'recall':>7} {'F1':>6} {'ROC-AUC':>8}"
 print(header)
 for key in ("a", "b", "federated", "central"):
-    ev = runs[key].evaluations["combined"]
-    auc = f"{ev.roc_auc:.3f}" if ev.roc_auc is not None else "undef"
-    print(f"  {key:<10} {ev.precision:>9.3f} {ev.recall:>7.3f} {ev.f1:>6.3f} {auc:>8}")
+    scored = runs[key].evaluations["combined"]
+    _, m = metric_bundle(scored.labels, scored.scores)
+    auc = f"{m['roc_auc']:.3f}" if m["roc_auc"] is not None else "undef"
+    print(f"  {key:<10} {m['precision']:>9.3f} {m['recall']:>7.3f} {m['f1']:>6.3f} {auc:>8}")
 
 print("\nper-institution F1 for the federated model:")
 for set_name in ("A", "B"):
-    ev = runs["federated"].evaluations[set_name]
-    print(f"  test set {set_name}: F1 {ev.f1:.3f} on {len(ev.record_ids)} records")
+    scored = runs["federated"].evaluations[set_name]
+    _, m = metric_bundle(scored.labels, scored.scores)
+    print(f"  test set {set_name}: F1 {m['f1']:.3f} on {len(scored)} records")

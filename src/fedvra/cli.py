@@ -63,6 +63,15 @@ from .stats import (
 
 REPORT_MEASURES = ("f1", "recall", "precision", "roc_auc", "pr_auc")
 TREATMENT_KEYS = tuple(t.key for t in Treatment)
+FEDERATED_KEY = Treatment.FEDERATED.key
+OTHER_KEYS = tuple(k for k in TREATMENT_KEYS if k != FEDERATED_KEY)
+# the report's bootstrap entries of one (set, measure), in report order:
+# (payload section, seed label, treatment, treatments scored, dist_*.csv stem);
+# a CI per treatment, then a paired difference against federated per other treatment
+BOOTSTRAP_ENTRIES = tuple(("bootstrap", "ci", key, (key,), key) for key in TREATMENT_KEYS) + tuple(
+    ("differences_vs_federated", "diff", key, (key, FEDERATED_KEY), f"{key}_minus_{FEDERATED_KEY}")
+    for key in OTHER_KEYS
+)
 # contingency_vs_federated keys, in the field order of stats.ContingencyCounts
 CONTINGENCY_KEYS = ("both_correct", "federated_only", "treatment_only", "neither")
 
@@ -286,19 +295,16 @@ RUN_FIELDS = {
 
 
 def _set_report_dict(run: TreatmentRun, set_name: str) -> dict:
-    ev = run.evaluations[set_name]
+    s = run.evaluations[set_name]
+    conf, metrics = metric_bundle(s.labels, s.scores)
     return {
         "treatment": run.treatment.key,
         "test_set": set_name,
         "combo": asdict(run.best_combo),
         "epoch_budget": run.epoch_budget,
-        "n_records": len(ev.record_ids),
-        "confusion": ev.confusion._asdict(),
-        "f1": ev.f1,
-        "recall": ev.recall,
-        "precision": ev.precision,
-        "roc_auc": ev.roc_auc,
-        "pr_auc": ev.pr_auc,
+        "n_records": len(s),
+        "confusion": conf._asdict(),
+        **metrics,
     }
 
 
@@ -341,9 +347,9 @@ def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
     _write_lines(tdir / "cv_fits.jsonl", fit_lines)
     _write_text(tdir / "final_model.json", params_json_pieces(run.params))
     _write_lines(tdir / "round_logs.jsonl", map(_round_log_line, run.final_logs))
-    for set_name, ev in run.evaluations.items():
+    for set_name, s in run.evaluations.items():
         _write_json(tdir / f"report_{set_name}.json", _set_report_dict(run, set_name))
-        rows = zip(ev.record_ids, ev.labels, ev.scores, ev.predictions)
+        rows = zip(run.record_ids[set_name], s.labels, s.scores, s.predictions)
         _write_lines(
             tdir / f"scores_{set_name}.csv",
             ["record_id,label,score,prediction"]
@@ -396,7 +402,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             f"{key}: hidden={combo.hidden_size} lr={combo.learning_rate} "
             f"wd={combo.weight_decay} epochs={run.epoch_budget} "
-            f"combined F1={combined.f1:.3f}"
+            f"combined F1={metric_bundle(combined.labels, combined.scores)[1]['f1']:.3f}"
         )
     print(f"run outputs in {out_dir}")
     return 0
@@ -458,15 +464,9 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
     """The comparison.json payload, less config.run_dir, and the resample
     values by dist_*.csv stem (empty unless `distributions`).
 
-    Each test set has one list of bootstrap entries: a CI per treatment,
-    then a paired difference against federated per other treatment.
-    An entry is None when the point estimate of a treatment it scores
-    is undefined.
+    Every (test set, measure) runs the BOOTSTRAP_ENTRIES. An entry is
+    None when the point estimate of a treatment it scores is undefined.
     """
-    fed = Treatment.FEDERATED.key
-    others = [k for k in TREATMENT_KEYS if k != fed]
-    entries = [("bootstrap", "ci", key, (key,), key) for key in TREATMENT_KEYS]
-    entries += [("differences_vs_federated", "diff", key, (key, fed), f"{key}_minus_{fed}") for key in others]
     sections = ("point_estimates", "confusion", "contingency_vs_federated", "common_agreement")
     payload = {section: {} for section in sections + ("bootstrap", "differences_vs_federated")}
     payload["config"] = {
@@ -482,14 +482,14 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
         payload["confusion"][set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
         correct = {key: s.predictions == s.labels for key, s in sets.items()}
         payload["contingency_vs_federated"][set_name] = {
-            key: dict(zip(CONTINGENCY_KEYS, contingency(correct[fed], correct[key]))) for key in others
+            key: dict(zip(CONTINGENCY_KEYS, contingency(correct[FEDERATED_KEY], correct[key]))) for key in OTHER_KEYS
         }
         agreement = common_agreement(list(sets.values()))
         payload["common_agreement"][set_name] = {**asdict(agreement), "agreement_rate": agreement.agreement_rate}
         points = payload["point_estimates"][set_name] = {}
         for measure in REPORT_MEASURES:
             point = points[measure] = {key: bundles[key][1][measure] for key in TREATMENT_KEYS}
-            for section, label, key, keys, stem in entries:
+            for section, label, key, keys, stem in BOOTSTRAP_ENTRIES:
                 cell = payload[section].setdefault(set_name, {}).setdefault(measure, {})
                 cell[key] = None
                 if any(point[k] is None for k in keys):
@@ -499,7 +499,7 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
                 if label == "ci":
                     result, samples = bootstrap_ci(sets[key], measure, **kwargs)
                 else:
-                    result, samples = bootstrap_diff(sets[key], sets[fed], measure, pair=keys, **kwargs)
+                    result, samples = bootstrap_diff(sets[key], sets[FEDERATED_KEY], measure, **kwargs)
                 cell[key] = _result_numbers(result)
                 if distributions:
                     dists[f"dist_{set_name}_{measure}_{stem}"] = samples
@@ -544,8 +544,8 @@ def derive_report_seed(seed: int, *parts: str) -> int:
 
 
 def _result_numbers(result) -> dict:
-    """A bootstrap or difference result without its measure and pair labels."""
-    return {k: v for k, v in asdict(result).items() if k not in ("measure", "pair")}
+    """A bootstrap or difference result without its measure label."""
+    return {k: v for k, v in asdict(result).items() if k != "measure"}
 
 
 def _fmt(value) -> str:
@@ -555,29 +555,21 @@ def _fmt(value) -> str:
 
 
 def _render_text_report(payload: dict) -> list[str]:
-    lines: list[str] = []
-    keys = payload["config"]["treatments"]
-    lines.append("treatment comparison")
-    lines.append("")
+    lines = ["treatment comparison", ""]
     for set_name in TEST_SET_NAMES:
         lines.append(f"== test set {set_name} ==")
-        header = ["measure"] + list(keys)
-        lines.append("  ".join(f"{h:>12}" for h in header))
-        for measure in payload["config"]["measures"]:
-            row = [measure] + [_fmt(payload["point_estimates"][set_name][measure][k]) for k in keys]
+        lines.append("  ".join(f"{h:>12}" for h in ("measure", *TREATMENT_KEYS)))
+        for measure in REPORT_MEASURES:
+            row = [measure] + [_fmt(payload["point_estimates"][set_name][measure][k]) for k in TREATMENT_KEYS]
             lines.append("  ".join(f"{c:>12}" for c in row))
-        lines.append("")
-        lines.append("confusion (tn fp / fn tp):")
-        for key in keys:
+        lines += ["", "confusion (tn fp / fn tp):"]
+        for key in TREATMENT_KEYS:
             c = payload["confusion"][set_name][key]
             lines.append(f"  {key:>10}: {c['tn']:>5} {c['fp']:>5} / {c['fn']:>5} {c['tp']:>5}")
-        lines.append("")
-        lines.append("contingency vs federated (both / fed-only / other-only / neither):")
-        for key, cells in sorted(payload["contingency_vs_federated"][set_name].items()):
-            lines.append(
-                f"  {key:>10}: {cells['both_correct']:>5} {cells['federated_only']:>5} "
-                f"{cells['treatment_only']:>5} {cells['neither']:>5}"
-            )
+        lines += ["", "contingency vs federated (both / fed-only / other-only / neither):"]
+        for key in OTHER_KEYS:
+            cells = payload["contingency_vs_federated"][set_name][key]
+            lines.append(f"  {key:>10}: " + " ".join(f"{cells[k]:>5}" for k in CONTINGENCY_KEYS))
         ca = payload["common_agreement"][set_name]
         lines.append("")
         lines.append(
@@ -586,27 +578,23 @@ def _render_text_report(payload: dict) -> list[str]:
             f"pos correct/wrong/disagree {ca['pos_correct']}/{ca['pos_wrong']}/{ca['pos_disagree']}, "
             f"rate {ca['agreement_rate']:.3f}"
         )
-        lines.append("")
-        lines.append("bootstrap 95% CIs and paired differences vs federated:")
-        for measure in payload["config"]["measures"]:
-            for key in keys:
-                ci = payload["bootstrap"][set_name][measure][key]
-                if ci is None:
-                    lines.append(f"  {measure:>10} {key:>10}: undefined")
-                    continue
-                lines.append(
-                    f"  {measure:>10} {key:>10}: mean {ci['mean']:.3f} "
-                    f"[{ci['ci_low']:.3f}, {ci['ci_high']:.3f}]"
-                )
-            for key, diff in sorted(payload["differences_vs_federated"][set_name][measure].items()):
-                if diff is None:
-                    lines.append(f"  {measure:>10} {key:>10} - federated: undefined")
-                    continue
-                verdict = "significant" if diff["significant"] else "not significant"
-                lines.append(
-                    f"  {measure:>10} {key:>10} - federated: {diff['mean_diff']:+.3f} "
-                    f"[{diff['ci_low']:+.3f}, {diff['ci_high']:+.3f}] {verdict}"
-                )
+        lines += ["", "bootstrap 95% CIs and paired differences vs federated:"]
+        for measure in REPORT_MEASURES:
+            for section, label, key, _, _ in BOOTSTRAP_ENTRIES:
+                result = payload[section][set_name][measure][key]
+                name = f"{measure:>10} {key:>10}" + (f" - {FEDERATED_KEY}" if label == "diff" else "")
+                if result is None:
+                    lines.append(f"  {name}: undefined")
+                elif label == "ci":
+                    lines.append(
+                        f"  {name}: mean {result['mean']:.3f} [{result['ci_low']:.3f}, {result['ci_high']:.3f}]"
+                    )
+                else:
+                    verdict = "significant" if result["significant"] else "not significant"
+                    lines.append(
+                        f"  {name}: {result['mean_diff']:+.3f} "
+                        f"[{result['ci_low']:+.3f}, {result['ci_high']:+.3f}] {verdict}"
+                    )
         lines.append("")
     return lines
 

@@ -31,7 +31,7 @@ from .data import RecordTable, SplitPlan, features_matrix
 from .federated import RoundLog, Silo, federated_train, train_for_epochs
 from .network import ModelParams, TrainConfig, forward_batch, sigmoid
 from .seeds import derive_seed
-from .stats import THRESHOLD, Confusion, metric_bundle, prf1
+from .stats import Confusion, ScoredSet, prf1
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 256, 512)
 DEFAULT_LEARNING_RATES = (0.005, 0.001, 0.0005)
@@ -123,23 +123,6 @@ class TestSet:
 
     def __len__(self) -> int:
         return len(self.record_ids)
-
-
-@dataclass(frozen=True, eq=False)
-class SetEvaluation:
-    """Metrics and raw scores of one model on one test set."""
-
-    test_set: str
-    record_ids: tuple[int, ...]
-    labels: np.ndarray
-    scores: np.ndarray
-    predictions: np.ndarray
-    confusion: Confusion
-    precision: float
-    recall: float
-    f1: float
-    roc_auc: float | None
-    pr_auc: float | None
 
 
 # the institutions whose silos a treatment trains; the centralised
@@ -319,47 +302,29 @@ def train_final(
     return params, budget, logs
 
 
-def test_sets_from_plan(records: RecordTable, plan: SplitPlan) -> tuple[TestSet, TestSet]:
-    """Per-institution test sets in stable record order."""
+def test_sets_from_plan(records: RecordTable, plan: SplitPlan) -> tuple[TestSet, TestSet, TestSet]:
+    """The A, B and combined (A then B) test sets, in stable record order."""
     by_inst = _institution_indices(records, plan, plan.test_ids)
-    sets = []
-    for name in ("A", "B"):
-        ids = tuple(by_inst[name])
-        x, y = features_matrix(records, ids)
-        sets.append(TestSet(name=name, record_ids=ids, features=x, labels=y))
-    return sets[0], sets[1]
-
-
-def _evaluate_set(params: ModelParams, ts: TestSet) -> SetEvaluation:
-    scores = sigmoid(forward_batch(params, ts.features))
-    conf, metrics = metric_bundle(ts.labels, scores)
-    return SetEvaluation(
-        test_set=ts.name,
-        record_ids=ts.record_ids,
-        labels=ts.labels.astype(np.int64),
-        scores=scores,
-        predictions=(scores >= THRESHOLD).astype(np.int64),
-        confusion=conf,
-        **metrics,
-    )
-
-
-def evaluate(params: ModelParams, test_a: TestSet, test_b: TestSet) -> dict[str, SetEvaluation]:
-    """Score a model on A, B, and the combined set (A then B), by set name."""
+    a, b = (TestSet(name, tuple(by_inst[name]), *features_matrix(records, by_inst[name])) for name in ("A", "B"))
     combined = TestSet(
-        name="combined",
-        record_ids=test_a.record_ids + test_b.record_ids,
-        features=np.concatenate([test_a.features, test_b.features]),
-        labels=np.concatenate([test_a.labels, test_b.labels]),
+        "combined",
+        a.record_ids + b.record_ids,
+        np.concatenate([a.features, b.features]),
+        np.concatenate([a.labels, b.labels]),
     )
-    return {ts.name: _evaluate_set(params, ts) for ts in (test_a, test_b, combined)}
+    return a, b, combined
+
+
+def evaluate(params: ModelParams, test_sets: tuple[TestSet, ...]) -> dict[str, ScoredSet]:
+    """The model's scores on each test set, by set name."""
+    return {ts.name: ScoredSet(ts.labels, sigmoid(forward_batch(params, ts.features))) for ts in test_sets}
 
 
 @dataclass(frozen=True)
 class TreatmentRun:
     """Everything one treatment produced: its cross-validation, the
-    selected combo refitted for the epoch budget, and that model's test
-    evaluations by set name."""
+    selected combo refitted for the epoch budget, and that model's
+    scores by test set name, with the record ids each set scores."""
 
     treatment: Treatment
     cv_results: list[CvResult]
@@ -367,7 +332,8 @@ class TreatmentRun:
     epoch_budget: int
     params: ModelParams
     final_logs: list[RoundLog]
-    evaluations: dict[str, SetEvaluation]
+    evaluations: dict[str, ScoredSet]
+    record_ids: dict[str, tuple[int, ...]]
 
 
 def run_treatments(
@@ -379,12 +345,13 @@ def run_treatments(
     threads: int = 1,
 ) -> dict[str, TreatmentRun]:
     """Cross-validate the treatments, refit each one's best combo (one
-    task per treatment, through the same map), and evaluate every final
+    task per treatment, through the same map), and score every final
     model on the test sets, which are built once."""
     cv_results = grid_search_cv(treatments, records, plan, grid, base_config, threads=threads)
     best = {t: select_best(cv_results[t]) for t in treatments}
     finals = _map(lambda t: train_final(t, best[t], records, plan, base_config), treatments, threads)
-    test_a, test_b = test_sets_from_plan(records, plan)
+    test_sets = test_sets_from_plan(records, plan)
+    record_ids = {ts.name: ts.record_ids for ts in test_sets}
     return {
         t.key: TreatmentRun(
             treatment=t,
@@ -393,7 +360,8 @@ def run_treatments(
             epoch_budget=budget,
             params=params,
             final_logs=logs,
-            evaluations=evaluate(params, test_a, test_b),
+            evaluations=evaluate(params, test_sets),
+            record_ids=record_ids,
         )
         for t, (params, budget, logs) in zip(treatments, finals)
     }

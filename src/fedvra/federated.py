@@ -154,23 +154,24 @@ def _raise_numerical(where: str, epoch: int):
         raise NumericalError(f"{where}, epoch {epoch}: {exc}") from None
 
 
-def local_train_epoch(model: ModelParams, silo: Silo, config: TrainConfig, epoch: int) -> ModelParams:
-    """One full local pass in shuffled minibatches; returns new parameters.
+def local_train_epoch(
+    model: ModelParams, silo: Silo, config: TrainConfig, pos_weight: float, epoch: int
+) -> ModelParams:
+    """One full local pass in shuffled minibatches with the given
+    positive-class loss weight; returns new parameters.
 
     The shuffle stream is named by (config.seed, silo.name, epoch), so
     the pass is reproducible regardless of when or where it runs.
     """
     if silo.n_train < 1:
         raise ValueError(f"silo {silo.name!r} has no training data")
-    if config.pos_weight is None:
-        raise ValueError("config.pos_weight must be resolved before local training")
     lr = lr_at_epoch(config.lr0, config.gamma, epoch)
     order = make_rng(config.seed, "shuffle", silo.name, epoch).permutation(silo.n_train)
     x, y = silo.train_features, silo.train_labels
     with _raise_numerical(f"silo {silo.name!r}", epoch):
         for start in range(0, silo.n_train, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            model = sgd_step(model, backward(model, x[chunk], y[chunk], config.pos_weight), lr, config.weight_decay)
+            model = sgd_step(model, backward(model, x[chunk], y[chunk], pos_weight), lr, config.weight_decay)
     return model
 
 
@@ -208,10 +209,8 @@ def federated_validate(
     return loss, {**metrics, **conf._asdict()}, scores, labels
 
 
-def resolve_pos_weight(config: TrainConfig, silos: list[Silo]) -> float:
-    """Use the configured weight, or the global negative/positive ratio."""
-    if config.pos_weight is not None:
-        return config.pos_weight
+def resolve_pos_weight(silos: list[Silo]) -> float:
+    """The negative/positive ratio of the silos' pooled training labels."""
     neg = 0
     pos = 0
     for silo in silos:
@@ -238,13 +237,12 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
     for silo in silos:
         if silo.n_train < 1:
             raise ValueError(f"silo {silo.name!r} has no training data")
-    pos_weight = resolve_pos_weight(config, silos)
-    cfg = replace(config, pos_weight=pos_weight)
+    pos_weight = resolve_pos_weight(silos)
     weights = [1.0] * len(silos) if config.uniform_weights else [float(s.n_train) for s in silos]
 
-    model = init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
+    model = init_model(config.hidden_size, derive_seed(config.seed, "init"))
     for epoch in range(max_epochs):
-        updated = [local_train_epoch(model, silo, cfg, epoch) for silo in silos]
+        updated = [local_train_epoch(model, silo, config, pos_weight, epoch) for silo in silos]
         train_losses = {
             silo.name: _silo_train_loss(local_model, silo, pos_weight, epoch)
             for silo, local_model in zip(silos, updated)
@@ -253,7 +251,7 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
             model = average_models(updated, weights)
         log = RoundLog(
             epoch=epoch,
-            lr=lr_at_epoch(cfg.lr0, cfg.gamma, epoch),
+            lr=lr_at_epoch(config.lr0, config.gamma, epoch),
             train_losses=train_losses,
             val_loss=None,
             metrics=None,

@@ -109,10 +109,9 @@ class Gradients(NamedTuple):
 class TrainConfig:
     """Knobs for one training run.
 
-    pos_weight left as None means "compute the negative/positive ratio
-    from the training labels"; the trainers resolve it before any
-    silo-level work starts. uniform_weights averages the silos' models
-    with equal weights instead of by training-set size.
+    uniform_weights averages the silos' models with equal weights
+    instead of by training-set size. The positive-class loss weight is
+    not a knob: the trainers derive it from the silos' training labels.
     """
 
     lr0: float
@@ -123,7 +122,6 @@ class TrainConfig:
     gamma: float = 0.975
     max_epochs: int = 120
     patience: int = 7
-    pos_weight: float | None = None
     uniform_weights: bool = False
 
     def __post_init__(self):
@@ -143,8 +141,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.pos_weight is not None and not (np.isfinite(self.pos_weight) and self.pos_weight > 0):
-            raise ValueError("pos_weight must be positive when given")
 
 
 def sigmoid(z):

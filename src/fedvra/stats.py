@@ -110,7 +110,6 @@ class BootstrapResult:
 class DiffResult:
     """Paired bootstrap difference first - second on a shared test set."""
 
-    pair: tuple[str, str]
     measure: str
     mean_diff: float
     ci_low: float
@@ -369,7 +368,6 @@ def bootstrap_diff(
     measure: str,
     n_resamples: int = 10000,
     seed: int = 0,
-    pair: tuple[str, str] = ("first", "second"),
     return_samples: bool = False,
 ):
     """Paired percentile bootstrap of measure(first) - measure(second).
@@ -397,7 +395,6 @@ def bootstrap_diff(
     ci_low = float(np.percentile(values, 2.5))
     ci_high = float(np.percentile(values, 97.5))
     result = DiffResult(
-        pair=pair,
         measure=measure,
         mean_diff=float(values.mean()),
         ci_low=ci_low,

@@ -44,13 +44,10 @@ def train_centralized(
     if pool.n_train < 1 or pool.n_val < 1:
         raise ValueError("training and validation sets must be non-empty")
     x, y, vx, vy = pool.train_features, pool.train_labels, pool.val_features, pool.val_labels
-    if config.pos_weight is not None:
-        pos_weight = config.pos_weight
-    else:
-        n_pos = float(y.sum())
-        if n_pos == 0:
-            raise ValueError("cannot derive pos_weight: no positive training samples")
-        pos_weight = (y.shape[0] - n_pos) / n_pos
+    n_pos = float(y.sum())
+    if n_pos == 0:
+        raise ValueError("cannot derive pos_weight: no positive training samples")
+    pos_weight = (y.shape[0] - n_pos) / n_pos
 
     model = init_model(config.hidden_size, derive_seed(config.seed, "init"))
     best_loss = np.inf

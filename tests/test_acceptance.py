@@ -33,7 +33,7 @@ from fedvra.network import (
     lr_at_epoch,
 )
 from fedvra.seeds import derive_seed
-from fedvra.stats import Confusion, ScoredSet, bootstrap_ci, bootstrap_diff, prf1, roc_auc
+from fedvra.stats import Confusion, ScoredSet, bootstrap_ci, bootstrap_diff, metric_bundle, prf1, roc_auc
 
 from central_oracle import train_centralized
 
@@ -405,7 +405,7 @@ def test_08_bootstrap_coverage():
     rng = np.random.default_rng(808)
     labels = rng.integers(0, 2, size=80)
     scored = ScoredSet(labels=labels, scores=rng.uniform(size=80))
-    self_diff = bootstrap_diff(scored, scored, "f1", n_resamples=500, seed=3, pair=("x", "x"))
+    self_diff = bootstrap_diff(scored, scored, "f1", n_resamples=500, seed=3)
     self_zero = (
         self_diff.mean_diff == 0.0
         and self_diff.ci_low == 0.0
@@ -442,7 +442,8 @@ def test_09_end_to_end_directional():
         lr0=0.005, hidden_size=32, seed=seed, batch_size=32, max_epochs=40, patience=7
     )
     runs = run_treatments(list(Treatment), records, plan, grid, cfg, threads=4)
-    f1 = {key: run.evaluations["combined"].f1 for key, run in runs.items()}
+    combined = {key: run.evaluations["combined"] for key, run in runs.items()}
+    f1 = {key: metric_bundle(s.labels, s.scores)[1]["f1"] for key, s in combined.items()}
     elapsed = time.perf_counter() - start
     beats_locals = f1["federated"] >= f1["a"] - 0.01 and f1["federated"] >= f1["b"] - 0.01
     near_central = abs(f1["federated"] - f1["central"]) <= 0.05

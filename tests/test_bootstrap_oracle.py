@@ -169,7 +169,6 @@ def oracle_diff(first, second, measure, n_resamples, seed):
     ci_low = float(np.percentile(values, 2.5))
     ci_high = float(np.percentile(values, 97.5))
     result = DiffResult(
-        pair=("first", "second"),
         measure=measure,
         mean_diff=float(values.mean()),
         ci_low=ci_low,

@@ -545,6 +545,7 @@ def test_run_streams_a_large_final_model(tmp_path):
         params=params,
         final_logs=[],
         evaluations={},
+        record_ids={},
     )
     tracemalloc.start()
     try:
@@ -558,6 +559,20 @@ def test_run_streams_a_large_final_model(tmp_path):
 
 
 # ---------- report ----------
+
+
+def test_run_set_reports_match_the_comparison(chain):
+    # run and report score a test set the same way: each report_<set>.json
+    # holds the confusion and measures that comparison.json computes
+    payload = json.loads((chain["report"] / "comparison.json").read_text())
+    measures = ("f1", "recall", "precision", "roc_auc", "pr_auc")
+    for key in ("a", "b", "federated", "central"):
+        for set_name in ("A", "B", "combined"):
+            written = json.loads((chain["run"] / key / f"report_{set_name}.json").read_text())
+            assert (written["treatment"], written["test_set"]) == (key, set_name)
+            assert written["confusion"] == payload["confusion"][set_name][key]
+            for measure in measures:
+                assert written[measure] == payload["point_estimates"][set_name][measure][key]
 
 
 def test_report_structure(chain):

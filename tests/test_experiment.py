@@ -25,9 +25,9 @@ from fedvra.experiment import (
 from fedvra.experiment import TestSet as EvalTestSet
 from fedvra.experiment import test_sets_from_plan as build_test_sets
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
-from fedvra.network import TrainConfig, init_model
+from fedvra.network import TrainConfig, forward_batch, init_model, sigmoid
 from fedvra.seeds import derive_seed
-from fedvra.stats import THRESHOLD, Confusion, confusion, prf1
+from fedvra.stats import THRESHOLD, Confusion, ScoredSet, confusion, metric_bundle, prf1
 
 from central_oracle import train_centralized
 
@@ -76,7 +76,7 @@ def refit_fold(records, plan, cfg, treatment, combo_index, fold):
         patience=cfg.patience,
     )
     params, _ = federated_train(silos, refit_cfg)
-    val_loss, _, scores, labels = federated_validate(params, silos, resolve_pos_weight(refit_cfg, silos))
+    val_loss, _, scores, labels = federated_validate(params, silos, resolve_pos_weight(silos))
     labels = labels.astype(np.int64)
     return val_loss, confusion(labels, (scores >= THRESHOLD).astype(np.int64)), scores, labels
 
@@ -334,34 +334,51 @@ def eval_test_set(name, labels, seed):
     )
 
 
+def eval_test_sets(labels_a, labels_b, seed_a, seed_b):
+    """A, B and the combined set (A then B), as test_sets_from_plan builds them."""
+    a = eval_test_set("A", labels_a, seed_a)
+    b = eval_test_set("B", labels_b, seed_b)
+    combined = EvalTestSet(
+        name="combined",
+        record_ids=a.record_ids + b.record_ids,
+        features=np.concatenate([a.features, b.features]),
+        labels=np.concatenate([a.labels, b.labels]),
+    )
+    return a, b, combined
+
+
 def test_evaluate_builds_combined_in_a_then_b_order():
-    a = eval_test_set("A", [0, 0, 1], seed=1)
-    b = eval_test_set("B", [1, 0], seed=2)
-    evaluations = evaluate(init_model(4, 3), a, b)
-    assert set(evaluations) == {"A", "B", "combined"}
+    params = init_model(4, 3)
+    test_sets = eval_test_sets([0, 0, 1], [1, 0], seed_a=1, seed_b=2)
+    evaluations = evaluate(params, test_sets)
+    assert list(evaluations) == ["A", "B", "combined"]
     combined = evaluations["combined"]
-    assert combined.record_ids == a.record_ids + b.record_ids
     assert np.array_equal(combined.labels[:3], evaluations["A"].labels)
     assert np.array_equal(combined.scores[:3], evaluations["A"].scores)
     assert np.array_equal(combined.scores[3:], evaluations["B"].scores)
-    for ev in evaluations.values():
-        conf = ev.confusion
-        assert conf.tn + conf.fp + conf.fn + conf.tp == len(ev.record_ids)
-        assert np.array_equal(ev.predictions, (ev.scores >= THRESHOLD).astype(np.int64))
+    for ts in test_sets:
+        scored = evaluations[ts.name]
+        assert isinstance(scored, ScoredSet)
+        assert np.array_equal(scored.labels, ts.labels)
+        assert np.array_equal(scored.scores, sigmoid(forward_batch(params, ts.features)))
+        conf, _ = metric_bundle(scored.labels, scored.scores)
+        assert conf.tn + conf.fp + conf.fn + conf.tp == len(ts.record_ids) == len(scored)
+        assert np.array_equal(scored.predictions, (scored.scores >= THRESHOLD).astype(np.int64))
 
 
 def test_evaluate_single_class_set_has_undefined_auc():
-    a = eval_test_set("A", [0, 0, 0, 0], seed=3)
-    b = eval_test_set("B", [1, 0, 1], seed=4)
-    evaluations = evaluate(init_model(4, 5), a, b)
-    assert evaluations["A"].roc_auc is None
-    assert evaluations["A"].pr_auc is None
-    assert evaluations["combined"].roc_auc is not None
+    test_sets = eval_test_sets([0, 0, 0, 0], [1, 0, 1], seed_a=3, seed_b=4)
+    evaluations = evaluate(init_model(4, 5), test_sets)
+    metrics = {name: metric_bundle(s.labels, s.scores)[1] for name, s in evaluations.items()}
+    assert metrics["A"]["roc_auc"] is None
+    assert metrics["A"]["pr_auc"] is None
+    assert metrics["B"]["roc_auc"] is not None
+    assert metrics["combined"]["roc_auc"] is not None
 
 
 def test_test_sets_from_plan_cover_test_ids(dataset):
     records, plan = dataset
-    test_a, test_b = build_test_sets(records, plan)
+    test_a, test_b, combined = build_test_sets(records, plan)
     assert set(test_a.record_ids) | set(test_b.record_ids) == set(plan.test_ids)
     assert not set(test_a.record_ids) & set(test_b.record_ids)
     for ts, inst in ((test_a, "A"), (test_b, "B")):
@@ -373,9 +390,20 @@ def test_test_sets_from_plan_cover_test_ids(dataset):
         assert np.array_equal(ts.features, x)
         assert np.array_equal(ts.labels, y)
         assert len(ts) == len(ts.record_ids)
+    assert combined.name == "combined"
+    assert combined.record_ids == test_a.record_ids + test_b.record_ids
+    x, y = features_matrix(records, combined.record_ids)
+    assert np.array_equal(combined.features, x)
+    assert np.array_equal(combined.labels, y)
+    assert np.array_equal(combined.features, np.concatenate([test_a.features, test_b.features]))
+    assert np.array_equal(combined.labels, np.concatenate([test_a.labels, test_b.labels]))
 
 
 # ---------- whole treatments ----------
+
+
+def combined_f1(run):
+    return metric_bundle(run.evaluations["combined"].labels, run.evaluations["combined"].scores)[1]["f1"]
 
 
 def test_run_treatment_smoke_and_determinism(dataset):
@@ -385,7 +413,7 @@ def test_run_treatment_smoke_and_determinism(dataset):
     assert run1.best_combo == tiny_grid().combos()[0]
     assert run1.params == run2.params
     assert set(run1.evaluations) == {"A", "B", "combined"}
-    assert run1.evaluations["combined"].f1 == run2.evaluations["combined"].f1
+    assert combined_f1(run1) == combined_f1(run2)
     assert len(run1.cv_results) == 1
     assert run1.epoch_budget == final_epoch_budget(run1.cv_results[0].best_epochs)
     assert len(run1.final_logs) == run1.epoch_budget
@@ -399,8 +427,8 @@ def test_run_treatments_returns_keyed_runs(dataset):
     assert set(runs) == {"a", "central"}
     assert runs["a"].treatment is Treatment.LOCAL_A
     assert runs["central"].treatment is Treatment.CENTRALISED
-    combined = runs["central"].evaluations["combined"]
-    assert len(combined.record_ids) == len(plan.test_ids)
+    assert len(runs["central"].record_ids["combined"]) == len(plan.test_ids)
+    assert len(runs["central"].evaluations["combined"]) == len(plan.test_ids)
 
 
 def test_each_cv_round_is_validated_once(dataset, monkeypatch):

@@ -110,7 +110,7 @@ def test_silo_validates_train_and_val_arrays():
     # an empty training shard is a valid silo that cannot be trained on
     empty = Silo(name="A", **dict(good, train_features=np.zeros((0, INPUT_DIM)), train_labels=np.zeros(0)))
     with pytest.raises(ValueError):
-        local_train_epoch(init_model(2, 1), empty, config(pos_weight=1.0), epoch=0)
+        local_train_epoch(init_model(2, 1), empty, config(), 1.0, epoch=0)
 
 
 def test_silo_leaves_the_callers_arrays_writeable():
@@ -184,15 +184,15 @@ def test_early_stop_rejects_non_finite_loss():
 def test_local_train_epoch_zero_lr_is_identity():
     silo = make_silo("A", 16, 4, seed=2)
     model = init_model(4, 9)
-    cfg = config(lr0=0.0, pos_weight=2.0)
-    assert local_train_epoch(model, silo, cfg, epoch=0) == model
+    cfg = config(lr0=0.0)
+    assert local_train_epoch(model, silo, cfg, 2.0, epoch=0) == model
 
 
 def test_local_train_epoch_full_batch_equals_one_step():
     silo = make_silo("A", 10, 4, seed=3)
     model = init_model(4, 9)
-    cfg = config(batch_size=10, pos_weight=2.0)
-    got = local_train_epoch(model, silo, cfg, epoch=0)
+    cfg = config(batch_size=10)
+    got = local_train_epoch(model, silo, cfg, 2.0, epoch=0)
 
     order = make_rng(cfg.seed, "shuffle", "A", 0).permutation(10)
     grads = backward(model, silo.train_features[order], silo.train_labels[order], 2.0)
@@ -202,9 +202,9 @@ def test_local_train_epoch_full_batch_equals_one_step():
 
 def test_local_train_epoch_raises_where_the_update_diverges():
     silo = make_silo("A", 16, 4, seed=5)
-    cfg = config(lr0=1e100, batch_size=2, pos_weight=2.0)
+    cfg = config(lr0=1e100, batch_size=2)
     with pytest.raises(NumericalError):
-        local_train_epoch(init_model(4, 9), silo, cfg, epoch=0)
+        local_train_epoch(init_model(4, 9), silo, cfg, 2.0, epoch=0)
 
 
 def test_diverging_training_names_the_silo_and_the_epoch():
@@ -212,21 +212,15 @@ def test_diverging_training_names_the_silo_and_the_epoch():
     with pytest.raises(NumericalError, match=r"^silo 'A', epoch 0: overflow"):
         federated_train(silos, config(lr0=1e100, batch_size=2))
     with pytest.raises(NumericalError, match=r"^silo 'B', epoch 3: "):
-        local_train_epoch(init_model(4, 9), silos[1], config(lr0=1e100, batch_size=2, pos_weight=2.0), epoch=3)
+        local_train_epoch(init_model(4, 9), silos[1], config(lr0=1e100, batch_size=2), 2.0, epoch=3)
 
 
 def test_local_train_epoch_deterministic():
     silo = make_silo("A", 20, 4, seed=4)
     model = init_model(3, 5)
-    cfg = config(pos_weight=1.5)
-    assert local_train_epoch(model, silo, cfg, epoch=2) == local_train_epoch(model, silo, cfg, epoch=2)
-    assert local_train_epoch(model, silo, cfg, epoch=2) != local_train_epoch(model, silo, cfg, epoch=3)
-
-
-def test_local_train_epoch_requires_resolved_pos_weight():
-    silo = make_silo("A", 8, 4, seed=5)
-    with pytest.raises(ValueError):
-        local_train_epoch(init_model(2, 1), silo, config(), epoch=0)
+    cfg = config()
+    assert local_train_epoch(model, silo, cfg, 1.5, epoch=2) == local_train_epoch(model, silo, cfg, 1.5, epoch=2)
+    assert local_train_epoch(model, silo, cfg, 1.5, epoch=2) != local_train_epoch(model, silo, cfg, 1.5, epoch=3)
 
 
 def test_local_validate_returns_logits():
@@ -276,10 +270,9 @@ def test_federated_validate_order_invariance():
 def test_resolve_pos_weight():
     a = make_silo("A", 20, 4, seed=12)
     b = make_silo("B", 30, 4, seed=13)
-    assert resolve_pos_weight(config(pos_weight=7.0), [a, b]) == 7.0
     neg = (a.label_counts()[0] + b.label_counts()[0])
     pos = (a.label_counts()[1] + b.label_counts()[1])
-    assert resolve_pos_weight(config(), [a, b]) == neg / pos
+    assert resolve_pos_weight([a, b]) == neg / pos
     all_neg = Silo(
         name="C",
         train_features=np.zeros((3, INPUT_DIM)),
@@ -288,7 +281,7 @@ def test_resolve_pos_weight():
         val_labels=np.zeros(1),
     )
     with pytest.raises(ValueError):
-        resolve_pos_weight(config(), [all_neg])
+        resolve_pos_weight([all_neg])
 
 
 # ---------- the shared loop ----------
@@ -299,8 +292,8 @@ def test_federated_train_runs_and_checkpoints():
     params, logs = federated_train(silos, config())
     assert 1 <= len(logs) <= 6
     best = min(log.val_loss for log in logs)
-    _, _, _, _ = federated_validate(params, silos, resolve_pos_weight(config(), silos))
-    val_loss, _, _, _ = federated_validate(params, silos, resolve_pos_weight(config(), silos))
+    _, _, _, _ = federated_validate(params, silos, resolve_pos_weight(silos))
+    val_loss, _, _, _ = federated_validate(params, silos, resolve_pos_weight(silos))
     assert math.isclose(val_loss, best, rel_tol=1e-12)
     for log in logs:
         assert set(log.train_losses) == {"A", "B"}
@@ -317,19 +310,23 @@ def test_federated_train_zero_lr_stops_at_patience_plus_one():
     assert params == init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
 
 
-def test_federated_train_identical_single_record_silos():
+def test_federated_train_identical_silos_shuffled_alike():
+    # two records, one per class, so the derived pos_weight is finite
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((1, INPUT_DIM))
-    y = np.ones(1)
+    x = rng.standard_normal((2, INPUT_DIM))
+    y = np.array([0.0, 1.0])
     vx = rng.standard_normal((2, INPUT_DIM))
     vy = np.array([0.0, 1.0])
     a = Silo(name="A", train_features=x, train_labels=y, val_features=vx, val_labels=vy)
     b = Silo(name="B", train_features=x, train_labels=y, val_features=vx, val_labels=vy)
-    cfg = config(max_epochs=1, pos_weight=1.0, batch_size=1)
+    cfg = config(max_epochs=1, batch_size=1)
+    # at this seed both silos' epoch-0 shuffles put the records in the same order
+    shuffles = [make_rng(cfg.seed, "shuffle", name, 0).permutation(2) for name in ("A", "B")]
+    assert np.array_equal(*shuffles)
     averaged, _ = federated_train([a, b], cfg)
-    local = local_train_epoch(init_model(cfg.hidden_size, derive_seed(cfg.seed, "init")), a, cfg, 0)
-    # single-record shards shuffle identically, so the average of two
-    # equal updates is exactly either one
+    local = local_train_epoch(init_model(cfg.hidden_size, derive_seed(cfg.seed, "init")), a, cfg, 1.0, 0)
+    # identical shards in the same order give equal updates, so their
+    # average is exactly either one
     assert averaged == local
 
 

@@ -439,8 +439,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.1, hidden_size=1, seed=0, gamma=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(lr0=0.1, hidden_size=1, seed=0, pos_weight=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(lr0=0.1, hidden_size=1, seed=0, patience=0)
 
 

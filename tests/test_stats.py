@@ -311,10 +311,9 @@ def test_bootstrap_ci_rejects_bad_arguments():
 def test_bootstrap_diff_self_is_zero():
     rng = np.random.default_rng(14)
     s = ScoredSet(labels=rng.integers(0, 2, 30), scores=rng.uniform(size=30))
-    diff = bootstrap_diff(s, s, "f1", n_resamples=400, seed=8, pair=("x", "x"))
+    diff = bootstrap_diff(s, s, "f1", n_resamples=400, seed=8)
     assert (diff.mean_diff, diff.ci_low, diff.ci_high) == (0.0, 0.0, 0.0)
     assert not diff.significant
-    assert diff.pair == ("x", "x")
 
 
 def test_bootstrap_diff_perfect_vs_constant():

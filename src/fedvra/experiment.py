@@ -17,9 +17,7 @@ seed, so _map may run the tasks in any order; results go by task index.
 
 from __future__ import annotations
 
-import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -211,6 +209,8 @@ def _map(fn, tasks: list, threads: int) -> list:
         raise ValueError("threads must be at least 1")
     if threads == 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
 
@@ -220,7 +220,7 @@ def _fit_fold(records, plan: SplitPlan, combos: list[HyperCombo], base_config: T
     treatment, combo_index, fold = task
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
     cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
-    _, logs = federated_train(silos, cfg)
+    _, logs = federated_train(silos, cfg, train_losses=False)
     # the first round with the lowest loss holds the checkpoint early stopping kept
     best = min(logs, key=lambda log: log.val_loss)
     metrics = best.metrics
@@ -277,13 +277,15 @@ def select_best(results: list[CvResult]) -> CvResult:
 
 
 def final_epoch_budget(best_epochs) -> int:
-    """Median of the per-fold best-epoch counts."""
-    epochs = list(best_epochs)
+    """Median of the per-fold best-epoch counts; the mean of the middle
+    two for an even count, rounded half to even."""
+    epochs = sorted(best_epochs)
     if not epochs:
         raise ValueError("need at least one best-epoch value")
     if any(e < 1 for e in epochs):
         raise ValueError("best-epoch values must be at least 1")
-    return int(round(statistics.median(epochs)))
+    mid = len(epochs) // 2
+    return int(epochs[mid] if len(epochs) % 2 else round((epochs[mid - 1] + epochs[mid]) / 2))
 
 
 def train_final(

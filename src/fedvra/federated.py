@@ -222,13 +222,15 @@ def resolve_pos_weight(silos: list[Silo]) -> float:
     return neg / pos
 
 
-def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
+def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, train_losses: bool = True):
     """The FedAvg round loop shared by both trainers.
 
     Checks the silos and resolves pos_weight and the aggregation weights
     once. Each round every silo runs one local epoch from the shared
     model and the server averages the results; the round yields
-    (averaged model, RoundLog without validation, pos_weight).
+    (averaged model, RoundLog without validation, pos_weight). Without
+    train_losses no silo computes its training loss and the logs'
+    train_losses are empty.
     """
     if not silos:
         raise ValueError("at least one silo is required")
@@ -243,16 +245,16 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
     model = init_model(config.hidden_size, derive_seed(config.seed, "init"))
     for epoch in range(max_epochs):
         updated = [local_train_epoch(model, silo, config, pos_weight, epoch) for silo in silos]
-        train_losses = {
+        losses = {
             silo.name: _silo_train_loss(local_model, silo, pos_weight, epoch)
             for silo, local_model in zip(silos, updated)
-        }
+        } if train_losses else {}
         with _raise_numerical("averaging on the server", epoch):
             model = average_models(updated, weights)
         log = RoundLog(
             epoch=epoch,
             lr=lr_at_epoch(config.lr0, config.gamma, epoch),
-            train_losses=train_losses,
+            train_losses=losses,
             val_loss=None,
             metrics=None,
         )
@@ -265,19 +267,23 @@ def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: i
         return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
 
 
-def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams, list[RoundLog]]:
+def federated_train(
+    silos: list[Silo], config: TrainConfig, *, train_losses: bool = True
+) -> tuple[ModelParams, list[RoundLog]]:
     """Train across silos with per-epoch averaging and early stopping.
 
     Returns the checkpoint with the lowest validation loss and the
     per-epoch logs. With a single silo this reduces exactly to plain
-    centralized training.
+    centralized training. train_losses=False skips each round's
+    training-loss pass over every silo's shard (a fit whose logs keep
+    only validation, as cross-validation's do).
     """
     for silo in silos:
         if silo.n_val < 1:
             raise ValueError(f"silo {silo.name!r} has no validation data")
     state = EarlyStopState(patience=config.patience)
     logs: list[RoundLog] = []
-    for model, log, pos_weight in _rounds(silos, config, config.max_epochs):
+    for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses):
         with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
             val_loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
         logs.append(replace(log, val_loss=val_loss, metrics=metrics))

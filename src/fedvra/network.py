@@ -20,6 +20,7 @@ batch_loss take plain feature and label arrays and check only shapes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -73,7 +74,7 @@ class ModelParams:
             raise ValueError("hidden size must be at least 1")
         if b1.shape != (h,) or w2.shape != (h,):
             raise ValueError("b1 and w2 must have shape (hidden,)")
-        if not np.isfinite(b2):
+        if not math.isfinite(b2):
             raise ValueError("b2 must be finite")
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "b1", b1)
@@ -143,17 +144,21 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
 
 
+def _sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigmoid(z), sigmoid(-z)) from one e = exp(-|z|), which never overflows:
+    sigmoid(|z|) = 1 / (1 + e) and sigmoid(-|z|) = e / (1 + e), placed by z's sign."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    high = 1.0 / d
+    low = e / d
+    nonneg = z >= 0
+    return np.where(nonneg, high, low), np.where(nonneg, low, high)
+
+
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
-    arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out
+    out = _sigmoid_pair(np.asarray(z, dtype=np.float64))[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def softplus(z):
@@ -214,7 +219,7 @@ def backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, pos_
     Only shapes are checked: finite features and 0/1 labels are the
     caller's to guarantee, as a Silo does for its arrays.
     """
-    if not (np.isfinite(pos_weight) and pos_weight > 0):
+    if not (math.isfinite(pos_weight) and pos_weight > 0):
         raise ValueError("pos_weight must be a positive real")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -224,10 +229,11 @@ def backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, pos_
     hidden = _hidden_layer(params, x)
     logits = hidden @ params.w2 + params.b2
     # d(loss)/d(logit), mean already folded in
-    delta = ((1.0 - y) * sigmoid(logits) - pos_weight * y * sigmoid(-logits)) / n
+    sig, sig_neg = _sigmoid_pair(logits)
+    delta = ((1.0 - y) * sig - pos_weight * y * sig_neg) / n
     g_w2 = hidden.T @ delta
     g_b2 = float(delta.sum())
-    d_hidden = np.outer(delta, params.w2)
+    d_hidden = delta[:, None] * params.w2  # the outer product
     d_hidden *= hidden > 0.0  # the ReLU mask: hidden > 0 exactly where x @ w1.T + b1 > 0
     g_w1 = d_hidden.T @ x
     g_b1 = d_hidden.sum(axis=0)
@@ -244,9 +250,9 @@ def _decayed_step(w: np.ndarray, g: np.ndarray, lr: float, weight_decay: float) 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float, weight_decay: float) -> ModelParams:
     """One SGD update with decoupled weight decay on weights only, not biases."""
-    if not (np.isfinite(lr) and lr >= 0):
+    if not (math.isfinite(lr) and lr >= 0):
         raise ValueError("lr must be finite and non-negative")
-    if not (np.isfinite(weight_decay) and weight_decay >= 0):
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
         raise ValueError("weight_decay must be finite and non-negative")
     if grads.w1.shape != params.w1.shape or grads.b1.shape != params.b1.shape or grads.w2.shape != params.w2.shape:
         raise ValueError("gradient shapes do not match parameter shapes")

@@ -392,6 +392,49 @@ def test_train_for_epochs_matches_the_first_rounds_of_federated_train():
         assert (f.epoch, f.lr, f.train_losses) == (s.epoch, s.lr, s.train_losses)
 
 
+def test_fits_without_train_losses_keep_their_validation(monkeypatch):
+    silos = [make_silo("A", 20, 6, seed=31), make_silo("B", 14, 6, seed=32)]
+    cfg = config(max_epochs=5, patience=2)
+    model, logs = federated_train(silos, cfg)
+    assert all(set(log.train_losses) == {"A", "B"} for log in logs)
+
+    def no_pass(*args):
+        raise AssertionError("a training-loss pass ran")
+
+    monkeypatch.setattr(fed, "_silo_train_loss", no_pass)
+    quiet_model, quiet = federated_train(silos, cfg, train_losses=False)
+    assert quiet_model == model
+    assert [log.train_losses for log in quiet] == [{}] * len(logs)
+    assert [(q.epoch, q.lr, q.val_loss, q.metrics) for q in quiet] == [
+        (log.epoch, log.lr, log.val_loss, log.metrics) for log in logs
+    ]
+    with pytest.raises(AssertionError, match="training-loss pass"):
+        train_for_epochs(silos, cfg, n_epochs=1)
+
+    monkeypatch.undo()
+    _, fixed = train_for_epochs(silos, cfg, n_epochs=3)
+    for log in fixed:
+        assert set(log.train_losses) == {"A", "B"}
+        assert all(math.isfinite(v) and v > 0 for v in log.train_losses.values())
+
+
+@pytest.mark.parametrize("n_train, batch_size", [(16, 8), (17, 8), (5, 32), (3, 1)])
+def test_local_train_epoch_steps_once_per_minibatch(monkeypatch, n_train, batch_size):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fed, "backward", counted("backward", fed.backward))
+    monkeypatch.setattr(fed, "sgd_step", counted("sgd_step", fed.sgd_step))
+    silo = make_silo("A", n_train, 2, seed=33)
+    local_train_epoch(init_model(3, 1), silo, config(batch_size=batch_size), 2.0, epoch=0)
+    assert calls == ["backward", "sgd_step"] * math.ceil(n_train / batch_size)
+
+
 # ---------- privacy boundary ----------
 
 ORCHESTRATORS = ("_rounds", "federated_train", "train_for_epochs", "federated_validate",

@@ -33,6 +33,7 @@ from fedvra.network import (
     sgd_step,
     sigmoid,
     softplus,
+    _sigmoid_pair,
 )
 
 
@@ -174,6 +175,32 @@ def test_sigmoid_array_matches_scalar():
     arr = sigmoid(z)
     for i, v in enumerate(z):
         assert arr[i] == sigmoid(float(v))
+
+
+def _two_branch_sigmoid(z):
+    """The logistic function as 1 / (1 + exp(-z)) for z >= 0 and
+    exp(z) / (1 + exp(z)) otherwise, each branch on its own entries."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_the_two_branch_formula():
+    edges = np.array([0.0, 5e-324, 1e-300, 36.7, 709.7, 745.2, 800.0, np.inf])
+    rng = np.random.default_rng(20221014)
+    wide = rng.standard_normal(10**5) * np.exp(rng.uniform(-12.0, 7.0, 10**5))
+    z = np.concatenate([edges, -edges, wide, [np.nan]])
+    assert np.signbit(z[len(edges)])  # -0.0 is among the inputs
+    for got, want in ((sigmoid(z), _two_branch_sigmoid(z)), (_sigmoid_pair(z)[1], _two_branch_sigmoid(-z))):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert np.array_equal(_sigmoid_pair(z)[0], sigmoid(z), equal_nan=True)
+    for v in (-800.0, -0.0, 5e-324, 36.7):
+        assert sigmoid(v) == _two_branch_sigmoid(np.array([v]))[0]
 
 
 def test_softplus_stability():

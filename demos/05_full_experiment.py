@@ -38,12 +38,12 @@ header = f"  {'treatment':<10} {'precision':>9} {'recall':>7} {'F1':>6} {'ROC-AU
 print(header)
 for key in ("a", "b", "federated", "central"):
     scored = runs[key].evaluations["combined"]
-    _, m = metric_bundle(scored.labels, scored.scores)
+    _, m = metric_bundle(scored)
     auc = f"{m['roc_auc']:.3f}" if m["roc_auc"] is not None else "undef"
     print(f"  {key:<10} {m['precision']:>9.3f} {m['recall']:>7.3f} {m['f1']:>6.3f} {auc:>8}")
 
 print("\nper-institution F1 for the federated model:")
 for set_name in ("A", "B"):
     scored = runs["federated"].evaluations[set_name]
-    _, m = metric_bundle(scored.labels, scored.scores)
+    _, m = metric_bundle(scored)
     print(f"  test set {set_name}: F1 {m['f1']:.3f} on {len(scored)} records")

@@ -296,7 +296,7 @@ RUN_FIELDS = {
 
 def _set_report_dict(run: TreatmentRun, set_name: str) -> dict:
     s = run.evaluations[set_name]
-    conf, metrics = metric_bundle(s.labels, s.scores)
+    conf, metrics = metric_bundle(s)
     return {
         "treatment": run.treatment.key,
         "test_set": set_name,
@@ -402,7 +402,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             f"{key}: hidden={combo.hidden_size} lr={combo.learning_rate} "
             f"wd={combo.weight_decay} epochs={run.epoch_budget} "
-            f"combined F1={metric_bundle(combined.labels, combined.scores)[1]['f1']:.3f}"
+            f"combined F1={metric_bundle(combined)[1]['f1']:.3f}"
         )
     print(f"run outputs in {out_dir}")
     return 0
@@ -478,7 +478,7 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
     dists: dict[str, np.ndarray] = {}
     for set_name in TEST_SET_NAMES:
         sets = {key: scored[key][set_name] for key in TREATMENT_KEYS}
-        bundles = {key: metric_bundle(s.labels, s.scores) for key, s in sets.items()}
+        bundles = {key: metric_bundle(s) for key, s in sets.items()}
         payload["confusion"][set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
         correct = {key: s.predictions == s.labels for key, s in sets.items()}
         payload["contingency_vs_federated"][set_name] = {
@@ -517,7 +517,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for key, sets in scored.items():
         for set_name, s in sets.items():
             try:
-                curves[f"roc_{key}_{set_name}"] = roc_curve(s.labels, s.scores)
+                curves[f"roc_{key}_{set_name}"] = roc_curve(s)
             except UndefinedMetricError:
                 continue
     written = {f"{stem}.csv" for stem in [*dists, *curves]}
@@ -545,7 +545,7 @@ def derive_report_seed(seed: int, *parts: str) -> int:
 
 def _result_numbers(result) -> dict:
     """A bootstrap or difference result without its measure label."""
-    return {k: v for k, v in asdict(result).items() if k != "measure"}
+    return {k: v for k, v in vars(result).items() if k != "measure"}
 
 
 def _fmt(value) -> str:

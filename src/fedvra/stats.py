@@ -10,13 +10,15 @@ per descending-score tie group, and the bootstrap runs the same kernels
 on blocks of resample rows at once: each block is a (k, n) draw of
 index rows, which continues the generator's stream exactly as k draws
 of n would. The redraw order is replayed from that row stream, so every
-seeded result equals the one a per-resample loop would give.
+seeded result equals the one a per-resample loop would give. A ScoredSet
+sorts its tie groups once, when it is made. The CI bounds are NumPy's
+linear percentiles, taken from one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -77,12 +79,10 @@ class ScoredSet:
 
     def __post_init__(self):
         # private copies: freezing them leaves the caller's arrays writeable
-        y = np.array(self.labels, dtype=np.int64)
+        y = _binary(self.labels, "labels")
         s = np.array(self.scores, dtype=np.float64)
         if y.ndim != 1 or y.size < 1 or s.shape != y.shape:
             raise ValueError("labels and scores must be equal-length non-empty vectors")
-        if not ((y == 0) | (y == 1)).all():
-            raise ValueError("labels must be 0 or 1")
         if not np.isfinite(s).all() or (s < 0).any() or (s > 1).any():
             raise ValueError("scores must lie in [0, 1]")
         preds = (s >= THRESHOLD).astype(np.int64)
@@ -91,6 +91,7 @@ class ScoredSet:
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "predictions", preds)
+        object.__setattr__(self, "_groups", _tie_groups(y, s))  # sorted once for every measure of the set
 
     def __len__(self) -> int:
         return self.labels.size
@@ -119,14 +120,20 @@ class DiffResult:
     n_redrawn: int
 
 
+def _binary(values, what: str) -> np.ndarray:
+    """values as a new int64 array, each checked to be 0 or 1 before the cast (which reads 0.5 as 0)."""
+    raw = np.asarray(values)
+    if not ((raw == 0) | (raw == 1)).all():
+        raise ValueError(f"{what} must be 0 or 1")
+    return raw.astype(np.int64)
+
+
 def confusion(labels, predictions) -> Confusion:
     """Counts (TN, FP, FN, TP) for binary labels and predictions."""
-    y = np.asarray(labels, dtype=np.int64)
-    p = np.asarray(predictions, dtype=np.int64)
+    y = _binary(labels, "labels")
+    p = _binary(predictions, "predictions")
     if y.shape != p.shape or y.ndim != 1 or y.size < 1:
         raise ValueError("labels and predictions must be equal-length non-empty vectors")
-    if not ((y == 0) | (y == 1)).all() or not ((p == 0) | (p == 1)).all():
-        raise ValueError("labels and predictions must be 0 or 1")
     tp = int(np.sum((y == 1) & (p == 1)))
     tn = int(np.sum((y == 0) & (p == 0)))
     fp = int(np.sum((y == 0) & (p == 1)))
@@ -156,12 +163,10 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _tie_groups(labels, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated labels, each sample's code 2 * group + label, where group
     is its descending-score tie group, and the score of every group."""
-    y = np.asarray(labels, dtype=np.int64)
+    y = _binary(labels, "labels")
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape or y.ndim != 1 or y.size < 1:
         raise ValueError("labels and scores must be equal-length non-empty vectors")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
     _, first, group = np.unique(-s, return_index=True, return_inverse=True)
     return y, 2 * group + y, s[first]
 
@@ -193,9 +198,9 @@ def _pr_auc_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _set_counts(labels, scores, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Group counts of one whole set plus the group scores; raises
-    UndefinedMetricError unless both classes are present."""
-    y, codes, thresholds = _tie_groups(labels, scores)
+    """Group counts of one whole set, or of a ScoredSet passed as labels, plus the
+    group scores; raises UndefinedMetricError unless both classes are present."""
+    y, codes, thresholds = labels._groups if isinstance(labels, ScoredSet) else _tie_groups(labels, scores)
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.size:
         raise UndefinedMetricError(f"{what} undefined: only one class present")
@@ -220,24 +225,24 @@ def pr_auc(labels, scores) -> float:
     return float(_pr_auc_rows(counts)[0])
 
 
-def roc_curve(labels, scores) -> list[tuple[float, float, float]]:
-    """All distinct-threshold ROC points as (fpr, tpr, threshold)."""
+def roc_curve(labels, scores=None) -> list[tuple[float, float, float]]:
+    """All distinct-threshold ROC points as (fpr, tpr, threshold); labels may be a ScoredSet."""
     counts, thresholds = _set_counts(labels, scores, "ROC curve")
     fp, tp = np.cumsum(counts[0], axis=0).T
     points = zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist(), thresholds.tolist())
     return [(0.0, 0.0, float("inf")), *points]
 
 
-def metric_bundle(labels, scores) -> tuple[Confusion, dict[str, float | None]]:
+def metric_bundle(labels, scores=None) -> tuple[Confusion, dict[str, float | None]]:
     """Confusion at the 0.5 threshold plus F1, precision, recall, ROC-AUC
     and PR-AUC, in that key order; the AUCs are None when only one class
-    is present."""
-    y = np.asarray(labels, dtype=np.int64)
-    conf = confusion(y, (scores >= THRESHOLD).astype(np.int64))
+    is present. labels may be a ScoredSet in place of both arrays."""
+    y, s = (labels.labels, labels.scores) if isinstance(labels, ScoredSet) else (labels, scores)
+    conf = confusion(y, (s >= THRESHOLD).astype(np.int64))
     precision, recall, f1 = prf1(conf)
     metrics: dict[str, float | None] = {"f1": f1, "precision": precision, "recall": recall}
     try:
-        counts, _ = _set_counts(y, scores, "ROC-AUC")
+        counts, _ = _set_counts(labels, scores, "ROC-AUC")
     except UndefinedMetricError:
         metrics["roc_auc"] = metrics["pr_auc"] = None
     else:
@@ -261,7 +266,7 @@ def _row_scorer(measure: str, scored: ScoredSet) -> Callable[[np.ndarray], np.nd
     """Scores a (k, n) block of resample index rows into k values of measure,
     with the float expressions of prf1, accuracy and the AUC kernels."""
     if measure in _RESAMPLE_SENSITIVE:
-        _, codes, thresholds = _tie_groups(scored.labels, scored.scores)
+        _, codes, thresholds = scored._groups
         kernel = _roc_auc_rows if measure == "roc_auc" else _pr_auc_rows
         return lambda rows: kernel(_group_counts(codes[rows], thresholds.size))
     n = len(scored)
@@ -333,6 +338,20 @@ def _bootstrap_values(
     return values, n_redrawn
 
 
+def _ci_bounds(values: np.ndarray) -> Iterator[float]:
+    """Yields np.percentile(values, 2.5), then np.percentile(values, 97.5), of
+    finite values, bit for bit: NumPy's linear method on one sort."""
+    ordered, n = np.sort(values), values.size
+    for q in (0.025, 0.975):  # 2.5 / 100 and 97.5 / 100, as np.percentile divides
+        v = (n - 1) * q
+        lo, hi = (-1, -1) if v >= n - 1 else (int(v), int(v) + 1)
+        a, b = ordered[lo], ordered[hi]
+        if a == 0 or b == 0:  # -0.0 and 0.0 tie: take the zeros np.percentile's partition puts there
+            a, b = np.partition(values, [0, lo, hi, -1])[[lo, hi]]
+        g, d = v - lo, b - a  # NumPy's _lerp
+        yield float(b - d * (1 - g) if g >= 0.5 else a + d * g)
+
+
 def bootstrap_ci(
     scored: ScoredSet,
     measure: str,
@@ -349,11 +368,12 @@ def bootstrap_ci(
     values, n_redrawn = _bootstrap_values(
         rng, n_resamples, scored.labels, _row_scorer(measure, scored), measure in _RESAMPLE_SENSITIVE
     )
+    ci_low, ci_high = _ci_bounds(values)
     result = BootstrapResult(
         measure=measure,
         mean=float(values.mean()),
-        ci_low=float(np.percentile(values, 2.5)),
-        ci_high=float(np.percentile(values, 97.5)),
+        ci_low=ci_low,
+        ci_high=ci_high,
         n_resamples=n_resamples,
         n_redrawn=n_redrawn,
     )
@@ -392,8 +412,7 @@ def bootstrap_diff(
         lambda rows: score_first(rows) - score_second(rows),
         measure in _RESAMPLE_SENSITIVE,
     )
-    ci_low = float(np.percentile(values, 2.5))
-    ci_high = float(np.percentile(values, 97.5))
+    ci_low, ci_high = _ci_bounds(values)
     result = DiffResult(
         measure=measure,
         mean_diff=float(values.mean()),

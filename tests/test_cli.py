@@ -1,14 +1,17 @@
 """Command line driver: option resolution, the four commands, exit codes.
 
 Commands run in-process through cli.main so coverage and tracebacks
-work; one test shells out to the installed entry point.
+work; one test shells out to the installed entry point, and one runs a
+report in a fresh interpreter to see what it imports.
 """
 
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -757,6 +760,39 @@ def test_build_comparison_reproduces_the_written_report(chain):
     assert payload == json.loads((chain["report"] / "comparison.json").read_text())
     text = (chain["report"] / "comparison.txt").read_text()
     assert "\n".join(_render_text_report(payload)) + "\n" == text
+
+
+REPORT_COSTS = """
+import sys
+import numpy
+from fedvra import cli, stats
+
+def no_percentile(*args, **kwargs):
+    raise AssertionError("np.percentile called")
+
+numpy.percentile = no_percentile
+calls = []
+tie_groups = stats._tie_groups
+stats._tie_groups = lambda *args: calls.append(args) or tie_groups(*args)
+code = cli.main(["report", "--run", sys.argv[1], "--out", sys.argv[2], "--seed", "5", "--bootstrap-n", "200"])
+print(code, len(calls), "numpy.ma" in sys.modules)
+"""
+
+
+def test_report_process_sorts_each_scored_set_once_and_skips_numpy_ma(chain, tmp_path):
+    # np.percentile imports numpy.ma through np.unique; the report takes its CI
+    # bounds from one sort instead, and each of its 12 scored sets (4 treatments
+    # x 3 test sets) sorts its tie groups once for every measure and bootstrap
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "rep"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_COSTS, str(chain["run"]), str(out)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "12", "False"]
+    for name in ("comparison.json", "comparison.txt"):
+        assert (out / name).read_bytes() == (chain["report"] / name).read_bytes()
 
 
 def test_report_identical_treatments_have_zero_differences(tmp_path):

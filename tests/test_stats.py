@@ -31,6 +31,7 @@ from fedvra.stats import (
     roc_auc,
     roc_curve,
 )
+from fedvra.stats import _ci_bounds
 
 # combined-test-set confusion matrices of the four treatments, published
 # alongside the study this package replicates (TN, FP, FN, TP)
@@ -210,6 +211,28 @@ def test_scored_set_validation():
         ScoredSet(labels=np.array([0, 1]), scores=np.array([0.1, 1.2]))
 
 
+def test_non_integral_labels_are_rejected_before_the_int_cast():
+    # the int64 cast alone reads 0.5 as 0 and 1.7 as 1
+    labels, scores = [0.5, 1.7, 0.0], np.array([0.2, 0.9, 0.4])
+    for call in (
+        lambda: ScoredSet(labels=labels, scores=scores),
+        lambda: confusion([0.9, 1.0], [0, 1]),
+        lambda: metric_bundle(labels, scores),
+        lambda: roc_auc(labels, scores),
+        lambda: pr_auc(labels, scores),
+        lambda: roc_curve(labels, scores),
+    ):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            call()
+    with pytest.raises(ValueError, match="^predictions must be 0 or 1$"):
+        confusion([0, 1], [0, 0.5])
+    # float 0.0 / 1.0 labels, as features_matrix and federated_validate pass them
+    floats = np.array([0.0, 1.0, 0.0])
+    assert ScoredSet(labels=floats, scores=scores).labels.tolist() == [0, 1, 0]
+    assert metric_bundle(floats, scores) == metric_bundle(floats.astype(np.int64), scores)
+    assert confusion(floats, [0, 1, 1]) == Confusion(tn=1, fp=1, fn=0, tp=1)
+
+
 def test_scored_set_leaves_the_callers_arrays_writeable():
     labels = np.array([0, 1, 1])
     scores = np.array([0.2, 0.5, 0.9])
@@ -232,6 +255,9 @@ def test_metric_bundle_matches_the_single_measures():
     assert metrics["f1"] == f1
     assert metrics["roc_auc"] == roc_auc(s.labels, s.scores)
     assert metrics["pr_auc"] == pr_auc(s.labels, s.scores)
+    # a ScoredSet in place of its two arrays uses its own tie groups
+    assert metric_bundle(s) == (got_conf, metrics)
+    assert roc_curve(s) == roc_curve(s.labels, s.scores)
     # accuracy is a bootstrap-only measure: one resample, replayed by hand
     _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4, return_samples=True)
     idx = make_rng(4, "bootstrap-ci").integers(0, len(s), size=len(s))
@@ -279,6 +305,20 @@ def test_bootstrap_ci_matches_manual_resampler():
     assert result.ci_low == float(np.percentile(samples, 2.5))
     assert result.ci_high == float(np.percentile(samples, 97.5))
     assert result.mean == float(samples.mean())
+
+
+def test_ci_bounds_equal_numpy_percentile_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in [*range(1, 65), 999, 1000, 1001, 10000]:
+        for values in (
+            rng.uniform(-1, 1, n),
+            np.round(rng.uniform(size=n), 1),  # heavy ties
+            np.full(n, 0.25),
+            rng.choice([0.0, -0.0], n),  # the two zeros tie but differ in sign
+            rng.choice([-0.5, -0.0, 0.0, 0.5], n),
+        ):
+            want = [float(np.percentile(values, q)).hex() for q in (2.5, 97.5)]
+            assert [bound.hex() for bound in _ci_bounds(values)] == want, (n, values)
 
 
 def test_bootstrap_ci_redraws_single_class_resamples():

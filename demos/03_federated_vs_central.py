@@ -7,6 +7,7 @@ from fedvra.data import SynthConfig, generate_synthetic, make_split_plan
 from fedvra.experiment import Treatment, silos_for_treatment
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
 from fedvra.network import TrainConfig
+from fedvra.stats import metric_bundle
 
 records = generate_synthetic(
     SynthConfig(n_patients=400, seed=11, positive_rate=0.15, class_separation=1.5, ward_shift=1.0)
@@ -39,5 +40,6 @@ pos_weight = resolve_pos_weight(silos)
 models = {"A alone": federated_train(silos[:1], config)[0], "B alone": federated_train(silos[1:], config)[0]}
 models.update(federated=params, pooled=pooled_params)
 for label, model in models.items():
-    loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
+    loss, scored = federated_validate(model, silos, pos_weight)
+    _, metrics = metric_bundle(scored)
     print(f"  {label:<10} pooled val loss={loss:.4f}  f1={metrics['f1']:.3f}")

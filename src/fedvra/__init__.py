@@ -10,6 +10,12 @@ reproducible from a single seed.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread, set before numpy loads: a threaded BLAS splits its sums
+# by core count, so the seeded outputs would depend on the machine.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .data import (
     RecordTable,
     SplitPlan,
@@ -62,7 +68,6 @@ from .network import (
     init_model,
     load_params,
     lr_at_epoch,
-    save_params,
     sgd_step,
 )
 from .stats import (

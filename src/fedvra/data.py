@@ -211,12 +211,11 @@ def assign_institutions(counts: dict[str, int]) -> dict[str, str]:
 def split_time_test(
     records: RecordTable,
     test_fraction: float,
-    institution_of_ward: dict[str, str] | None = None,
+    institution_of_ward: dict[str, str],
 ) -> tuple[list[int], list[int]]:
     """Latest ceil(fraction * n) records per institution become the test set.
 
-    Timestamp ties are resolved by stable record order. With no
-    institution map the whole dataset is treated as one pool.
+    Timestamp ties are resolved by stable record order.
     """
     if not len(records):
         raise ValueError("records must not be empty")
@@ -224,12 +223,9 @@ def split_time_test(
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     groups: dict[str, list[int]] = defaultdict(list)
     for i, ward in enumerate(records.ward):
-        if institution_of_ward is None:
-            groups["ALL"].append(i)
-        else:
-            if ward not in institution_of_ward:
-                raise ValueError(f"record {i} has ward {ward!r} missing from the institution map")
-            groups[institution_of_ward[ward]].append(i)
+        if ward not in institution_of_ward:
+            raise ValueError(f"record {i} has ward {ward!r} missing from the institution map")
+        groups[institution_of_ward[ward]].append(i)
     times = records.admission_ts.tolist()
     train_val: list[int] = []
     test: list[int] = []

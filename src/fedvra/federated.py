@@ -49,7 +49,7 @@ from .network import (
     sigmoid,
 )
 from .seeds import derive_seed, make_rng
-from .stats import metric_bundle
+from .stats import ScoredSet, metric_bundle
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +108,7 @@ class RoundLog:
     lr: float
     train_losses: dict[str, float]
     val_loss: float | None
+    # metric_bundle's five measures, then the confusion counts tn, fp, fn and tp
     metrics: dict[str, float | int | None] | None
 
 
@@ -182,16 +183,12 @@ def local_validate(model: ModelParams, silo: Silo) -> tuple[np.ndarray, np.ndarr
     return forward_batch(model, silo.val_features), silo.val_labels
 
 
-def federated_validate(
-    model: ModelParams, silos: list[Silo], pos_weight: float
-) -> tuple[float, dict[str, float | int | None], np.ndarray, np.ndarray]:
+def federated_validate(model: ModelParams, silos: list[Silo], pos_weight: float) -> tuple[float, ScoredSet]:
     """Validate one model across all silos.
 
-    Each silo evaluates locally; the server concatenates in fixed silo
-    order and computes the loss and metrics over the concatenation.
-    Returns (loss, metrics, scores, labels); the metrics are
-    metric_bundle's five measures followed by the confusion counts
-    tn, fp, fn and tp.
+    Each silo evaluates locally; the server concatenates the logits and
+    labels in fixed silo order. Returns the loss over the concatenation
+    and its ScoredSet: the labels and the sigmoid scores.
     """
     if not silos:
         raise ValueError("at least one silo is required")
@@ -203,10 +200,7 @@ def federated_validate(
         label_parts.append(labels)
     logits = np.concatenate(logits_parts)
     labels = np.concatenate(label_parts)
-    loss = loss_from_logits(logits, labels, pos_weight)
-    scores = sigmoid(logits)
-    conf, metrics = metric_bundle(labels, scores)
-    return loss, {**metrics, **conf._asdict()}, scores, labels
+    return loss_from_logits(logits, labels, pos_weight), ScoredSet(labels, sigmoid(logits))
 
 
 def resolve_pos_weight(silos: list[Silo]) -> float:
@@ -285,8 +279,9 @@ def federated_train(
     logs: list[RoundLog] = []
     for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses):
         with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
-            val_loss, metrics, _, _ = federated_validate(model, silos, pos_weight)
-        logs.append(replace(log, val_loss=val_loss, metrics=metrics))
+            val_loss, scored = federated_validate(model, silos, pos_weight)
+            conf, metrics = metric_bundle(scored)
+        logs.append(replace(log, val_loss=val_loss, metrics={**metrics, **conf._asdict()}))
         state, stop = early_stop_update(state, val_loss, model)
         if stop:
             break

@@ -324,17 +324,6 @@ def average_models(models: list[ModelParams], weights) -> ModelParams:
     return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def params_to_dict(params: ModelParams) -> dict:
-    """JSON-ready dict with row-major weight lists at full precision."""
-    return {
-        "hidden_size": params.hidden_size,
-        "w1": params.w1.tolist(),
-        "b1": params.b1.tolist(),
-        "w2": params.w2.tolist(),
-        "b2": params.b2,
-    }
-
-
 def params_from_dict(data: dict) -> ModelParams:
     params = ModelParams(w1=data["w1"], b1=data["b1"], w2=data["w2"], b2=data["b2"])
     if params.hidden_size != int(data["hidden_size"]):
@@ -343,18 +332,15 @@ def params_from_dict(data: dict) -> ModelParams:
 
 
 def params_json_pieces(params: ModelParams):
-    """json.dumps(params_to_dict(params)) and a newline, in pieces: a header, one
-    piece per w1 row and a tail, so neither nested lists nor the whole text is built."""
+    """The JSON text of params and a newline, in pieces: hidden_size, the row-major
+    w1, b1, w2 and b2 at full precision, as json.dumps writes them, one piece per
+    w1 row between a header and a tail, so neither nested lists nor the whole
+    text is built. load_params reads it back."""
     yield f'{{"hidden_size": {params.hidden_size}, "w1": ['
     for i, row in enumerate(params.w1):
         yield (", " if i else "") + json.dumps(row.tolist())
     yield f'], "b1": {json.dumps(params.b1.tolist())}, "w2": {json.dumps(params.w2.tolist())}, '
     yield f'"b2": {json.dumps(params.b2)}}}\n'
-
-
-def save_params(path, params: ModelParams) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(params_json_pieces(params))
 
 
 def load_params(path) -> ModelParams:

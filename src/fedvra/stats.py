@@ -197,10 +197,10 @@ def _pr_auc_rows(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(pos / pos.sum(axis=1)[:, None] * precision, axis=1)[:, -1]
 
 
-def _set_counts(labels, scores, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Group counts of one whole set, or of a ScoredSet passed as labels, plus the
-    group scores; raises UndefinedMetricError unless both classes are present."""
-    y, codes, thresholds = labels._groups if isinstance(labels, ScoredSet) else _tie_groups(labels, scores)
+def _set_counts(groups, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Group counts of one whole set from its _tie_groups, plus the group
+    scores; raises UndefinedMetricError unless both classes are present."""
+    y, codes, thresholds = groups
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.size:
         raise UndefinedMetricError(f"{what} undefined: only one class present")
@@ -214,35 +214,34 @@ def roc_auc(labels, scores) -> float:
     Mann-Whitney pair-counting statistic exactly. Integer accumulation
     keeps the single final division exact up to rounding.
     """
-    counts, _ = _set_counts(labels, scores, "ROC-AUC")
+    counts, _ = _set_counts(_tie_groups(labels, scores), "ROC-AUC")
     return float(_roc_auc_rows(counts)[0])
 
 
 def pr_auc(labels, scores) -> float:
     """Average precision: step-wise sum of precision * delta recall,
     added in descending-score order."""
-    counts, _ = _set_counts(labels, scores, "PR-AUC")
+    counts, _ = _set_counts(_tie_groups(labels, scores), "PR-AUC")
     return float(_pr_auc_rows(counts)[0])
 
 
-def roc_curve(labels, scores=None) -> list[tuple[float, float, float]]:
-    """All distinct-threshold ROC points as (fpr, tpr, threshold); labels may be a ScoredSet."""
-    counts, thresholds = _set_counts(labels, scores, "ROC curve")
+def roc_curve(scored: ScoredSet) -> list[tuple[float, float, float]]:
+    """All distinct-threshold ROC points of a scored set as (fpr, tpr, threshold)."""
+    counts, thresholds = _set_counts(scored._groups, "ROC curve")
     fp, tp = np.cumsum(counts[0], axis=0).T
     points = zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist(), thresholds.tolist())
     return [(0.0, 0.0, float("inf")), *points]
 
 
-def metric_bundle(labels, scores=None) -> tuple[Confusion, dict[str, float | None]]:
+def metric_bundle(scored: ScoredSet) -> tuple[Confusion, dict[str, float | None]]:
     """Confusion at the 0.5 threshold plus F1, precision, recall, ROC-AUC
-    and PR-AUC, in that key order; the AUCs are None when only one class
-    is present. labels may be a ScoredSet in place of both arrays."""
-    y, s = (labels.labels, labels.scores) if isinstance(labels, ScoredSet) else (labels, scores)
-    conf = confusion(y, (s >= THRESHOLD).astype(np.int64))
+    and PR-AUC of a scored set, in that key order; the AUCs are None when
+    only one class is present."""
+    conf = confusion(scored.labels, scored.predictions)
     precision, recall, f1 = prf1(conf)
     metrics: dict[str, float | None] = {"f1": f1, "precision": precision, "recall": recall}
     try:
-        counts, _ = _set_counts(labels, scores, "ROC-AUC")
+        counts, _ = _set_counts(scored._groups, "ROC-AUC")
     except UndefinedMetricError:
         metrics["roc_auc"] = metrics["pr_auc"] = None
     else:

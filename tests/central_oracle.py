@@ -23,7 +23,7 @@ from fedvra.network import (
     sigmoid,
 )
 from fedvra.seeds import derive_seed, make_rng
-from fedvra.stats import metric_bundle
+from fedvra.stats import ScoredSet, metric_bundle
 
 
 def train_centralized(
@@ -69,7 +69,7 @@ def train_centralized(
                 lr=lr,
                 train_losses={name: train_loss},
                 val_loss=val_loss,
-                metrics=metric_bundle(vy, val_scores)[1],
+                metrics=metric_bundle(ScoredSet(vy, val_scores))[1],
             )
         )
         if val_loss < best_loss:

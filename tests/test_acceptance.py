@@ -443,7 +443,7 @@ def test_09_end_to_end_directional():
     )
     runs = run_treatments(list(Treatment), records, plan, grid, cfg, threads=4)
     combined = {key: run.evaluations["combined"] for key, run in runs.items()}
-    f1 = {key: metric_bundle(s.labels, s.scores)[1]["f1"] for key, s in combined.items()}
+    f1 = {key: metric_bundle(s)[1]["f1"] for key, s in combined.items()}
     elapsed = time.perf_counter() - start
     beats_locals = f1["federated"] >= f1["a"] - 0.01 and f1["federated"] >= f1["b"] - 0.01
     near_central = abs(f1["federated"] - f1["central"]) <= 0.05

@@ -5,6 +5,10 @@ index draw per resample, a Python walk over the tie groups of every
 ROC-AUC and PR-AUC, and the redraw loop around each undefined resample.
 The library must give the same result objects, the same sample bytes
 and the same errors, whatever its block size.
+
+An independent check closes the file: DeLong's normal interval for a
+paired ROC-AUC difference, which shares no code and no method with the
+bootstrap, must agree with the bootstrap's percentile interval.
 """
 
 import sys
@@ -192,8 +196,8 @@ def test_point_estimates_match_the_loop_oracle():
             continue
         assert repr(stats.roc_auc(y, s)) == repr(loop_roc_auc(y, s))
         assert repr(stats.pr_auc(y, s)) == repr(loop_pr_auc(y, s))
-        assert repr(stats.roc_curve(y, s)) == repr(loop_roc_curve(y, s))
-        _, metrics = stats.metric_bundle(y, s)
+        assert repr(stats.roc_curve(first)) == repr(loop_roc_curve(y, s))
+        _, metrics = stats.metric_bundle(first)
         assert (metrics["roc_auc"], metrics["pr_auc"]) == (loop_roc_auc(y, s), loop_pr_auc(y, s))
 
 
@@ -317,3 +321,47 @@ def test_redraw_cap_matches_the_oracle(cap, monkeypatch):
         assert got == want
         seen.add(want[2] if want[0] == "error" else want[0])
     assert {"ok", "measure undefined on every redraw attempt"} <= seen
+
+
+# ---------- independent oracle: DeLong's paired AUC interval ----------
+
+
+def midranks(x):
+    """1-based ranks of x, tied values sharing the mean of their positions."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def delong_diff_interval(labels, first, second, z=1.959963984540054):
+    """95% normal interval of ROC-AUC(first) - ROC-AUC(second) on one test set:
+    DeLong et al.'s (1988) variance in Sun & Xu's (2014) midrank form."""
+    pos, neg = labels == 1, labels == 0
+    m, n = int(pos.sum()), int(neg.sum())
+    aucs, v10, v01 = [], [], []
+    for scores in (first, second):
+        ranks = midranks(scores)
+        aucs.append((ranks[pos].sum() - m * (m + 1) / 2) / (m * n))
+        v10.append((ranks[pos] - midranks(scores[pos])) / n)  # per positive: share of negatives below it
+        v01.append(1.0 - (ranks[neg] - midranks(scores[neg])) / m)  # per negative: share of positives above it
+    cov = np.cov(v10) / m + np.cov(v01) / n
+    diff = aucs[0] - aucs[1]
+    half = z * np.sqrt(cov[0, 0] + cov[1, 1] - 2 * cov[0, 1])
+    return diff - half, diff + half
+
+
+@pytest.mark.parametrize("n, positive_rate", [(400, 0.1), (400, 0.3), (2000, 0.1), (2000, 0.3)])
+def test_auc_difference_interval_agrees_with_delong(n, positive_rate):
+    rng = np.random.default_rng([n, int(100 * positive_rate)])
+    labels = (rng.random(n) < positive_rate).astype(np.int64)
+    shared = rng.normal(size=n)  # a latent both models see: correlated scores
+
+    def model(signal):
+        return 1.0 / (1.0 + np.exp(-(signal * labels + shared + rng.normal(size=n))))
+
+    first, second = ScoredSet(labels, model(1.5)), ScoredSet(labels, model(1.0))
+    want_low, want_high = delong_diff_interval(labels, first.scores, second.scores)
+    got = bootstrap_diff(first, second, "roc_auc", n_resamples=10_000, seed=n)
+    assert abs(got.ci_low - want_low) <= 0.005
+    assert abs(got.ci_high - want_high) <= 0.005
+    assert 0.95 <= (got.ci_high - got.ci_low) / (want_high - want_low) <= 1.05

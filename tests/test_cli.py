@@ -1,8 +1,10 @@
 """Command line driver: option resolution, the four commands, exit codes.
 
 Commands run in-process through cli.main so coverage and tracebacks
-work; one test shells out to the installed entry point, and one runs a
-report in a fresh interpreter to see what it imports.
+work; one test shells out to the installed entry point, and a few run
+the CLI in a fresh interpreter: to see what a report imports, which
+version it reports, and that a run's outputs ignore the BLAS thread
+setting of the environment.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import fedvra
 from fedvra.cli import (
     _load_scored_sets,
     _render_text_report,
@@ -31,7 +34,8 @@ from fedvra.cli import (
 from fedvra.data import load_records, load_split_plan, save_records, verify_split_plan
 from fedvra.experiment import HyperCombo, Treatment, TreatmentRun
 from fedvra.federated import RoundLog
-from fedvra.network import init_model, params_to_dict
+from fedvra.network import init_model
+from params_dict import params_to_dict
 from record_rows import record, table
 
 
@@ -120,6 +124,25 @@ def test_installed_entry_point_reports_version():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("fedvra ")
+
+
+def cli_process(*argv, cwd=None, blas_threads=None):
+    """python -m fedvra.cli in a child whose environment is built here, not
+    inherited: the path, the source tree and, if given, OPENBLAS_NUM_THREADS."""
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, "-m", "fedvra.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    assert fedvra.__version__ == version
+    proc = cli_process("--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"fedvra {version}\n"
 
 
 # ---------- synth ----------
@@ -559,6 +582,34 @@ def test_run_streams_a_large_final_model(tmp_path):
     assert peak < 1 << 20
     written = (tmp_path / "federated" / "final_model.json").read_bytes()
     assert written == (json.dumps(params_to_dict(params)) + "\n").encode("utf-8")
+
+
+def test_run_outputs_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    """The CLI fixes BLAS to one thread before numpy loads, whatever the
+    environment says: a threaded BLAS splits an h=512 model's sums by core
+    count, which moved final_model.json. Each run writes to a directory of
+    the same relative name, so run_config.json can match too."""
+    assert cli_process(
+        "synth", "--out", "data.jsonl", "--seed", "3", "--n-patients", "200", "--class-separation", "2.0", cwd=tmp_path
+    ).returncode == 0
+    assert cli_process("split", "--data", "data.jsonl", "--out", "plan.json", "--seed", "3", cwd=tmp_path).returncode == 0
+    outputs = {}
+    for threads in ("1", None, "2"):
+        case = tmp_path / f"blas-{threads}"
+        case.mkdir()
+        proc = cli_process(
+            "run", "--data", "../data.jsonl", "--split", "../plan.json", "--out", "run", "--seed", "3",
+            "--treatment", "federated", "--hidden-sizes", "512", "--learning-rates", "0.005",
+            "--weight-decays", "0.0001", "--max-epochs", "20", "--patience", "20",
+            cwd=case, blas_threads=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        run_dir = case / "run"
+        outputs[threads] = {str(f.relative_to(run_dir)): f.read_bytes() for f in run_dir.rglob("*") if f.is_file()}
+    assert "federated/final_model.json" in outputs["1"]
+    for threads in (None, "2"):
+        assert sorted(outputs[threads]) == sorted(outputs["1"])
+        assert [name for name, data in outputs[threads].items() if data != outputs["1"][name]] == []
 
 
 # ---------- report ----------

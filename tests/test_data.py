@@ -94,17 +94,19 @@ def test_assign_institutions_needs_two_nonzero_wards():
 
 # ---------- time split ----------
 
+ONE_INSTITUTION = {"A1": "A"}
+
 
 def test_split_time_test_takes_latest():
     records = table([record(f"P{i}", "A1", hours=i) for i in range(10)])
-    train_val, test = split_time_test(records, 0.2)
+    train_val, test = split_time_test(records, 0.2, ONE_INSTITUTION)
     assert test == [8, 9]
     assert train_val == list(range(8))
 
 
 def test_split_time_test_all_equal_timestamps_uses_stable_order():
     records = table([record(f"P{i}", "A1", hours=0) for i in range(10)])
-    train_val, test = split_time_test(records, 0.2)
+    train_val, test = split_time_test(records, 0.2, ONE_INSTITUTION)
     assert test == [8, 9]  # stable sort keeps input order on ties
 
 
@@ -124,11 +126,11 @@ def test_split_time_test_per_institution_counts():
 def test_split_time_test_rejects_bad_inputs():
     records = table([record("P1", "A1", hours=0)])
     with pytest.raises(ValueError):
-        split_time_test(table([]), 0.2)
+        split_time_test(table([]), 0.2, ONE_INSTITUTION)
     with pytest.raises(ValueError):
-        split_time_test(records, 0.0)
+        split_time_test(records, 0.0, ONE_INSTITUTION)
     with pytest.raises(ValueError):
-        split_time_test(records, 1.0)
+        split_time_test(records, 1.0, ONE_INSTITUTION)
     with pytest.raises(ValueError):
         split_time_test(records, 0.2, {"other": "A"})
 

@@ -76,8 +76,8 @@ def refit_fold(records, plan, cfg, treatment, combo_index, fold):
         patience=cfg.patience,
     )
     params, _ = federated_train(silos, refit_cfg)
-    val_loss, _, scores, labels = federated_validate(params, silos, resolve_pos_weight(silos))
-    labels = labels.astype(np.int64)
+    val_loss, scored = federated_validate(params, silos, resolve_pos_weight(silos))
+    labels, scores = scored.labels, scored.scores
     return val_loss, confusion(labels, (scores >= THRESHOLD).astype(np.int64)), scores, labels
 
 
@@ -361,7 +361,7 @@ def test_evaluate_builds_combined_in_a_then_b_order():
         assert isinstance(scored, ScoredSet)
         assert np.array_equal(scored.labels, ts.labels)
         assert np.array_equal(scored.scores, sigmoid(forward_batch(params, ts.features)))
-        conf, _ = metric_bundle(scored.labels, scored.scores)
+        conf, _ = metric_bundle(scored)
         assert conf.tn + conf.fp + conf.fn + conf.tp == len(ts.record_ids) == len(scored)
         assert np.array_equal(scored.predictions, (scored.scores >= THRESHOLD).astype(np.int64))
 
@@ -369,7 +369,7 @@ def test_evaluate_builds_combined_in_a_then_b_order():
 def test_evaluate_single_class_set_has_undefined_auc():
     test_sets = eval_test_sets([0, 0, 0, 0], [1, 0, 1], seed_a=3, seed_b=4)
     evaluations = evaluate(init_model(4, 5), test_sets)
-    metrics = {name: metric_bundle(s.labels, s.scores)[1] for name, s in evaluations.items()}
+    metrics = {name: metric_bundle(s)[1] for name, s in evaluations.items()}
     assert metrics["A"]["roc_auc"] is None
     assert metrics["A"]["pr_auc"] is None
     assert metrics["B"]["roc_auc"] is not None
@@ -403,7 +403,7 @@ def test_test_sets_from_plan_cover_test_ids(dataset):
 
 
 def combined_f1(run):
-    return metric_bundle(run.evaluations["combined"].labels, run.evaluations["combined"].scores)[1]["f1"]
+    return metric_bundle(run.evaluations["combined"])[1]["f1"]
 
 
 def test_run_treatment_smoke_and_determinism(dataset):

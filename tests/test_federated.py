@@ -35,9 +35,10 @@ from fedvra.network import (
     init_model,
     loss_from_logits,
     sgd_step,
+    sigmoid,
 )
 from fedvra.seeds import derive_seed, make_rng
-from fedvra.stats import metric_bundle
+from fedvra.stats import ScoredSet, metric_bundle
 
 
 def make_silo(name, n_train, n_val, seed, positive_rate=0.3):
@@ -237,20 +238,19 @@ def test_local_validate_returns_logits():
 def test_federated_validate_single_silo_matches_direct():
     silo = make_silo("A", 10, 8, seed=7)
     model = init_model(4, 3)
-    loss, metrics, scores, labels = federated_validate(model, [silo], pos_weight=3.0)
+    loss, scored = federated_validate(model, [silo], pos_weight=3.0)
     logits, want_labels = local_validate(model, silo)
     assert loss == loss_from_logits(logits, want_labels, 3.0)
-    assert np.array_equal(labels, want_labels)
-    conf, measures = metric_bundle(want_labels, scores)
-    assert metrics == {**measures, **conf._asdict()}
-    assert list(metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc", "tn", "fp", "fn", "tp"]
+    assert isinstance(scored, ScoredSet)
+    assert np.array_equal(scored.labels, want_labels)
+    assert np.array_equal(scored.scores, sigmoid(logits))
 
 
 def test_federated_validate_loss_is_size_weighted():
     a = make_silo("A", 10, 6, seed=8)
     b = make_silo("B", 10, 10, seed=9)
     model = init_model(4, 4)
-    loss, _, _, _ = federated_validate(model, [a, b], pos_weight=2.0)
+    loss, _ = federated_validate(model, [a, b], pos_weight=2.0)
     la = loss_from_logits(*local_validate(model, a), 2.0)
     lb = loss_from_logits(*local_validate(model, b), 2.0)
     want = (a.n_val * la + b.n_val * lb) / (a.n_val + b.n_val)
@@ -261,10 +261,10 @@ def test_federated_validate_order_invariance():
     a = make_silo("A", 10, 6, seed=10)
     b = make_silo("B", 10, 9, seed=11)
     model = init_model(4, 5)
-    loss_ab, metrics_ab, _, _ = federated_validate(model, [a, b], pos_weight=2.5)
-    loss_ba, metrics_ba, _, _ = federated_validate(model, [b, a], pos_weight=2.5)
+    loss_ab, scored_ab = federated_validate(model, [a, b], pos_weight=2.5)
+    loss_ba, scored_ba = federated_validate(model, [b, a], pos_weight=2.5)
     assert math.isclose(loss_ab, loss_ba, rel_tol=1e-12)
-    assert metrics_ab == metrics_ba  # grouping metrics ignore sample order
+    assert metric_bundle(scored_ab) == metric_bundle(scored_ba)  # grouping metrics ignore sample order
 
 
 def test_resolve_pos_weight():
@@ -291,10 +291,13 @@ def test_federated_train_runs_and_checkpoints():
     silos = [make_silo("A", 24, 8, seed=14), make_silo("B", 16, 8, seed=15)]
     params, logs = federated_train(silos, config())
     assert 1 <= len(logs) <= 6
-    best = min(log.val_loss for log in logs)
-    _, _, _, _ = federated_validate(params, silos, resolve_pos_weight(silos))
-    val_loss, _, _, _ = federated_validate(params, silos, resolve_pos_weight(silos))
-    assert math.isclose(val_loss, best, rel_tol=1e-12)
+    best = min(logs, key=lambda log: log.val_loss)
+    val_loss, scored = federated_validate(params, silos, resolve_pos_weight(silos))
+    assert math.isclose(val_loss, best.val_loss, rel_tol=1e-12)
+    # a round logs its validation set's measures, then its confusion counts
+    conf, measures = metric_bundle(scored)
+    assert best.metrics == {**measures, **conf._asdict()}
+    assert list(best.metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc", "tn", "fp", "fn", "tp"]
     for log in logs:
         assert set(log.train_losses) == {"A", "B"}
         assert log.metrics is not None and "f1" in log.metrics

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedvra.cli import _write_text
 from fedvra.errors import NumericalError
 from fedvra.network import (
     INPUT_DIM,
@@ -28,13 +29,13 @@ from fedvra.network import (
     loss_from_logits,
     lr_at_epoch,
     params_from_dict,
-    params_to_dict,
-    save_params,
+    params_json_pieces,
     sgd_step,
     sigmoid,
     softplus,
     _sigmoid_pair,
 )
+from params_dict import params_to_dict
 
 
 # ---------- oracles ----------
@@ -475,7 +476,7 @@ def test_train_config_validation():
 def test_params_round_trip(tmp_path):
     m = init_model(5, 123)
     path = tmp_path / "model.json"
-    save_params(path, m)
+    path.write_text("".join(params_json_pieces(m)), encoding="utf-8")
     assert load_params(path) == m
     data = json.loads(path.read_text())
     assert data["hidden_size"] == 5
@@ -503,9 +504,10 @@ def params_bytes(p: ModelParams) -> bytes:
 
 @pytest.mark.parametrize("h", [1, 8, 128, 512])
 def test_save_params_writes_the_bytes_of_the_dict_form(tmp_path, h):
+    # saved as run saves final_model.json: its streamed pieces through the CLI's writer
     m = awkward_params(h)
     path = tmp_path / "model.json"
-    save_params(path, m)
+    _write_text(path, params_json_pieces(m))
     assert path.read_bytes() == (json.dumps(params_to_dict(m)) + "\n").encode("utf-8")
     assert params_bytes(load_params(path)) == params_bytes(m)
 
@@ -516,7 +518,7 @@ def test_save_params_streams_a_large_model(tmp_path):
     m = init_model(512, 3)
     tracemalloc.start()
     try:
-        save_params(tmp_path / "model.json", m)
+        _write_text(tmp_path / "model.json", params_json_pieces(m))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

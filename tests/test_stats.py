@@ -184,7 +184,7 @@ def test_pr_auc_matches_threshold_scan():
 def test_roc_curve_shape():
     labels = np.array([0, 1, 0, 1, 1])
     scores = np.array([0.2, 0.9, 0.2, 0.6, 0.6])
-    curve = roc_curve(labels, scores)
+    curve = roc_curve(ScoredSet(labels, scores))
     assert curve[0] == (0.0, 0.0, float("inf"))
     assert curve[-1][:2] == (1.0, 1.0)
     assert len(curve) == 1 + len(set(scores.tolist()))
@@ -217,10 +217,10 @@ def test_non_integral_labels_are_rejected_before_the_int_cast():
     for call in (
         lambda: ScoredSet(labels=labels, scores=scores),
         lambda: confusion([0.9, 1.0], [0, 1]),
-        lambda: metric_bundle(labels, scores),
+        lambda: metric_bundle(ScoredSet(labels, scores)),
         lambda: roc_auc(labels, scores),
         lambda: pr_auc(labels, scores),
-        lambda: roc_curve(labels, scores),
+        lambda: roc_curve(ScoredSet(labels, scores)),
     ):
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             call()
@@ -229,7 +229,7 @@ def test_non_integral_labels_are_rejected_before_the_int_cast():
     # float 0.0 / 1.0 labels, as features_matrix and federated_validate pass them
     floats = np.array([0.0, 1.0, 0.0])
     assert ScoredSet(labels=floats, scores=scores).labels.tolist() == [0, 1, 0]
-    assert metric_bundle(floats, scores) == metric_bundle(floats.astype(np.int64), scores)
+    assert metric_bundle(ScoredSet(floats, scores)) == metric_bundle(ScoredSet(floats.astype(np.int64), scores))
     assert confusion(floats, [0, 1, 1]) == Confusion(tn=1, fp=1, fn=0, tp=1)
 
 
@@ -247,7 +247,7 @@ def test_metric_bundle_matches_the_single_measures():
     s = ScoredSet(labels=np.array([0, 0, 1, 1]), scores=np.array([0.1, 0.6, 0.4, 0.8]))
     conf = confusion(s.labels, s.predictions)
     precision, recall, f1 = prf1(conf)
-    got_conf, metrics = metric_bundle(s.labels, s.scores)
+    got_conf, metrics = metric_bundle(s)
     assert got_conf == conf
     assert list(metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc"]
     assert metrics["precision"] == precision
@@ -255,9 +255,14 @@ def test_metric_bundle_matches_the_single_measures():
     assert metrics["f1"] == f1
     assert metrics["roc_auc"] == roc_auc(s.labels, s.scores)
     assert metrics["pr_auc"] == pr_auc(s.labels, s.scores)
-    # a ScoredSet in place of its two arrays uses its own tie groups
-    assert metric_bundle(s) == (got_conf, metrics)
-    assert roc_curve(s) == roc_curve(s.labels, s.scores)
+    # the trapezoids under the set's ROC curve add up to its ROC-AUC
+    fpr, tpr, _ = np.array(roc_curve(s)).T
+    assert math.isclose(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2), metrics["roc_auc"], abs_tol=1e-12)
+    # a list of scores is read as an array, as roc_auc and pr_auc read it
+    assert metric_bundle(ScoredSet([0, 1, 0], [0.2, 0.9, 0.4])) == (
+        Confusion(tn=2, fp=0, fn=0, tp=1),
+        {"f1": 1.0, "precision": 1.0, "recall": 1.0, "roc_auc": 1.0, "pr_auc": 1.0},
+    )
     # accuracy is a bootstrap-only measure: one resample, replayed by hand
     _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4, return_samples=True)
     idx = make_rng(4, "bootstrap-ci").integers(0, len(s), size=len(s))

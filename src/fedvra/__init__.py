@@ -48,10 +48,8 @@ from .experiment import (
     train_final,
 )
 from .federated import (
-    EarlyStopState,
     RoundLog,
     Silo,
-    early_stop_update,
     federated_train,
     federated_validate,
     local_train_epoch,

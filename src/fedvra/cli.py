@@ -155,9 +155,10 @@ def _read_utf8(path, what: str) -> str:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments are skipped."""
+    """Flat key=value file; blank lines and # comments are skipped, and so
+    is one leading byte-order mark."""
     out: dict[str, str] = {}
-    text = _read_utf8(path, "config file")
+    text = _read_utf8(path, "config file").removeprefix("\ufeff")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -112,37 +112,6 @@ class RoundLog:
     metrics: dict[str, float | int | None] | None
 
 
-@dataclass(frozen=True)
-class EarlyStopState:
-    """Best checkpoint so far plus the non-improvement counter."""
-
-    patience: int
-    best_loss: float = math.inf
-    best_params: ModelParams | None = None
-    epochs_since_improvement: int = 0
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-
-
-def early_stop_update(
-    state: EarlyStopState, loss: float, params: ModelParams
-) -> tuple[EarlyStopState, bool]:
-    """Fold one validation loss into the state; True means stop now.
-
-    Strict improvement resets the counter and stores the checkpoint;
-    otherwise the counter grows and training stops once it reaches the
-    patience.
-    """
-    if not np.isfinite(loss):
-        raise NumericalError(f"validation loss is not finite: {loss}")
-    if loss < state.best_loss:
-        return replace(state, best_loss=loss, best_params=params, epochs_since_improvement=0), False
-    counter = state.epochs_since_improvement + 1
-    return replace(state, epochs_since_improvement=counter), counter >= state.patience
-
-
 @contextmanager
 def _raise_numerical(where: str, epoch: int):
     """Overflow or an invalid operation inside raises, and any numerical
@@ -267,26 +236,32 @@ def federated_train(
     """Train across silos with per-epoch averaging and early stopping.
 
     Returns the checkpoint with the lowest validation loss and the
-    per-epoch logs. With a single silo this reduces exactly to plain
-    centralized training. train_losses=False skips each round's
-    training-loss pass over every silo's shard (a fit whose logs keep
-    only validation, as cross-validation's do).
+    per-epoch logs. Only a strictly lower loss is an improvement:
+    training stops after config.patience rounds in a row without one,
+    and a non-finite loss raises NumericalError. With a single silo this
+    reduces exactly to plain centralized training. train_losses=False
+    skips each round's training-loss pass over every silo's shard (a fit
+    whose logs keep only validation, as cross-validation's do).
     """
     for silo in silos:
         if silo.n_val < 1:
             raise ValueError(f"silo {silo.name!r} has no validation data")
-    state = EarlyStopState(patience=config.patience)
+    best_loss, best_params, since_best = math.inf, None, 0
     logs: list[RoundLog] = []
     for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses):
         with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
             val_loss, scored = federated_validate(model, silos, pos_weight)
             conf, metrics = metric_bundle(scored)
         logs.append(replace(log, val_loss=val_loss, metrics={**metrics, **conf._asdict()}))
-        state, stop = early_stop_update(state, val_loss, model)
-        if stop:
-            break
-    assert state.best_params is not None
-    return state.best_params, logs
+        if not np.isfinite(val_loss):
+            raise NumericalError(f"validation loss is not finite: {val_loss}")
+        if val_loss < best_loss:
+            best_loss, best_params, since_best = val_loss, model, 0
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
+    return best_params, logs
 
 
 def train_for_epochs(silos: list[Silo], config: TrainConfig, n_epochs: int) -> tuple[ModelParams, list[RoundLog]]:

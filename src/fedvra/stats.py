@@ -7,12 +7,15 @@ resamples and reports how many redraws happened.
 
 Both AUCs, the ROC curve and metric_bundle count positives and negatives
 per descending-score tie group, and the bootstrap runs the same kernels
-on blocks of resample rows at once: each block is a (k, n) draw of
-index rows, which continues the generator's stream exactly as k draws
-of n would. The redraw order is replayed from that row stream, so every
-seeded result equals the one a per-resample loop would give. A ScoredSet
-sorts its tie groups once, when it is made. The CI bounds are NumPy's
-linear percentiles, taken from one sort.
+on blocks of resample rows at once: each block is a (rows, n) draw of
+index rows, which continues the generator's stream exactly as that many
+draws of n would. The redraw order is replayed from that row stream, so
+every seeded result equals the one a per-resample loop would give. One
+kernel, _bootstrap_joint, scores any number of sets that share a label
+vector on one row stream: bootstrap_ci is its one-set case and
+bootstrap_diff the difference of its two columns. A ScoredSet sorts its
+tie groups once, when it is made. The CI bounds are NumPy's linear
+percentiles, taken from one sort.
 """
 
 from __future__ import annotations
@@ -262,8 +265,9 @@ _BLOCK_ELEMENTS = 1 << 14
 
 
 def _row_scorer(measure: str, scored: ScoredSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Scores a (k, n) block of resample index rows into k values of measure,
-    with the float expressions of prf1, accuracy and the AUC kernels."""
+    """Scores a (rows, n) block of resample index rows into one value of
+    measure per row, with the float expressions of prf1, accuracy and the
+    AUC kernels."""
     if measure in _RESAMPLE_SENSITIVE:
         _, codes, thresholds = scored._groups
         kernel = _roc_auc_rows if measure == "roc_auc" else _pr_auc_rows
@@ -291,13 +295,10 @@ def _row_scorer(measure: str, scored: ScoredSet) -> Callable[[np.ndarray], np.nd
 
 
 def _bootstrap_values(
-    rng: np.random.Generator,
-    n_resamples: int,
-    labels: np.ndarray,
-    score_rows: Callable[[np.ndarray], np.ndarray],
-    can_be_undefined: bool,
+    rng: np.random.Generator, n_resamples: int, labels: np.ndarray, scorers: list[Callable], can_be_undefined: bool
 ) -> tuple[np.ndarray, int]:
-    """Resample values with redraw-on-undefined; returns (values, n_redrawn).
+    """Resample values with redraw-on-undefined; returns (values, n_redrawn),
+    values[:, j] being scorers[j]'s value on each resample.
 
     Index rows come from rng in blocks, which continue the stream one
     size-n draw at a time would give. A resample takes the first defined
@@ -308,7 +309,7 @@ def _bootstrap_values(
     n = labels.size
     positive = labels == 1
     block_rows = max(1, _BLOCK_ELEMENTS // n)
-    values = np.empty(n_resamples, dtype=np.float64)
+    values = np.empty((n_resamples, len(scorers)), dtype=np.float64)
     filled = 0
     n_redrawn = 0
     first_pass_undefined = 0
@@ -328,13 +329,34 @@ def _bootstrap_values(
             run = int(gaps[-1])
             n_redrawn += len(rows) - kept.size
             rows = rows[kept]
-        values[filled : filled + len(rows)] = score_rows(rows)
+        for j, score_rows in enumerate(scorers):
+            values[filled : filled + len(rows), j] = score_rows(rows)
         filled += len(rows)
     if 2 * first_pass_undefined > n_resamples:
         raise StatisticalError(
             f"measure undefined on {first_pass_undefined} of {n_resamples} resamples"
         )
     return values, n_redrawn
+
+
+def _bootstrap_joint(
+    rng: np.random.Generator, sets: list[ScoredSet], measure: str, n_resamples: int
+) -> tuple[np.ndarray, int]:
+    """measure of every set on one stream of resample rows: returns the
+    (n_resamples, k) values, column j for sets[j], and n_redrawn.
+
+    The sets must share one label vector, so a row is undefined for one
+    set exactly when it is undefined for all of them.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; pick one of {MEASURES}")
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be at least 1")
+    labels = sets[0].labels
+    if any(not np.array_equal(s.labels, labels) for s in sets[1:]):
+        raise ValueError("paired bootstrap requires identical label vectors")
+    scorers = [_row_scorer(measure, s) for s in sets]
+    return _bootstrap_values(rng, n_resamples, labels, scorers, measure in _RESAMPLE_SENSITIVE)
 
 
 def _ci_bounds(values: np.ndarray) -> Iterator[float]:
@@ -359,14 +381,8 @@ def bootstrap_ci(
     return_samples: bool = False,
 ):
     """Percentile bootstrap (2.5th / 97.5th) of a measure on a scored set."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; pick one of {MEASURES}")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be at least 1")
-    rng = make_rng(seed, "bootstrap-ci")
-    values, n_redrawn = _bootstrap_values(
-        rng, n_resamples, scored.labels, _row_scorer(measure, scored), measure in _RESAMPLE_SENSITIVE
-    )
+    joint, n_redrawn = _bootstrap_joint(make_rng(seed, "bootstrap-ci"), [scored], measure, n_resamples)
+    values = joint[:, 0]  # an (n, 1) array's column is contiguous, so mean keeps a 1-D array's bits
     ci_low, ci_high = _ci_bounds(values)
     result = BootstrapResult(
         measure=measure,
@@ -376,9 +392,7 @@ def bootstrap_ci(
         n_resamples=n_resamples,
         n_redrawn=n_redrawn,
     )
-    if return_samples:
-        return result, values
-    return result
+    return (result, values) if return_samples else result
 
 
 def bootstrap_diff(
@@ -396,21 +410,8 @@ def bootstrap_diff(
     difference distribution is paired. The difference is significant
     when the 95% interval excludes zero.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; pick one of {MEASURES}")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be at least 1")
-    if not np.array_equal(first.labels, second.labels):
-        raise ValueError("paired bootstrap requires identical label vectors")
-    rng = make_rng(seed, "bootstrap-diff")
-    score_first, score_second = _row_scorer(measure, first), _row_scorer(measure, second)
-    values, n_redrawn = _bootstrap_values(
-        rng,
-        n_resamples,
-        first.labels,
-        lambda rows: score_first(rows) - score_second(rows),
-        measure in _RESAMPLE_SENSITIVE,
-    )
+    joint, n_redrawn = _bootstrap_joint(make_rng(seed, "bootstrap-diff"), [first, second], measure, n_resamples)
+    values = joint[:, 0] - joint[:, 1]
     ci_low, ci_high = _ci_bounds(values)
     result = DiffResult(
         measure=measure,
@@ -421,9 +422,7 @@ def bootstrap_diff(
         n_resamples=n_resamples,
         n_redrawn=n_redrawn,
     )
-    if return_samples:
-        return result, values
-    return result
+    return (result, values) if return_samples else result
 
 
 def contingency(first_correct, second_correct) -> ContingencyCounts:

@@ -94,6 +94,16 @@ def test_load_config_file_parses_and_normalises(tmp_path):
     assert load_config_file(cfg) == {"n_patients": "30", "seed": "11"}
 
 
+def test_config_file_with_a_byte_order_mark_keeps_its_first_key(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    out = tmp_path / "d.jsonl"
+    cfg.write_text(f"\ufeffpositive_rate=0.5\nseed=3\nout={out}\nn_patients=50\n", encoding="utf-8")
+    assert load_config_file(cfg)["positive_rate"] == "0.5"
+    assert run_cli("synth", "--config", str(cfg))[0] == 0
+    labels = [json.loads(line)["label"] for line in out.read_text().splitlines()]
+    assert sum(labels) > len(labels) // 4  # the default rate gives about a tenth
+
+
 def test_load_config_file_rejects_bad_line(tmp_path):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("seed=1\nnot a pair\n")

@@ -16,9 +16,7 @@ import pytest
 import fedvra.federated as fed
 from fedvra.errors import NumericalError
 from fedvra.federated import (
-    EarlyStopState,
     Silo,
-    early_stop_update,
     federated_train,
     federated_validate,
     local_train_epoch,
@@ -136,47 +134,54 @@ def test_silo_leaves_the_callers_arrays_writeable():
 # ---------- early stopping ----------
 
 
-def test_early_stop_keeps_improving():
-    m = init_model(2, 1)
-    state = EarlyStopState(patience=7)
-    for loss in (1.0, 0.9, 0.8):
-        state, stop = early_stop_update(state, loss, m)
-        assert not stop
-    assert state.best_loss == 0.8
-    assert state.epochs_since_improvement == 0
+def scripted_fit(monkeypatch, losses, patience):
+    """federated_train whose validation returns the next scripted loss;
+    returns the kept checkpoint, the logs and every validated model."""
+    script = iter(losses)
+    validated = []
+    scored = ScoredSet([0, 1], [0.2, 0.8])
+
+    def validate(model, silos, pos_weight):
+        validated.append(model)
+        return next(script), scored
+
+    monkeypatch.setattr(fed, "federated_validate", validate)
+    silos = [make_silo("A", 12, 4, seed=1)]
+    best, logs = federated_train(silos, config(max_epochs=len(losses), patience=patience))
+    return best, logs, validated
 
 
-def test_early_stop_plateau_trace():
-    # 1.0 then seven non-improvements: stops on the 8th observation,
-    # keeping the first checkpoint
-    first = init_model(2, 1)
-    later = init_model(2, 2)
-    state = EarlyStopState(patience=7)
-    state, stop = early_stop_update(state, 1.0, first)
-    assert not stop
-    for i, loss in enumerate((1.0, 1.1, 1.0, 1.2, 1.3, 1.0, 1.05)):
-        state, stop = early_stop_update(state, loss, later)
-        assert stop == (i == 6)
-    assert state.best_params == first
-    assert state.best_loss == 1.0
+def test_early_stop_keeps_improving(monkeypatch):
+    # 0.9 resets the count that 1.1 started, so patience 2 stops only
+    # after the two 1.0s that follow it, keeping the 0.9 checkpoint
+    best, logs, validated = scripted_fit(monkeypatch, (1.0, 1.1, 0.9, 1.0, 1.0, 0.1), patience=2)
+    assert [log.val_loss for log in logs] == [1.0, 1.1, 0.9, 1.0, 1.0]
+    assert best is validated[2]
+    best, logs, validated = scripted_fit(monkeypatch, (1.0, 0.9, 0.8), patience=1)
+    assert len(logs) == 3 and best is validated[-1]
 
 
-def test_early_stop_tie_is_not_improvement():
-    state = EarlyStopState(patience=2)
-    m = init_model(2, 1)
-    state, _ = early_stop_update(state, 0.5, m)
-    state, stop = early_stop_update(state, 0.5, m)
-    assert state.epochs_since_improvement == 1 and not stop
-    state, stop = early_stop_update(state, 0.5, m)
-    assert stop
+def test_early_stop_plateau_trace(monkeypatch):
+    # 1.0 then seven non-improvements: stops on the 8th round, keeping
+    # the first checkpoint, and never sees the 0.1 after it
+    losses = (1.0, 1.0, 1.1, 1.0, 1.2, 1.3, 1.0, 1.05, 0.1)
+    best, logs, validated = scripted_fit(monkeypatch, losses, patience=7)
+    assert len(logs) == 8
+    assert best is validated[0]
 
 
-def test_early_stop_rejects_non_finite_loss():
-    state = EarlyStopState(patience=3)
-    with pytest.raises(NumericalError):
-        early_stop_update(state, float("nan"), init_model(2, 1))
-    with pytest.raises(NumericalError):
-        early_stop_update(state, float("inf"), init_model(2, 1))
+def test_early_stop_tie_is_not_improvement(monkeypatch):
+    best, logs, validated = scripted_fit(monkeypatch, (0.5, 0.5, 0.5, 0.1), patience=2)
+    assert len(logs) == 3
+    assert best is validated[0]
+
+
+def test_early_stop_rejects_non_finite_loss(monkeypatch):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NumericalError, match="validation loss is not finite"):
+            scripted_fit(monkeypatch, (1.0, bad, 0.5), patience=3)
+        with pytest.raises(NumericalError, match="validation loss is not finite"):
+            scripted_fit(monkeypatch, (bad,), patience=3)
 
 
 # ---------- local pass ----------

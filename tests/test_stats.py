@@ -31,7 +31,7 @@ from fedvra.stats import (
     roc_auc,
     roc_curve,
 )
-from fedvra.stats import _ci_bounds
+from fedvra.stats import _bootstrap_joint, _ci_bounds
 
 # combined-test-set confusion matrices of the four treatments, published
 # alongside the study this package replicates (TN, FP, FN, TP)
@@ -398,6 +398,30 @@ def test_bootstrap_diff_deterministic():
     assert bootstrap_diff(a, b, "recall", n_resamples=100, seed=6) == bootstrap_diff(
         a, b, "recall", n_resamples=100, seed=6
     )
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_bootstrap_joint_columns_equal_the_one_set_draws(measure):
+    # two positives in 30: about one AUC resample in eight is single-class
+    labels = np.zeros(30, dtype=int)
+    labels[[4, 19]] = 1
+    rng = np.random.default_rng(17)
+    sets = [ScoredSet(labels, rng.uniform(size=30)) for _ in range(3)]
+    joint, n_redrawn = _bootstrap_joint(make_rng(4, "joint"), sets, measure, 400)
+    assert joint.shape == (400, 3)
+    assert (n_redrawn > 0) == (measure in ("roc_auc", "pr_auc"))
+    for j, scored in enumerate(sets):
+        alone, alone_redrawn = _bootstrap_joint(make_rng(4, "joint"), [scored], measure, 400)
+        assert joint[:, j].tobytes() == alone[:, 0].tobytes()
+        assert alone_redrawn == n_redrawn
+
+
+def test_bootstrap_joint_requires_one_label_vector():
+    labels = np.array([0, 1, 0, 1])
+    same = ScoredSet(labels, np.full(4, 0.5))
+    other = ScoredSet(labels[::-1], np.full(4, 0.5))
+    with pytest.raises(ValueError, match="identical label vectors"):
+        _bootstrap_joint(make_rng(0, "joint"), [same, same, other], "f1", 10)
 
 
 # ---------- agreement ----------

@@ -149,16 +149,15 @@ def _choice(options):
 
 def _read_utf8(path, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # drops one leading byte-order mark
     except UnicodeDecodeError as exc:
         raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments are skipped, and so
-    is one leading byte-order mark."""
+    """Flat key=value file; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
-    text = _read_utf8(path, "config file").removeprefix("\ufeff")
+    text = _read_utf8(path, "config file")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

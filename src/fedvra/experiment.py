@@ -17,7 +17,6 @@ seed, so _map may run the tasks in any order; results go by task index.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -204,16 +203,15 @@ def _institutions_name(insts) -> str:
 
 
 def _map(fn, tasks: list, threads: int) -> list:
-    """fn over the tasks, results in task order: on a thread pool of
-    min(threads, tasks, cores) workers, or in this thread when that is 1."""
+    """fn over the tasks, results in task order: in this thread at 1,
+    on a thread pool of that many workers above 1."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
+    if threads == 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
 
 

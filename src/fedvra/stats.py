@@ -294,22 +294,33 @@ def _row_scorer(measure: str, scored: ScoredSet) -> Callable[[np.ndarray], np.nd
     return score
 
 
-def _bootstrap_values(
-    rng: np.random.Generator, n_resamples: int, labels: np.ndarray, scorers: list[Callable], can_be_undefined: bool
+def _bootstrap_joint(
+    rng: np.random.Generator, sets: list[ScoredSet], measure: str, n_resamples: int
 ) -> tuple[np.ndarray, int]:
-    """Resample values with redraw-on-undefined; returns (values, n_redrawn),
-    values[:, j] being scorers[j]'s value on each resample.
+    """measure of every set on one stream of resample rows, with
+    redraw-on-undefined: returns the (n_resamples, k) values, column j
+    for sets[j], and n_redrawn.
 
-    Index rows come from rng in blocks, which continue the stream one
-    size-n draw at a time would give. A resample takes the first defined
-    row at or after its turn in that stream: the rows skipped are its
-    redraws, and more than _MAX_REDRAW_ROUNDS of them in a row is an
-    error. A row is undefined when its labels hold a single class.
+    The sets must share one label vector, so a row is undefined for one
+    set exactly when it is undefined for all of them: when its labels
+    hold a single class. Index rows come from rng in blocks, which
+    continue the stream one size-n draw at a time would give. A resample
+    takes the first defined row at or after its turn in that stream: the
+    rows skipped are its redraws, and more than _MAX_REDRAW_ROUNDS of
+    them in a row is an error.
     """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; pick one of {MEASURES}")
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be at least 1")
+    labels = sets[0].labels
+    if any(not np.array_equal(s.labels, labels) for s in sets[1:]):
+        raise ValueError("paired bootstrap requires identical label vectors")
+    scorers = [_row_scorer(measure, s) for s in sets]
     n = labels.size
     positive = labels == 1
     block_rows = max(1, _BLOCK_ELEMENTS // n)
-    values = np.empty((n_resamples, len(scorers)), dtype=np.float64)
+    values = np.empty((n_resamples, len(sets)), dtype=np.float64)
     filled = 0
     n_redrawn = 0
     first_pass_undefined = 0
@@ -317,7 +328,7 @@ def _bootstrap_values(
     while filled < n_resamples:
         # at most one row per open resample, so every row drawn is consumed
         rows = rng.integers(0, n, size=(min(block_rows, n_resamples - filled), n))
-        if can_be_undefined:
+        if measure in _RESAMPLE_SENSITIVE:
             n_pos = np.count_nonzero(positive[rows], axis=1)
             kept = np.flatnonzero((n_pos > 0) & (n_pos < n))
             # undefined runs before each kept row and after the last one
@@ -337,26 +348,6 @@ def _bootstrap_values(
             f"measure undefined on {first_pass_undefined} of {n_resamples} resamples"
         )
     return values, n_redrawn
-
-
-def _bootstrap_joint(
-    rng: np.random.Generator, sets: list[ScoredSet], measure: str, n_resamples: int
-) -> tuple[np.ndarray, int]:
-    """measure of every set on one stream of resample rows: returns the
-    (n_resamples, k) values, column j for sets[j], and n_redrawn.
-
-    The sets must share one label vector, so a row is undefined for one
-    set exactly when it is undefined for all of them.
-    """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; pick one of {MEASURES}")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be at least 1")
-    labels = sets[0].labels
-    if any(not np.array_equal(s.labels, labels) for s in sets[1:]):
-        raise ValueError("paired bootstrap requires identical label vectors")
-    scorers = [_row_scorer(measure, s) for s in sets]
-    return _bootstrap_values(rng, n_resamples, labels, scorers, measure in _RESAMPLE_SENSITIVE)
 
 
 def _ci_bounds(values: np.ndarray) -> Iterator[float]:

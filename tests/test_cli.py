@@ -745,6 +745,18 @@ def test_report_scores_not_utf8_exits_2(chain, tmp_path):
     assert not (mangled / "report").exists()
 
 
+def test_report_reads_a_scores_file_with_a_byte_order_mark(chain, tmp_path):
+    marked = tmp_path / "run"
+    shutil.copytree(chain["run"], marked)
+    path = marked / "b" / "scores_A.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    out = tmp_path / "rep"
+    assert run_cli("report", "--run", str(marked), "--out", str(out), "--seed", "5", "--bootstrap-n", "200")[0] == 0
+    payload, expected = (json.loads((d / "comparison.json").read_text()) for d in (out, chain["report"]))
+    del payload["config"]["run_dir"], expected["config"]["run_dir"]
+    assert payload == expected
+
+
 def test_report_record_order_mismatch_exits_2(chain, tmp_path):
     mangled = tmp_path / "run"
     shutil.copytree(chain["run"], mangled)

@@ -1,8 +1,6 @@
 """Grid search, model selection, final fits, and evaluation."""
 
-import concurrent.futures
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,7 +23,6 @@ from fedvra.experiment import (
     train_final,
 )
 from fedvra.experiment import TestSet as EvalTestSet
-from fedvra.experiment import _map
 from fedvra.experiment import test_sets_from_plan as build_test_sets
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
 from fedvra.network import TrainConfig, forward_batch, init_model, sigmoid
@@ -248,34 +245,6 @@ def test_grid_search_cv_rejects_bad_threads(dataset):
     records, plan = dataset
     with pytest.raises(ValueError):
         grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), base_config(), threads=0)
-
-
-def test_map_sizes_its_pool_to_the_work(monkeypatch):
-    # a stand-in pool records its size and runs the tasks in this thread
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert _map(str, [1, 2, 3, 4], threads=64) == ["1", "2", "3", "4"]  # the final-fit list
-    assert _map(str, range(20), threads=64) == [str(i) for i in range(20)]
-    assert _map(str, range(20), threads=3) == [str(i) for i in range(20)]
-    assert _map(str, [1], threads=64) == ["1"]  # one task runs here, without a pool
-    assert sizes == [4, 8, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown core count: one worker
-    assert _map(str, [1, 2], threads=2) == ["1", "2"]
-    assert sizes == [4, 8, 3]
 
 
 def test_no_signal_cv_f1_matches_label_shuffle_null():

@@ -24,8 +24,12 @@ for silo in silos:
 params, logs = federated_train(silos, config)
 print(f"trained for {len(logs)} rounds; per-round validation loss:")
 for log in logs:
-    per_silo = "  ".join(f"{k}={v:.3f}" for k, v in log.train_losses.items())
-    print(f"  epoch {log.epoch:>2}: val={log.val_loss:.4f}  train {per_silo}  f1={log.metrics['f1']:.3f}")
+    print(f"  epoch {log.epoch:>2}: val={log.val_loss:.4f}")
+# the kept checkpoint is measured once, as a cross-validation fit is
+pos_weight = resolve_pos_weight(silos)
+best = min(logs, key=lambda log: log.val_loss)
+_, metrics = metric_bundle(federated_validate(params, silos, pos_weight)[1])
+print(f"kept the checkpoint of epoch {best.epoch}: val={best.val_loss:.4f}  f1={metrics['f1']:.3f}")
 
 print("\n== the same records pooled into one silo: plain training ==")
 pool = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
@@ -36,7 +40,6 @@ print(f"trained for {len(pooled_logs)} epochs; best validation loss {min(log.val
 print("\n== what averaging does to held-out loss ==")
 # train each silo alone and compare it, the federation and the pool on
 # the full validation pool
-pos_weight = resolve_pos_weight(silos)
 models = {"A alone": federated_train(silos[:1], config)[0], "B alone": federated_train(silos[1:], config)[0]}
 models.update(federated=params, pooled=pooled_params)
 for label, model in models.items():

@@ -96,7 +96,8 @@ def _write_json(path, payload) -> None:
 
 
 def _round_log_line(log: RoundLog) -> str:
-    return json.dumps({**asdict(log), "train_losses": dict(sorted(log.train_losses.items()))})
+    # a final fit is never validated: "metrics" is always null and stays for the file's pinned key order
+    return json.dumps({**asdict(log), "train_losses": dict(sorted(log.train_losses.items())), "metrics": None})
 
 
 # ---------- option resolution ----------

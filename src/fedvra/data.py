@@ -309,6 +309,10 @@ def verify_split_plan(records: RecordTable, plan: SplitPlan) -> list[str]:
     all_ids = folded | test | dropped
     if folded & test or folded & dropped or test & dropped:
         violations.append("partition: fold, test, and dropped sets overlap")
+    for name, ids in (("test", plan.test_ids), ("dropped", plan.dropped_ids)):
+        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+        if repeated:
+            violations.append(f"partition: the {name} set lists records more than once: {repeated[:5]}")
     if all_ids != set(range(n)):
         violations.append("partition: fold, test, and dropped sets do not cover the dataset exactly")
 
@@ -620,9 +624,13 @@ def load_split_plan(path) -> SplitPlan:
         raise ValueError(
             f"split plan {path}: institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}"
         )
-    try:
-        return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"split plan {path}: test_ids, fold_of_record and dropped_ids must hold integers ({exc})"
-        ) from None
+    folds = data["fold_of_record"]
+    for key, values in (("test_ids", data["test_ids"]), ("fold_of_record", folds.values()),
+                        ("dropped_ids", data["dropped_ids"])):
+        wrong = [v for v in values if type(v) is not int]  # int() would read True as 1 and 5.5 as 5
+        if wrong:
+            raise ValueError(f"split plan {path}: {key} must hold integers, got {wrong[0]!r}")
+    # a key must read back as written, so "5.5", "05" or "5_0" cannot pass as another record id
+    if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(int(k)) != k for k in folds):
+        raise ValueError(f"split plan {path}: fold_of_record keys must be record ids written as plain integers")
+    return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})

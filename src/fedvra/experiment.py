@@ -26,10 +26,10 @@ from itertools import product
 import numpy as np
 
 from .data import RecordTable, SplitPlan, features_matrix
-from .federated import RoundLog, Silo, federated_train, train_for_epochs
+from .federated import RoundLog, Silo, federated_train, federated_validate, resolve_pos_weight, train_for_epochs
 from .network import ModelParams, TrainConfig, forward_batch, sigmoid
 from .seeds import derive_seed
-from .stats import Confusion, ScoredSet, prf1
+from .stats import Confusion, ScoredSet, confusion, prf1
 
 DEFAULT_HIDDEN_SIZES = (64, 128, 256, 512)
 DEFAULT_LEARNING_RATES = (0.005, 0.001, 0.0005)
@@ -84,15 +84,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FoldFit:
-    """Bookkeeping for one (combo, fold) cross-validation fit, read from
-    the validation round of the checkpoint that early stopping kept."""
+    """Bookkeeping for one (combo, fold) cross-validation fit: where its
+    round logs put the best validation loss, and the held-out fold
+    measured once with the checkpoint that early stopping kept."""
 
     fold: int
     best_epoch: int  # 1-based count of epochs through the best one
     epochs_run: int
     val_loss: float
-    f1: float
     confusion: Confusion  # of the held-out fold at the 0.5 threshold
+
+    @property
+    def f1(self) -> float:
+        return prf1(self.confusion)[2]
 
 
 @dataclass(frozen=True)
@@ -167,12 +171,12 @@ def check_cv_folds(treatments: list[Treatment], records: RecordTable, plan: Spli
     """Raise ValueError naming the first fold and institution that would
     leave a silo of one of the treatments' cross-validation fits without
     validation records (the held-out fold) or training records (the
-    other folds), or leave a fit's training silos without a positive
-    record between them (pos_weight is their negative/positive ratio).
-    A run calls this before it writes anything."""
+    other folds), or leave a fit's training silos without a positive or
+    without a negative record between them (pos_weight is their
+    negative/positive ratio). A run calls this before it writes anything."""
     cells = {i: (f, plan.institution_of_ward[records.ward[i]]) for i, f in plan.fold_of_record.items()}
     per_fold = Counter(cells.values())
-    positives = Counter(cell for i, cell in cells.items() if records.label[i])
+    by_label = Counter((cell, int(records.label[i])) for i, cell in cells.items())
     folds = sorted(set(plan.fold_of_record.values()))
     for treatment in treatments:
         groups = [(inst,) for inst in _SILO_INSTITUTIONS.get(treatment, ())] or [("A", "B")]
@@ -188,14 +192,15 @@ def check_cv_folds(treatments: list[Treatment], records: RecordTable, plan: Spli
                     raise ValueError(
                         f"fold {fold} holds every record of {name}: treatment {key!r} has no other fold to train on"
                     )
-        trained = sum(groups, ())  # pos_weight pools the positives of all the treatment's silos
-        held_out = {fold: sum(positives[fold, inst] for inst in trained) for fold in folds}
-        for fold in folds:
-            if held_out[fold] == sum(held_out.values()):
-                raise ValueError(
-                    f"holding out fold {fold} leaves no positive record of {_institutions_name(trained)} "
-                    f"for treatment {key!r} to train on"
-                )
+        trained = sum(groups, ())  # pos_weight pools the labels of all the treatment's silos
+        for label, name in ((1, "positive"), (0, "negative")):
+            held_out = {fold: sum(by_label[(fold, inst), label] for inst in trained) for fold in folds}
+            for fold in folds:
+                if held_out[fold] == sum(held_out.values()):
+                    raise ValueError(
+                        f"holding out fold {fold} leaves no {name} record of {_institutions_name(trained)} "
+                        f"for treatment {key!r} to train on"
+                    )
 
 
 def _institutions_name(insts) -> str:
@@ -220,17 +225,16 @@ def _fit_fold(records, plan: SplitPlan, combos: list[HyperCombo], base_config: T
     treatment, combo_index, fold = task
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
     cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
-    _, logs = federated_train(silos, cfg, train_losses=False)
+    params, logs = federated_train(silos, cfg)
     # the first round with the lowest loss holds the checkpoint early stopping kept
     best = min(logs, key=lambda log: log.val_loss)
-    metrics = best.metrics
+    _, scored = federated_validate(params, silos, resolve_pos_weight(silos))
     return FoldFit(
         fold=fold,
         best_epoch=best.epoch + 1,
         epochs_run=len(logs),
         val_loss=best.val_loss,
-        f1=metrics["f1"],
-        confusion=Confusion(*(metrics[k] for k in Confusion._fields)),
+        confusion=confusion(scored.labels, scored.predictions),
     )
 
 

@@ -49,7 +49,7 @@ from .network import (
     sigmoid,
 )
 from .seeds import derive_seed, make_rng
-from .stats import ScoredSet, metric_bundle
+from .stats import ScoredSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +108,6 @@ class RoundLog:
     lr: float
     train_losses: dict[str, float]
     val_loss: float | None
-    # metric_bundle's five measures, then the confusion counts tn, fp, fn and tp
-    metrics: dict[str, float | int | None] | None
 
 
 @contextmanager
@@ -161,31 +159,23 @@ def federated_validate(model: ModelParams, silos: list[Silo], pos_weight: float)
     """
     if not silos:
         raise ValueError("at least one silo is required")
-    logits_parts = []
-    label_parts = []
-    for silo in silos:
-        logits, labels = local_validate(model, silo)
-        logits_parts.append(logits)
-        label_parts.append(labels)
-    logits = np.concatenate(logits_parts)
-    labels = np.concatenate(label_parts)
+    parts = [local_validate(model, silo) for silo in silos]
+    logits = np.concatenate([logits for logits, _ in parts])
+    labels = np.concatenate([labels for _, labels in parts])
     return loss_from_logits(logits, labels, pos_weight), ScoredSet(labels, sigmoid(logits))
 
 
 def resolve_pos_weight(silos: list[Silo]) -> float:
-    """The negative/positive ratio of the silos' pooled training labels."""
-    neg = 0
-    pos = 0
-    for silo in silos:
-        n, p = silo.label_counts()
-        neg += n
-        pos += p
-    if pos == 0:
-        raise ValueError("cannot derive pos_weight: no positive training samples")
+    """The negative/positive ratio of the silos' pooled training labels,
+    which must hold both classes."""
+    counts = [silo.label_counts() for silo in silos]
+    neg, pos = sum(n for n, _ in counts), sum(p for _, p in counts)
+    if pos == 0 or neg == 0:
+        raise ValueError(f"cannot derive pos_weight: no {'positive' if pos == 0 else 'negative'} training samples")
     return neg / pos
 
 
-def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, train_losses: bool = True):
+def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, train_losses: bool):
     """The FedAvg round loop shared by both trainers.
 
     Checks the silos and resolves pos_weight and the aggregation weights
@@ -214,14 +204,7 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, train_losse
         } if train_losses else {}
         with _raise_numerical("averaging on the server", epoch):
             model = average_models(updated, weights)
-        log = RoundLog(
-            epoch=epoch,
-            lr=lr_at_epoch(config.lr0, config.gamma, epoch),
-            train_losses=losses,
-            val_loss=None,
-            metrics=None,
-        )
-        yield model, log, pos_weight
+        yield model, RoundLog(epoch, lr_at_epoch(config.lr0, config.gamma, epoch), losses, val_loss=None), pos_weight
 
 
 def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: int) -> float:
@@ -230,29 +213,25 @@ def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: i
         return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
 
 
-def federated_train(
-    silos: list[Silo], config: TrainConfig, *, train_losses: bool = True
-) -> tuple[ModelParams, list[RoundLog]]:
+def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams, list[RoundLog]]:
     """Train across silos with per-epoch averaging and early stopping.
 
     Returns the checkpoint with the lowest validation loss and the
-    per-epoch logs. Only a strictly lower loss is an improvement:
+    per-epoch logs, which hold only that loss (no round runs a
+    training-loss pass). Only a strictly lower loss is an improvement:
     training stops after config.patience rounds in a row without one,
     and a non-finite loss raises NumericalError. With a single silo this
-    reduces exactly to plain centralized training. train_losses=False
-    skips each round's training-loss pass over every silo's shard (a fit
-    whose logs keep only validation, as cross-validation's do).
+    reduces exactly to plain centralized training.
     """
     for silo in silos:
         if silo.n_val < 1:
             raise ValueError(f"silo {silo.name!r} has no validation data")
     best_loss, best_params, since_best = math.inf, None, 0
     logs: list[RoundLog] = []
-    for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses):
+    for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses=False):
         with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
-            val_loss, scored = federated_validate(model, silos, pos_weight)
-            conf, metrics = metric_bundle(scored)
-        logs.append(replace(log, val_loss=val_loss, metrics={**metrics, **conf._asdict()}))
+            val_loss, _ = federated_validate(model, silos, pos_weight)
+        logs.append(replace(log, val_loss=val_loss))
         if not np.isfinite(val_loss):
             raise NumericalError(f"validation loss is not finite: {val_loss}")
         if val_loss < best_loss:
@@ -265,10 +244,10 @@ def federated_train(
 
 
 def train_for_epochs(silos: list[Silo], config: TrainConfig, n_epochs: int) -> tuple[ModelParams, list[RoundLog]]:
-    """Fixed-budget variant: no validation, no early stopping."""
+    """Fixed-budget variant: no validation, no early stopping; each round logs every silo's training loss."""
     if n_epochs < 1:
         raise ValueError("n_epochs must be at least 1")
     logs: list[RoundLog] = []
-    for model, log, _ in _rounds(silos, config, n_epochs):
+    for model, log, _ in _rounds(silos, config, n_epochs, train_losses=True):
         logs.append(log)
     return model, logs

@@ -16,14 +16,11 @@ from fedvra.network import (
     TrainConfig,
     backward,
     batch_loss,
-    forward_batch,
     init_model,
     lr_at_epoch,
     sgd_step,
-    sigmoid,
 )
 from fedvra.seeds import derive_seed, make_rng
-from fedvra.stats import ScoredSet, metric_bundle
 
 
 def train_centralized(
@@ -62,16 +59,7 @@ def train_centralized(
             model = sgd_step(model, backward(model, x[chunk], y[chunk], pos_weight), lr, config.weight_decay)
         train_loss = batch_loss(model, x, y, pos_weight)
         val_loss = batch_loss(model, vx, vy, pos_weight)
-        val_scores = sigmoid(forward_batch(model, vx))
-        logs.append(
-            RoundLog(
-                epoch=epoch,
-                lr=lr,
-                train_losses={name: train_loss},
-                val_loss=val_loss,
-                metrics=metric_bundle(ScoredSet(vy, val_scores))[1],
-            )
-        )
+        logs.append(RoundLog(epoch=epoch, lr=lr, train_losses={name: train_loss}, val_loss=val_loss))
         if val_loss < best_loss:
             best_loss = val_loss
             best_model = model

@@ -458,6 +458,23 @@ def test_run_fold_holding_every_positive_exits_2(tmp_path, treatment):
     assert not (run_dir / "run_config.json").exists()
 
 
+@pytest.mark.parametrize("treatment", ["a", "all"])
+def test_run_fold_holding_every_negative_exits_2(tmp_path, treatment):
+    data, plan = tmp_path / "data.jsonl", tmp_path / "plan.json"
+    assert run_cli("synth", "--out", str(data), "--seed", "1", "--n-patients", "40", "--positive-rate", "1.0")[0] == 0
+    code, out, _ = run_cli("split", "--data", str(data), "--out", str(plan), "--seed", "1", "--folds", "2")
+    assert code == 0
+    assert out.splitlines()[4].split()[:2] == ["1", "0/7"]  # fold 1, A neg/pos
+    run_dir = tmp_path / "x"
+    code, _, err = run_cli(
+        "run", "--data", str(data), "--split", str(plan), "--out", str(run_dir), "--seed", "1",
+        "--treatment", treatment, *SMALL_RUN,
+    )
+    assert code == 2
+    assert err == "error: holding out fold 1 leaves no negative record of institution A for treatment 'a' to train on\n"
+    assert not (run_dir / "run_config.json").exists()
+
+
 def test_run_pooled_treatment_trains_on_a_fold_without_institution_a(fold_without_institution_a, tmp_path):
     data, plan = fold_without_institution_a
     code, _, err = run_cli(
@@ -504,6 +521,16 @@ def test_run_plan_missing_key_exits_2(chain, tmp_path):
         ("test_ids", [None]),
         ("institution_of_ward", {"A1": ["A"], "A2J": ["B"], "A2V": ["A"], "A3": ["B"]}),
         (None, 5),  # the whole plan is a number
+        # edits of the written plan that int() would read as another integer
+        pytest.param("fold_of_record", lambda folds: {**folds, min(folds): 1.5}, id="fold_of_record-fold_1.5"),
+        pytest.param("fold_of_record", lambda folds: {**folds, min(folds): True}, id="fold_of_record-fold_true"),
+        pytest.param(
+            "fold_of_record",
+            lambda folds: {("0" + k if k == min(folds) else k): f for k, f in folds.items()},
+            id="fold_of_record-zero_padded_id",
+        ),
+        pytest.param("test_ids", lambda ids: [ids[0] + 0.5, *ids[1:]], id="test_ids-id_plus_half"),
+        pytest.param("dropped_ids", lambda ids: [*ids, False], id="dropped_ids-false"),
     ],
 )
 def test_run_plan_wrongly_typed_key_exits_2(chain, tmp_path, key, value):
@@ -511,7 +538,7 @@ def test_run_plan_wrongly_typed_key_exits_2(chain, tmp_path, key, value):
     if key is None:
         plan_data = value
     else:
-        plan_data[key] = value
+        plan_data[key] = value(plan_data[key]) if callable(value) else value
     bad = tmp_path / "bad_plan.json"
     bad.write_text(json.dumps(plan_data))
     code, _, err = run_cli(
@@ -554,7 +581,6 @@ def test_round_log_serialisation(tmp_path):
         lr=0.004,
         train_losses={"B": 0.5, "A": 0.25},
         val_loss=0.75,
-        metrics={"f1": 0.5, "roc_auc": None},
     )
     line = _round_log_line(log)
     assert list(json.loads(line)) == ["epoch", "lr", "train_losses", "val_loss", "metrics"]
@@ -564,7 +590,7 @@ def test_round_log_serialisation(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     assert json.loads(lines[0])["epoch"] == 3
-    assert json.loads(lines[1])["metrics"]["roc_auc"] is None
+    assert json.loads(lines[1])["metrics"] is None
 
 
 def test_run_streams_a_large_final_model(tmp_path):

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -254,6 +255,17 @@ def test_verifier_catches_partition_violations():
     )
     violations = verify_split_plan(records, overlapping)
     assert any("partition" in v for v in violations)
+
+    # a record listed twice leaves every set unchanged, so only a count can see it
+    first = plan.test_ids[0]
+    test_twice = replace(plan, test_ids=(*plan.test_ids, first))
+    assert verify_split_plan(records, test_twice) == [
+        f"partition: the test set lists records more than once: [{first}]"
+    ]
+    dropped_twice = replace(plan, test_ids=plan.test_ids[1:], dropped_ids=(*plan.dropped_ids, first, first))
+    assert verify_split_plan(records, dropped_twice) == [
+        f"partition: the dropped set lists records more than once: [{first}]"
+    ]
 
 
 def test_verifier_catches_fold_numbers_outside_the_range():

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/,
+with nothing on stderr and every RuntimeWarning an error."""
 
 import os
 import subprocess
@@ -13,5 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -24,7 +24,7 @@ from fedvra.experiment import (
 )
 from fedvra.experiment import TestSet as EvalTestSet
 from fedvra.experiment import test_sets_from_plan as build_test_sets
-from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
+from fedvra.federated import federated_train, federated_validate, resolve_pos_weight, train_for_epochs
 from fedvra.network import TrainConfig, forward_batch, init_model, sigmoid
 from fedvra.seeds import derive_seed
 from fedvra.stats import THRESHOLD, Confusion, ScoredSet, confusion, metric_bundle, prf1
@@ -315,7 +315,9 @@ def test_single_silo_federated_matches_flat_loop(dataset):
     )
     assert fed_params == flat_params
     assert [log.val_loss for log in fed_logs] == [log.val_loss for log in flat_logs]
-    assert [log.train_losses[CENTRAL_SILO_NAME] for log in fed_logs] == [
+    # federated_train logs validation only; the same rounds at a fixed budget log the training losses
+    _, fixed_logs = train_for_epochs(silos, cfg, len(fed_logs))
+    assert [log.train_losses[CENTRAL_SILO_NAME] for log in fixed_logs] == [
         log.train_losses[CENTRAL_SILO_NAME] for log in flat_logs
     ]
 
@@ -432,8 +434,8 @@ def test_run_treatments_returns_keyed_runs(dataset):
 
 
 def test_each_cv_round_is_validated_once(dataset, monkeypatch):
-    # training validates every round; neither a CV fit nor a final fit
-    # validates its model again afterwards
+    # training validates every round, a CV fit validates the checkpoint it
+    # kept once more to measure it, and a final fit validates nothing
     records, plan = dataset
     original = federated_validate
     calls = []
@@ -449,7 +451,7 @@ def test_each_cv_round_is_validated_once(dataset, monkeypatch):
     runs = run_treatments(list(Treatment), records, plan, grid, base_config())
     epochs = [fit.epochs_run for run in runs.values() for r in run.cv_results for fit in r.fold_fits]
     assert len(epochs) == 4 * 2 * 3
-    assert len(calls) == sum(epochs)
+    assert len(calls) == sum(epochs) + len(epochs)
 
 
 def test_aggregation_reaches_every_fit_through_the_config(dataset):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fedvra.federated as fed
+import fedvra.stats as stats
 from fedvra.errors import NumericalError
 from fedvra.federated import (
     Silo,
@@ -285,8 +286,17 @@ def test_resolve_pos_weight():
         val_features=np.zeros((1, INPUT_DIM)),
         val_labels=np.zeros(1),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no positive training samples"):
         resolve_pos_weight([all_neg])
+    all_pos = Silo(
+        name="D",
+        train_features=np.zeros((3, INPUT_DIM)),
+        train_labels=np.ones(3),
+        val_features=np.zeros((1, INPUT_DIM)),
+        val_labels=np.zeros(1),
+    )
+    with pytest.raises(ValueError, match="no negative training samples"):
+        resolve_pos_weight([all_pos])
 
 
 # ---------- the shared loop ----------
@@ -297,15 +307,11 @@ def test_federated_train_runs_and_checkpoints():
     params, logs = federated_train(silos, config())
     assert 1 <= len(logs) <= 6
     best = min(logs, key=lambda log: log.val_loss)
-    val_loss, scored = federated_validate(params, silos, resolve_pos_weight(silos))
-    assert math.isclose(val_loss, best.val_loss, rel_tol=1e-12)
-    # a round logs its validation set's measures, then its confusion counts
-    conf, measures = metric_bundle(scored)
-    assert best.metrics == {**measures, **conf._asdict()}
-    assert list(best.metrics) == ["f1", "precision", "recall", "roc_auc", "pr_auc", "tn", "fp", "fn", "tp"]
+    val_loss, _ = federated_validate(params, silos, resolve_pos_weight(silos))
+    assert val_loss == best.val_loss  # the same model on the same silos
     for log in logs:
-        assert set(log.train_losses) == {"A", "B"}
-        assert log.metrics is not None and "f1" in log.metrics
+        # a round logs its validation loss only
+        assert log.train_losses == {} and math.isfinite(log.val_loss)
 
 
 def test_federated_train_zero_lr_stops_at_patience_plus_one():
@@ -366,7 +372,7 @@ def test_train_for_epochs_fixed_budget():
     silos = [make_silo("A", 16, 4, seed=22), make_silo("B", 12, 4, seed=23)]
     params, logs = train_for_epochs(silos, config(), n_epochs=4)
     assert len(logs) == 4
-    assert all(log.val_loss is None and log.metrics is None for log in logs)
+    assert all(log.val_loss is None for log in logs)
     again, _ = train_for_epochs(silos, config(), n_epochs=4)
     assert params == again
 
@@ -394,28 +400,30 @@ def test_train_for_epochs_matches_the_first_rounds_of_federated_train():
     silos = [make_silo("A", 20, 6, seed=29), make_silo("B", 14, 6, seed=30)]
     cfg = config(max_epochs=6, patience=4)  # cannot stop before round 5
     _, fixed = train_for_epochs(silos, cfg, n_epochs=3)
-    _, stopped = federated_train(silos, cfg)
+    kept, stopped = federated_train(silos, cfg)
     assert len(fixed) == 3 and len(stopped) >= 3
     for f, s in zip(fixed, stopped[:3]):
-        assert (f.epoch, f.lr, f.train_losses) == (s.epoch, s.lr, s.train_losses)
+        assert (f.epoch, f.lr) == (s.epoch, s.lr)
+    # the checkpoint early stopping kept is the fixed-budget model of its round
+    best_epochs = min(stopped, key=lambda log: log.val_loss).epoch + 1
+    assert train_for_epochs(silos, cfg, n_epochs=best_epochs)[0] == kept
 
 
-def test_fits_without_train_losses_keep_their_validation(monkeypatch):
+def test_federated_train_runs_no_training_loss_pass_and_measures_no_round(monkeypatch):
     silos = [make_silo("A", 20, 6, seed=31), make_silo("B", 14, 6, seed=32)]
     cfg = config(max_epochs=5, patience=2)
     model, logs = federated_train(silos, cfg)
-    assert all(set(log.train_losses) == {"A", "B"} for log in logs)
+    assert not hasattr(fed, "metric_bundle")
 
     def no_pass(*args):
-        raise AssertionError("a training-loss pass ran")
+        raise AssertionError("a training-loss pass or a metric bundle ran")
 
     monkeypatch.setattr(fed, "_silo_train_loss", no_pass)
-    quiet_model, quiet = federated_train(silos, cfg, train_losses=False)
+    monkeypatch.setattr(stats, "metric_bundle", no_pass)
+    quiet_model, quiet = federated_train(silos, cfg)
     assert quiet_model == model
     assert [log.train_losses for log in quiet] == [{}] * len(logs)
-    assert [(q.epoch, q.lr, q.val_loss, q.metrics) for q in quiet] == [
-        (log.epoch, log.lr, log.val_loss, log.metrics) for log in logs
-    ]
+    assert [(q.epoch, q.lr, q.val_loss) for q in quiet] == [(log.epoch, log.lr, log.val_loss) for log in logs]
     with pytest.raises(AssertionError, match="training-loss pass"):
         train_for_epochs(silos, cfg, n_epochs=1)
 

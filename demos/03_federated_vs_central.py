@@ -21,20 +21,19 @@ for silo in silos:
     neg, pos = silo.label_counts()
     print(f"  silo {silo.name}: {silo.n_train} train ({pos} positive), {silo.n_val} val")
 
-params, logs = federated_train(silos, config)
+params, logs, kept = federated_train(silos, config)
 print(f"trained for {len(logs)} rounds; per-round validation loss:")
 for log in logs:
     print(f"  epoch {log.epoch:>2}: val={log.val_loss:.4f}")
-# the kept checkpoint is measured once, as a cross-validation fit is
-pos_weight = resolve_pos_weight(silos)
+# the kept checkpoint is measured from the set its round scored, as a cross-validation fit is
 best = min(logs, key=lambda log: log.val_loss)
-_, metrics = metric_bundle(federated_validate(params, silos, pos_weight)[1])
+_, metrics = metric_bundle(kept)
 print(f"kept the checkpoint of epoch {best.epoch}: val={best.val_loss:.4f}  f1={metrics['f1']:.3f}")
 
 print("\n== the same records pooled into one silo: plain training ==")
 pool = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
 print(f"  silo {pool[0].name}: {pool[0].n_train} train, {pool[0].n_val} val")
-pooled_params, pooled_logs = federated_train(pool, config)
+pooled_params, pooled_logs, _ = federated_train(pool, config)
 print(f"trained for {len(pooled_logs)} epochs; best validation loss {min(log.val_loss for log in pooled_logs):.4f}")
 
 print("\n== what averaging does to held-out loss ==")
@@ -42,6 +41,7 @@ print("\n== what averaging does to held-out loss ==")
 # the full validation pool
 models = {"A alone": federated_train(silos[:1], config)[0], "B alone": federated_train(silos[1:], config)[0]}
 models.update(federated=params, pooled=pooled_params)
+pos_weight = resolve_pos_weight(silos)
 for label, model in models.items():
     loss, scored = federated_validate(model, silos, pos_weight)
     _, metrics = metric_bundle(scored)

@@ -127,11 +127,16 @@ class SplitPlan:
     dropped_ids: tuple[int, ...]
 
     def __post_init__(self):
+        folds = self.fold_of_record
+        for name, values in (("test_ids", self.test_ids), ("dropped_ids", self.dropped_ids),
+                             ("fold_of_record keys", folds), ("fold_of_record values", folds.values())):
+            # int() would read True as 1, 5.5 as 5 and "3" as 3, so only integers pass
+            wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+            if wrong:
+                raise ValueError(f"{name} must be integers, got {wrong[0]!r}")
         object.__setattr__(self, "test_ids", tuple(sorted(int(i) for i in self.test_ids)))
         object.__setattr__(self, "dropped_ids", tuple(sorted(int(i) for i in self.dropped_ids)))
-        object.__setattr__(
-            self, "fold_of_record", {int(k): int(v) for k, v in self.fold_of_record.items()}
-        )
+        object.__setattr__(self, "fold_of_record", {int(k): int(v) for k, v in folds.items()})
 
     @property
     def n_folds(self) -> int:
@@ -290,12 +295,7 @@ def make_split_plan(
     train_val, test = split_time_test(records, test_fraction, institution_map)
     pruned, dropped = remove_patient_overlap(records, train_val, test)
     folds = make_folds(records, pruned, n_folds, seed)
-    return SplitPlan(
-        institution_of_ward=institution_map,
-        test_ids=tuple(test),
-        fold_of_record=folds,
-        dropped_ids=tuple(dropped),
-    )
+    return SplitPlan(institution_of_ward=institution_map, test_ids=test, fold_of_record=folds, dropped_ids=dropped)
 
 
 def verify_split_plan(records: RecordTable, plan: SplitPlan) -> list[str]:
@@ -624,13 +624,11 @@ def load_split_plan(path) -> SplitPlan:
         raise ValueError(
             f"split plan {path}: institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}"
         )
-    folds = data["fold_of_record"]
-    for key, values in (("test_ids", data["test_ids"]), ("fold_of_record", folds.values()),
-                        ("dropped_ids", data["dropped_ids"])):
-        wrong = [v for v in values if type(v) is not int]  # int() would read True as 1 and 5.5 as 5
-        if wrong:
-            raise ValueError(f"split plan {path}: {key} must hold integers, got {wrong[0]!r}")
     # a key must read back as written, so "5.5", "05" or "5_0" cannot pass as another record id
-    if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(int(k)) != k for k in folds):
+    if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(int(k)) != k for k in data["fold_of_record"]):
         raise ValueError(f"split plan {path}: fold_of_record keys must be record ids written as plain integers")
-    return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})
+    data["fold_of_record"] = {int(k): fold for k, fold in data["fold_of_record"].items()}
+    try:
+        return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})
+    except ValueError as exc:
+        raise ValueError(f"split plan {path}: {exc}") from None

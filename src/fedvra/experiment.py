@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .data import RecordTable, SplitPlan, features_matrix
-from .federated import RoundLog, Silo, federated_train, federated_validate, resolve_pos_weight, train_for_epochs
+from .federated import RoundLog, Silo, federated_train, train_for_epochs
 from .network import ModelParams, TrainConfig, forward_batch, sigmoid
 from .seeds import derive_seed
 from .stats import Confusion, ScoredSet, confusion, prf1
@@ -85,8 +85,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class FoldFit:
     """Bookkeeping for one (combo, fold) cross-validation fit: where its
-    round logs put the best validation loss, and the held-out fold
-    measured once with the checkpoint that early stopping kept."""
+    round logs put the best validation loss, and the held-out fold's
+    confusion as scored by the round whose checkpoint early stopping kept."""
 
     fold: int
     best_epoch: int  # 1-based count of epochs through the best one
@@ -225,10 +225,9 @@ def _fit_fold(records, plan: SplitPlan, combos: list[HyperCombo], base_config: T
     treatment, combo_index, fold = task
     silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
     cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
-    params, logs = federated_train(silos, cfg)
+    _, logs, scored = federated_train(silos, cfg)
     # the first round with the lowest loss holds the checkpoint early stopping kept
     best = min(logs, key=lambda log: log.val_loss)
-    _, scored = federated_validate(params, silos, resolve_pos_weight(silos))
     return FoldFit(
         fold=fold,
         best_epoch=best.epoch + 1,

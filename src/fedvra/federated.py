@@ -213,34 +213,34 @@ def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: i
         return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
 
 
-def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams, list[RoundLog]]:
+def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams, list[RoundLog], ScoredSet]:
     """Train across silos with per-epoch averaging and early stopping.
 
-    Returns the checkpoint with the lowest validation loss and the
-    per-epoch logs, which hold only that loss (no round runs a
-    training-loss pass). Only a strictly lower loss is an improvement:
-    training stops after config.patience rounds in a row without one,
-    and a non-finite loss raises NumericalError. With a single silo this
-    reduces exactly to plain centralized training.
+    Returns the checkpoint with the lowest validation loss, the per-epoch
+    logs (validation loss only: no round runs a training-loss pass) and
+    the ScoredSet of the round that kept the checkpoint. Only a strictly
+    lower loss is an improvement: training stops after config.patience
+    rounds in a row without one, and a non-finite loss raises
+    NumericalError. With a single silo this is exactly plain centralized training.
     """
     for silo in silos:
         if silo.n_val < 1:
             raise ValueError(f"silo {silo.name!r} has no validation data")
-    best_loss, best_params, since_best = math.inf, None, 0
+    best_loss, best_params, best_scored, since_best = math.inf, None, None, 0
     logs: list[RoundLog] = []
     for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses=False):
         with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
-            val_loss, _ = federated_validate(model, silos, pos_weight)
+            val_loss, scored = federated_validate(model, silos, pos_weight)
         logs.append(replace(log, val_loss=val_loss))
         if not np.isfinite(val_loss):
             raise NumericalError(f"validation loss is not finite: {val_loss}")
         if val_loss < best_loss:
-            best_loss, best_params, since_best = val_loss, model, 0
+            best_loss, best_params, best_scored, since_best = val_loss, model, scored, 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
-    return best_params, logs
+    return best_params, logs, best_scored
 
 
 def train_for_epochs(silos: list[Silo], config: TrainConfig, n_epochs: int) -> tuple[ModelParams, list[RoundLog]]:

@@ -186,7 +186,7 @@ def test_03_degenerate_federation_bit_identity():
     silo = Silo(
         name=CENTRAL_SILO_NAME, train_features=x, train_labels=y, val_features=vx, val_labels=vy
     )
-    fed_params, fed_logs = federated_train([silo], cfg)
+    fed_params, fed_logs, _ = federated_train([silo], cfg)
     flat_params, flat_logs = train_centralized(x, y, vx, vy, cfg)
     # federated_train logs validation only; the same rounds at a fixed budget log the training losses
     _, fixed_logs = train_for_epochs([silo], cfg, len(fed_logs))

@@ -377,6 +377,34 @@ def test_check_split_plan_raises():
         check_split_plan(records, bad)
 
 
+def test_split_plan_rejects_ids_and_folds_that_are_not_integers():
+    # int() would read this plan as test_ids (1, 5) and fold_of_record {3: 2}
+    with pytest.raises(ValueError, match=r"^test_ids must be integers, got 5\.5$"):
+        SplitPlan(institution_of_ward={}, test_ids=(5.5, True), fold_of_record={"3": 2.7}, dropped_ids=())
+    empty = dict(institution_of_ward={}, test_ids=(), fold_of_record={}, dropped_ids=())
+    for name, value, wrong in [
+        ("test_ids", (1, True), "test_ids must be integers, got True"),
+        ("dropped_ids", (np.float64(2.0),), f"dropped_ids must be integers, got {np.float64(2.0)!r}"),
+        ("dropped_ids", ("4",), "dropped_ids must be integers, got '4'"),
+        ("fold_of_record", {"3": 2}, "fold_of_record keys must be integers, got '3'"),
+        ("fold_of_record", {3: 2.7}, "fold_of_record values must be integers, got 2.7"),
+        ("fold_of_record", {3: np.bool_(True)}, f"fold_of_record values must be integers, got {np.bool_(True)!r}"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            SplitPlan(**{**empty, name: value})
+        assert str(excinfo.value) == wrong
+    # NumPy integers pass, and the plan holds them as Python ints
+    plan = SplitPlan(
+        institution_of_ward={},
+        test_ids=np.array([7, 2]),
+        fold_of_record={np.int64(3): np.int32(2)},
+        dropped_ids=[np.int64(1)],
+    )
+    assert (plan.test_ids, plan.fold_of_record, plan.dropped_ids) == ((2, 7), {3: 2}, (1,))
+    held = (*plan.test_ids, *plan.fold_of_record, *plan.fold_of_record.values(), *plan.dropped_ids)
+    assert all(type(i) is int for i in held)
+
+
 # ---------- synthetic generator ----------
 
 

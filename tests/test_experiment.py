@@ -22,6 +22,7 @@ from fedvra.experiment import (
     silos_for_treatment,
     train_final,
 )
+from fedvra.experiment import _fit_fold
 from fedvra.experiment import TestSet as EvalTestSet
 from fedvra.experiment import test_sets_from_plan as build_test_sets
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight, train_for_epochs
@@ -75,7 +76,7 @@ def refit_fold(records, plan, cfg, treatment, combo_index, fold):
         max_epochs=cfg.max_epochs,
         patience=cfg.patience,
     )
-    params, _ = federated_train(silos, refit_cfg)
+    params, _, _ = federated_train(silos, refit_cfg)
     val_loss, scored = federated_validate(params, silos, resolve_pos_weight(silos))
     labels, scores = scored.labels, scored.scores
     return val_loss, confusion(labels, (scores >= THRESHOLD).astype(np.int64)), scores, labels
@@ -241,6 +242,30 @@ def test_grid_search_cv_fold_seed_contract(dataset):
     assert result.fold_fits[1].confusion == conf
 
 
+def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
+    # at patience 2 of 30 rounds this fit stops early, so the round it keeps is not its last
+    records, plan = dataset
+    cfg = base_config(max_epochs=30, patience=2)
+    combos = tiny_grid().combos()
+    silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=2)
+    seed = derive_seed(cfg.seed, Treatment.FEDERATED.key, 0, 2)
+    params, logs, kept = federated_train(silos, combos[0].config(cfg, seed))
+    best = min(logs, key=lambda log: log.val_loss)
+    assert best.epoch + 1 < len(logs) < cfg.max_epochs
+    val_loss, scored = federated_validate(params, silos, resolve_pos_weight(silos))
+    for name in ("labels", "scores", "predictions"):
+        got, want = getattr(kept, name), getattr(scored, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    fit = _fit_fold(records, plan, combos, cfg, (Treatment.FEDERATED, 0, 2))
+    assert fit == FoldFit(
+        fold=2,
+        best_epoch=best.epoch + 1,
+        epochs_run=len(logs),
+        val_loss=val_loss,
+        confusion=confusion(scored.labels, scored.predictions),
+    )
+
+
 def test_grid_search_cv_rejects_bad_threads(dataset):
     records, plan = dataset
     with pytest.raises(ValueError):
@@ -305,7 +330,7 @@ def test_single_silo_federated_matches_flat_loop(dataset):
     records, plan = dataset
     silos = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
     cfg = base_config(max_epochs=6, patience=6)
-    fed_params, fed_logs = federated_train(silos, cfg)
+    fed_params, fed_logs, _ = federated_train(silos, cfg)
     flat_params, flat_logs = train_centralized(
         silos[0].train_features,
         silos[0].train_labels,
@@ -434,8 +459,8 @@ def test_run_treatments_returns_keyed_runs(dataset):
 
 
 def test_each_cv_round_is_validated_once(dataset, monkeypatch):
-    # training validates every round, a CV fit validates the checkpoint it
-    # kept once more to measure it, and a final fit validates nothing
+    # training validates every round, a CV fit measures the checkpoint it
+    # kept from the set its round scored, and a final fit validates nothing
     records, plan = dataset
     original = federated_validate
     calls = []
@@ -451,7 +476,7 @@ def test_each_cv_round_is_validated_once(dataset, monkeypatch):
     runs = run_treatments(list(Treatment), records, plan, grid, base_config())
     epochs = [fit.epochs_run for run in runs.values() for r in run.cv_results for fit in r.fold_fits]
     assert len(epochs) == 4 * 2 * 3
-    assert len(calls) == sum(epochs) + len(epochs)
+    assert len(calls) == sum(epochs)
 
 
 def test_aggregation_reaches_every_fit_through_the_config(dataset):

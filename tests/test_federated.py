@@ -137,18 +137,20 @@ def test_silo_leaves_the_callers_arrays_writeable():
 
 def scripted_fit(monkeypatch, losses, patience):
     """federated_train whose validation returns the next scripted loss;
-    returns the kept checkpoint, the logs and every validated model."""
+    returns the kept checkpoint, the logs and every validated model, and
+    checks that the set it returns is the one its kept round scored."""
     script = iter(losses)
-    validated = []
-    scored = ScoredSet([0, 1], [0.2, 0.8])
+    validated, sets = [], []
 
     def validate(model, silos, pos_weight):
         validated.append(model)
-        return next(script), scored
+        sets.append(ScoredSet([0, 1], [0.2, 0.8]))
+        return next(script), sets[-1]
 
     monkeypatch.setattr(fed, "federated_validate", validate)
     silos = [make_silo("A", 12, 4, seed=1)]
-    best, logs = federated_train(silos, config(max_epochs=len(losses), patience=patience))
+    best, logs, scored = federated_train(silos, config(max_epochs=len(losses), patience=patience))
+    assert scored is sets[next(i for i, model in enumerate(validated) if model is best)]
     return best, logs, validated
 
 
@@ -304,7 +306,7 @@ def test_resolve_pos_weight():
 
 def test_federated_train_runs_and_checkpoints():
     silos = [make_silo("A", 24, 8, seed=14), make_silo("B", 16, 8, seed=15)]
-    params, logs = federated_train(silos, config())
+    params, logs, _ = federated_train(silos, config())
     assert 1 <= len(logs) <= 6
     best = min(logs, key=lambda log: log.val_loss)
     val_loss, _ = federated_validate(params, silos, resolve_pos_weight(silos))
@@ -319,7 +321,7 @@ def test_federated_train_zero_lr_stops_at_patience_plus_one():
     # counter climbs to the patience
     silos = [make_silo("A", 12, 6, seed=16)]
     cfg = config(lr0=0.0, max_epochs=50, patience=4)
-    params, logs = federated_train(silos, cfg)
+    params, logs, _ = federated_train(silos, cfg)
     assert len(logs) == 5  # patience + 1
     assert params == init_model(cfg.hidden_size, derive_seed(cfg.seed, "init"))
 
@@ -337,7 +339,7 @@ def test_federated_train_identical_silos_shuffled_alike():
     # at this seed both silos' epoch-0 shuffles put the records in the same order
     shuffles = [make_rng(cfg.seed, "shuffle", name, 0).permutation(2) for name in ("A", "B")]
     assert np.array_equal(*shuffles)
-    averaged, _ = federated_train([a, b], cfg)
+    averaged, _, _ = federated_train([a, b], cfg)
     local = local_train_epoch(init_model(cfg.hidden_size, derive_seed(cfg.seed, "init")), a, cfg, 1.0, 0)
     # identical shards in the same order give equal updates, so their
     # average is exactly either one
@@ -346,8 +348,8 @@ def test_federated_train_identical_silos_shuffled_alike():
 
 def test_federated_train_aggregation_mode_matters():
     silos = [make_silo("A", 40, 8, seed=18), make_silo("B", 10, 8, seed=19)]
-    sized, _ = federated_train(silos, config(max_epochs=3, patience=3))
-    uniform, _ = federated_train(silos, config(max_epochs=3, patience=3, uniform_weights=True))
+    sized, _, _ = federated_train(silos, config(max_epochs=3, patience=3))
+    uniform, _, _ = federated_train(silos, config(max_epochs=3, patience=3, uniform_weights=True))
     assert sized != uniform
 
 
@@ -400,7 +402,7 @@ def test_train_for_epochs_matches_the_first_rounds_of_federated_train():
     silos = [make_silo("A", 20, 6, seed=29), make_silo("B", 14, 6, seed=30)]
     cfg = config(max_epochs=6, patience=4)  # cannot stop before round 5
     _, fixed = train_for_epochs(silos, cfg, n_epochs=3)
-    kept, stopped = federated_train(silos, cfg)
+    kept, stopped, _ = federated_train(silos, cfg)
     assert len(fixed) == 3 and len(stopped) >= 3
     for f, s in zip(fixed, stopped[:3]):
         assert (f.epoch, f.lr) == (s.epoch, s.lr)
@@ -412,7 +414,7 @@ def test_train_for_epochs_matches_the_first_rounds_of_federated_train():
 def test_federated_train_runs_no_training_loss_pass_and_measures_no_round(monkeypatch):
     silos = [make_silo("A", 20, 6, seed=31), make_silo("B", 14, 6, seed=32)]
     cfg = config(max_epochs=5, patience=2)
-    model, logs = federated_train(silos, cfg)
+    model, logs, _ = federated_train(silos, cfg)
     assert not hasattr(fed, "metric_bundle")
 
     def no_pass(*args):
@@ -420,7 +422,7 @@ def test_federated_train_runs_no_training_loss_pass_and_measures_no_round(monkey
 
     monkeypatch.setattr(fed, "_silo_train_loss", no_pass)
     monkeypatch.setattr(stats, "metric_bundle", no_pass)
-    quiet_model, quiet = federated_train(silos, cfg)
+    quiet_model, quiet, _ = federated_train(silos, cfg)
     assert quiet_model == model
     assert [log.train_losses for log in quiet] == [{}] * len(logs)
     assert [(q.epoch, q.lr, q.val_loss) for q in quiet] == [(log.epoch, log.lr, log.val_loss) for log in logs]

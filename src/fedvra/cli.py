@@ -361,15 +361,18 @@ def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     opt = resolve_options(args, RUN_FIELDS)
     out_dir = Path(opt["out"])
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        raise ValueError(f"run directory {out_dir} is not empty; pass --force to overwrite")
+    treatments = list(Treatment) if opt["treatment"] == "all" else [Treatment(opt["treatment"])]
+    keys = [t.key for t in treatments]
+    if out_dir.exists() and any(out_dir.iterdir()):
+        if not args.force:
+            raise ValueError(f"run directory {out_dir} is not empty; pass --force to overwrite")
+        # --force rewrites a run, never mixes two: refuse treatment directories this run would leave behind
+        stale = sorted(key for key in TREATMENT_KEYS if key not in keys and (out_dir / key).is_dir())
+        if stale:
+            raise ValueError(f"run directory {out_dir} holds {', '.join(stale)}, which this run would not rewrite")
     records = load_records(opt["data"])
     plan = load_split_plan(opt["split"])
     check_split_plan(records, plan)
-    if opt["treatment"] == "all":
-        treatments = list(Treatment)
-    else:
-        treatments = [Treatment(opt["treatment"])]
     check_cv_folds(treatments, records, plan)
 
     grid = GridSpec(
@@ -387,14 +390,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         patience=opt["patience"],
         uniform_weights=(opt["aggregation"] == "uniform"),
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = run_treatments(treatments, records, plan, grid, base_config, threads=opt["threads"])
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now: a failed run writes nothing
     effective = dict(opt)
-    effective["treatments"] = [t.key for t in treatments]
+    effective["treatments"] = keys
     effective["force"] = bool(args.force)
     effective["version"] = __version__
     _write_json(out_dir / "run_config.json", effective)
-
-    runs = run_treatments(treatments, records, plan, grid, base_config, threads=opt["threads"])
     for key in sorted(runs):
         run = runs[key]
         _write_treatment_outputs(out_dir, run)
@@ -496,12 +498,11 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
                 if any(point[k] is None for k in keys):
                     continue
                 entry_seed = derive_report_seed(seed, label, set_name, measure, key)
-                kwargs = {"n_resamples": n_resamples, "seed": entry_seed, "return_samples": True}
                 if label == "ci":
-                    result, samples = bootstrap_ci(sets[key], measure, **kwargs)
+                    result, samples = bootstrap_ci(sets[key], measure, n_resamples, entry_seed)
                 else:
-                    result, samples = bootstrap_diff(sets[key], sets[FEDERATED_KEY], measure, **kwargs)
-                cell[key] = _result_numbers(result)
+                    result, samples = bootstrap_diff(sets[key], sets[FEDERATED_KEY], measure, n_resamples, entry_seed)
+                cell[key] = asdict(result)
                 if distributions:
                     dists[f"dist_{set_name}_{measure}_{stem}"] = samples
     return payload, dists
@@ -542,11 +543,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def derive_report_seed(seed: int, *parts: str) -> int:
     return derive_seed(seed, "report", *parts)
-
-
-def _result_numbers(result) -> dict:
-    """A bootstrap or difference result without its measure label."""
-    return {k: v for k, v in vars(result).items() if k != "measure"}
 
 
 def _fmt(value) -> str:

@@ -6,9 +6,11 @@ from the shared model, the server averages the updated parameter sets
 model on the concatenated validation sets, and early-stops on that
 validation loss.
 
-Both trainers run the same round loop (_rounds): federated_train adds
-validation and early stopping on top, train_for_epochs runs a fixed
-number of rounds. With a single silo a round is one epoch of plain
+Both trainers run the same round loop (_rounds), which yields each
+round's local models and their average, and each measures its own
+rounds: federated_train validates the average and early-stops on its
+loss, train_for_epochs runs a fixed number of rounds and logs every
+silo's training loss. With a single silo a round is one epoch of plain
 training.
 
 Privacy boundary: the orchestration functions (_rounds, federated_train,
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,15 +177,14 @@ def resolve_pos_weight(silos: list[Silo]) -> float:
     return neg / pos
 
 
-def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, train_losses: bool):
+def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
     """The FedAvg round loop shared by both trainers.
 
     Checks the silos and resolves pos_weight and the aggregation weights
     once. Each round every silo runs one local epoch from the shared
     model and the server averages the results; the round yields
-    (averaged model, RoundLog without validation, pos_weight). Without
-    train_losses no silo computes its training loss and the logs'
-    train_losses are empty.
+    (epoch, the silos' local models, their average, pos_weight), and
+    each trainer measures what it logs.
     """
     if not silos:
         raise ValueError("at least one silo is required")
@@ -198,13 +199,9 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int, train_losse
     model = init_model(config.hidden_size, derive_seed(config.seed, "init"))
     for epoch in range(max_epochs):
         updated = [local_train_epoch(model, silo, config, pos_weight, epoch) for silo in silos]
-        losses = {
-            silo.name: _silo_train_loss(local_model, silo, pos_weight, epoch)
-            for silo, local_model in zip(silos, updated)
-        } if train_losses else {}
         with _raise_numerical("averaging on the server", epoch):
             model = average_models(updated, weights)
-        yield model, RoundLog(epoch, lr_at_epoch(config.lr0, config.gamma, epoch), losses, val_loss=None), pos_weight
+        yield epoch, updated, model, pos_weight
 
 
 def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: int) -> float:
@@ -228,10 +225,10 @@ def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams
             raise ValueError(f"silo {silo.name!r} has no validation data")
     best_loss, best_params, best_scored, since_best = math.inf, None, None, 0
     logs: list[RoundLog] = []
-    for model, log, pos_weight in _rounds(silos, config, config.max_epochs, train_losses=False):
-        with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", log.epoch):
+    for epoch, _, model, pos_weight in _rounds(silos, config, config.max_epochs):
+        with _raise_numerical(f"validation on silos {', '.join(repr(s.name) for s in silos)}", epoch):
             val_loss, scored = federated_validate(model, silos, pos_weight)
-        logs.append(replace(log, val_loss=val_loss))
+        logs.append(RoundLog(epoch, lr_at_epoch(config.lr0, config.gamma, epoch), {}, val_loss))
         if not np.isfinite(val_loss):
             raise NumericalError(f"validation loss is not finite: {val_loss}")
         if val_loss < best_loss:
@@ -248,6 +245,7 @@ def train_for_epochs(silos: list[Silo], config: TrainConfig, n_epochs: int) -> t
     if n_epochs < 1:
         raise ValueError("n_epochs must be at least 1")
     logs: list[RoundLog] = []
-    for model, log, _ in _rounds(silos, config, n_epochs, train_losses=True):
-        logs.append(log)
+    for epoch, updated, model, pos_weight in _rounds(silos, config, n_epochs):
+        losses = {silo.name: _silo_train_loss(local, silo, pos_weight, epoch) for silo, local in zip(silos, updated)}
+        logs.append(RoundLog(epoch, lr_at_epoch(config.lr0, config.gamma, epoch), losses, val_loss=None))
     return model, logs

@@ -102,7 +102,6 @@ class ScoredSet:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    measure: str
     mean: float
     ci_low: float
     ci_high: float
@@ -114,7 +113,6 @@ class BootstrapResult:
 class DiffResult:
     """Paired bootstrap difference first - second on a shared test set."""
 
-    measure: str
     mean_diff: float
     ci_low: float
     ci_high: float
@@ -365,36 +363,28 @@ def _ci_bounds(values: np.ndarray) -> Iterator[float]:
 
 
 def bootstrap_ci(
-    scored: ScoredSet,
-    measure: str,
-    n_resamples: int = 10000,
-    seed: int = 0,
-    return_samples: bool = False,
-):
-    """Percentile bootstrap (2.5th / 97.5th) of a measure on a scored set."""
+    scored: ScoredSet, measure: str, n_resamples: int = 10000, seed: int = 0
+) -> tuple[BootstrapResult, np.ndarray]:
+    """Percentile bootstrap (2.5th / 97.5th) of a measure on a scored set:
+    the result and the resample values."""
     joint, n_redrawn = _bootstrap_joint(make_rng(seed, "bootstrap-ci"), [scored], measure, n_resamples)
     values = joint[:, 0]  # an (n, 1) array's column is contiguous, so mean keeps a 1-D array's bits
     ci_low, ci_high = _ci_bounds(values)
     result = BootstrapResult(
-        measure=measure,
         mean=float(values.mean()),
         ci_low=ci_low,
         ci_high=ci_high,
         n_resamples=n_resamples,
         n_redrawn=n_redrawn,
     )
-    return (result, values) if return_samples else result
+    return result, values
 
 
 def bootstrap_diff(
-    first: ScoredSet,
-    second: ScoredSet,
-    measure: str,
-    n_resamples: int = 10000,
-    seed: int = 0,
-    return_samples: bool = False,
-):
-    """Paired percentile bootstrap of measure(first) - measure(second).
+    first: ScoredSet, second: ScoredSet, measure: str, n_resamples: int = 10000, seed: int = 0
+) -> tuple[DiffResult, np.ndarray]:
+    """Paired percentile bootstrap of measure(first) - measure(second):
+    the result and the resampled differences.
 
     Both sets must score the same test records in the same order; each
     resample draws one index vector and applies it to both, so the
@@ -405,7 +395,6 @@ def bootstrap_diff(
     values = joint[:, 0] - joint[:, 1]
     ci_low, ci_high = _ci_bounds(values)
     result = DiffResult(
-        measure=measure,
         mean_diff=float(values.mean()),
         ci_low=ci_low,
         ci_high=ci_high,
@@ -413,7 +402,7 @@ def bootstrap_diff(
         n_resamples=n_resamples,
         n_redrawn=n_redrawn,
     )
-    return (result, values) if return_samples else result
+    return result, values
 
 
 def contingency(first_correct, second_correct) -> ContingencyCounts:

@@ -398,7 +398,7 @@ def test_08_bootstrap_coverage():
         correct = rng.uniform(size=n) < truth
         preds = np.where(correct, labels, 1 - labels)
         scored = ScoredSet(labels=labels, scores=preds.astype(np.float64))
-        result = bootstrap_ci(
+        result, _ = bootstrap_ci(
             scored, "accuracy", n_resamples=2000, seed=derive_seed(master, "coverage-ci", t)
         )
         covered += result.ci_low <= truth <= result.ci_high
@@ -407,7 +407,7 @@ def test_08_bootstrap_coverage():
     rng = np.random.default_rng(808)
     labels = rng.integers(0, 2, size=80)
     scored = ScoredSet(labels=labels, scores=rng.uniform(size=80))
-    self_diff = bootstrap_diff(scored, scored, "f1", n_resamples=500, seed=3)
+    self_diff, _ = bootstrap_diff(scored, scored, "f1", n_resamples=500, seed=3)
     self_zero = (
         self_diff.mean_diff == 0.0
         and self_diff.ci_low == 0.0

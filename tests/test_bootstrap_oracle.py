@@ -151,7 +151,6 @@ def oracle_ci(scored, measure, n_resamples, seed):
         measure in ("roc_auc", "pr_auc"),
     )
     result = BootstrapResult(
-        measure=measure,
         mean=float(values.mean()),
         ci_low=float(np.percentile(values, 2.5)),
         ci_high=float(np.percentile(values, 97.5)),
@@ -173,7 +172,6 @@ def oracle_diff(first, second, measure, n_resamples, seed):
     ci_low = float(np.percentile(values, 2.5))
     ci_high = float(np.percentile(values, 97.5))
     result = DiffResult(
-        measure=measure,
         mean_diff=float(values.mean()),
         ci_low=ci_low,
         ci_high=ci_high,
@@ -236,16 +234,10 @@ def test_block_bootstrap_matches_the_per_resample_oracle(measure):
         n_resamples = int(rng.choice([1, 7, 101, 250]))
         seed = int(rng.integers(1000))
         want_ci = outcome(lambda: oracle_ci(first, measure, n_resamples, seed))
-        got_ci = outcome(
-            lambda: bootstrap_ci(first, measure, n_resamples=n_resamples, seed=seed, return_samples=True)
-        )
+        got_ci = outcome(lambda: bootstrap_ci(first, measure, n_resamples=n_resamples, seed=seed))
         assert got_ci == want_ci
         want_diff = outcome(lambda: oracle_diff(first, second, measure, n_resamples, seed))
-        got_diff = outcome(
-            lambda: bootstrap_diff(
-                first, second, measure, n_resamples=n_resamples, seed=seed, return_samples=True
-            )
-        )
+        got_diff = outcome(lambda: bootstrap_diff(first, second, measure, n_resamples=n_resamples, seed=seed))
         assert got_diff == want_diff
         for o in (want_ci, want_diff):
             if o[0] == "error":
@@ -283,8 +275,8 @@ def test_block_size_does_not_change_the_output(measure, monkeypatch):
     second = ScoredSet(labels=labels, scores=np.round(rng.uniform(size=20), 1))
 
     def run():
-        ci = bootstrap_ci(first, measure, n_resamples=300, seed=2, return_samples=True)
-        diff = bootstrap_diff(first, second, measure, n_resamples=300, seed=2, return_samples=True)
+        ci = bootstrap_ci(first, measure, n_resamples=300, seed=2)
+        diff = bootstrap_diff(first, second, measure, n_resamples=300, seed=2)
         return [(repr(r), v.tobytes()) for r, v in (ci, diff)]
 
     default = run()
@@ -315,9 +307,7 @@ def test_redraw_cap_matches_the_oracle(cap, monkeypatch):
         n_resamples = int(rng.choice([5, 40]))
         seed = int(rng.integers(1000))
         want = outcome(lambda: oracle_ci(scored, "roc_auc", n_resamples, seed))
-        got = outcome(
-            lambda: bootstrap_ci(scored, "roc_auc", n_resamples=n_resamples, seed=seed, return_samples=True)
-        )
+        got = outcome(lambda: bootstrap_ci(scored, "roc_auc", n_resamples=n_resamples, seed=seed))
         assert got == want
         seen.add(want[2] if want[0] == "error" else want[0])
     assert {"ok", "measure undefined on every redraw attempt"} <= seen
@@ -361,7 +351,7 @@ def test_auc_difference_interval_agrees_with_delong(n, positive_rate):
 
     first, second = ScoredSet(labels, model(1.5)), ScoredSet(labels, model(1.0))
     want_low, want_high = delong_diff_interval(labels, first.scores, second.scores)
-    got = bootstrap_diff(first, second, "roc_auc", n_resamples=10_000, seed=n)
+    got, _ = bootstrap_diff(first, second, "roc_auc", n_resamples=10_000, seed=n)
     assert abs(got.ci_low - want_low) <= 0.005
     assert abs(got.ci_high - want_high) <= 0.005
     assert 0.95 <= (got.ci_high - got.ci_low) / (want_high - want_low) <= 1.05

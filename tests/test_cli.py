@@ -363,6 +363,22 @@ def test_run_refuses_nonempty_dir_without_force(chain, tmp_path):
     ).read_bytes()
 
 
+def test_run_force_refuses_to_mix_two_runs(chain, tmp_path):
+    # a one-treatment run at another seed would leave b, central and
+    # federated of the first run beside its a, and report would compare them
+    copy = tmp_path / "run"
+    shutil.copytree(chain["run"], copy)
+    before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(chain["plan"]),
+        "--out", str(copy), "--seed", "2", "--treatment", "a", "--hidden-sizes", "4",
+        "--learning-rates", "0.05", "--weight-decays", "0.0001", "--max-epochs", "3", "--force",
+    )
+    assert code == 2
+    assert err == f"error: run directory {copy} holds b, central, federated, which this run would not rewrite\n"
+    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+
 def test_run_single_treatment_only(chain, tmp_path):
     out = tmp_path / "fed_only"
     code, _, _ = run_cli(
@@ -573,6 +589,7 @@ def test_run_diverging_learning_rate_exits_4(chain, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "epoch 0" in err and "overflow" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "x").exists()  # a failed run writes nothing, so a rerun needs no --force
 
 
 def test_round_log_serialisation(tmp_path):

@@ -54,6 +54,17 @@ def base_config(**kwargs):
     return TrainConfig(**base)
 
 
+# every fit of the first trains to its cap; the second stops early, on
+# best epochs that differ within a combo, and weights silos uniformly
+SCHEDULE_CONFIGS = (base_config(), base_config(max_epochs=12, patience=2, uniform_weights=True))
+
+
+def check_early_stops(cfg, cv_results):
+    """Some CV fit stops before cfg's epoch cap exactly when its patience is below the cap."""
+    stopped = any(fit.epochs_run < cfg.max_epochs for r in cv_results for fit in r.fold_fits)
+    assert stopped == (cfg.patience < cfg.max_epochs)
+
+
 def tiny_grid():
     return GridSpec(hidden_sizes=(4,), learning_rates=(0.05,), weight_decays=(1e-4,))
 
@@ -220,15 +231,17 @@ def test_grid_search_cv_thread_schedule_does_not_matter(dataset):
     records, plan = dataset
     grid = GridSpec(hidden_sizes=(4, 8), learning_rates=(0.05,), weight_decays=(1e-4,))
     treatments = [Treatment.FEDERATED, Treatment.LOCAL_B]
-    serial = grid_search_cv(treatments, records, plan, grid, base_config())
-    pooled = grid_search_cv(treatments, records, plan, grid, base_config(), threads=2)
-    assert list(serial) == list(pooled) == treatments
-    for t in treatments:
-        assert [r.combo for r in serial[t]] == grid.combos()
-        assert [[fit.fold for fit in r.fold_fits] for r in serial[t]] == [[1, 2, 3]] * 2
-    assert serial[Treatment.FEDERATED] != serial[Treatment.LOCAL_B]
-    # FoldFit and CvResult are plain values, so == compares every field
-    assert serial == pooled
+    for cfg in SCHEDULE_CONFIGS:
+        serial = grid_search_cv(treatments, records, plan, grid, cfg)
+        pooled = grid_search_cv(treatments, records, plan, grid, cfg, threads=2)
+        check_early_stops(cfg, [r for t in treatments for r in serial[t]])
+        assert list(serial) == list(pooled) == treatments
+        for t in treatments:
+            assert [r.combo for r in serial[t]] == grid.combos()
+            assert [[fit.fold for fit in r.fold_fits] for r in serial[t]] == [[1, 2, 3]] * 2
+        assert serial[Treatment.FEDERATED] != serial[Treatment.LOCAL_B]
+        # FoldFit and CvResult are plain values, so == compares every field
+        assert serial == pooled
 
 
 def test_grid_search_cv_fold_seed_contract(dataset):
@@ -435,15 +448,18 @@ def combined_f1(run):
 
 def test_run_treatment_smoke_and_determinism(dataset):
     records, plan = dataset
-    run1 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), base_config(), threads=2)["federated"]
-    run2 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), base_config())["federated"]
-    assert run1.best_combo == tiny_grid().combos()[0]
-    assert run1.params == run2.params
-    assert set(run1.evaluations) == {"A", "B", "combined"}
-    assert combined_f1(run1) == combined_f1(run2)
-    assert len(run1.cv_results) == 1
-    assert run1.epoch_budget == final_epoch_budget(run1.cv_results[0].best_epochs)
-    assert len(run1.final_logs) == run1.epoch_budget
+    for cfg in SCHEDULE_CONFIGS:
+        run1 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), cfg, threads=2)["federated"]
+        run2 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), cfg)["federated"]
+        check_early_stops(cfg, run1.cv_results)
+        assert run1.cv_results == run2.cv_results
+        assert run1.best_combo == tiny_grid().combos()[0]
+        assert run1.params == run2.params
+        assert set(run1.evaluations) == {"A", "B", "combined"}
+        assert combined_f1(run1) == combined_f1(run2)
+        assert len(run1.cv_results) == 1
+        assert run1.epoch_budget == final_epoch_budget(run1.cv_results[0].best_epochs)
+        assert len(run1.final_logs) == run1.epoch_budget
 
 
 def test_run_treatments_returns_keyed_runs(dataset):

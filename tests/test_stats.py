@@ -264,7 +264,7 @@ def test_metric_bundle_matches_the_single_measures():
         {"f1": 1.0, "precision": 1.0, "recall": 1.0, "roc_auc": 1.0, "pr_auc": 1.0},
     )
     # accuracy is a bootstrap-only measure: one resample, replayed by hand
-    _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4, return_samples=True)
+    _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4)
     idx = make_rng(4, "bootstrap-ci").integers(0, len(s), size=len(s))
     assert samples[0] == accuracy(confusion(s.labels[idx], s.predictions[idx]))
     with pytest.raises(ValueError):
@@ -280,9 +280,10 @@ def test_metric_bundle_matches_the_single_measures():
 def test_bootstrap_ci_deterministic():
     rng = np.random.default_rng(11)
     s = ScoredSet(labels=rng.integers(0, 2, 50), scores=rng.uniform(size=50))
-    a = bootstrap_ci(s, "f1", n_resamples=300, seed=9)
-    b = bootstrap_ci(s, "f1", n_resamples=300, seed=9)
+    a, a_samples = bootstrap_ci(s, "f1", n_resamples=300, seed=9)
+    b, b_samples = bootstrap_ci(s, "f1", n_resamples=300, seed=9)
     assert a == b
+    assert a_samples.tobytes() == b_samples.tobytes()
     assert isinstance(a, BootstrapResult)
     assert a.ci_low <= a.mean <= a.ci_high
     assert a.n_redrawn == 0
@@ -291,7 +292,7 @@ def test_bootstrap_ci_deterministic():
 def test_bootstrap_ci_constant_classifier():
     # every resample has F1 = 0, so the interval collapses
     s = ScoredSet(labels=np.array([0, 1, 0, 1]), scores=np.zeros(4))
-    result = bootstrap_ci(s, "f1", n_resamples=200, seed=3)
+    result, _ = bootstrap_ci(s, "f1", n_resamples=200, seed=3)
     assert (result.mean, result.ci_low, result.ci_high) == (0.0, 0.0, 0.0)
 
 
@@ -300,7 +301,7 @@ def test_bootstrap_ci_matches_manual_resampler():
     labels = rng.integers(0, 2, 40)
     scores = rng.uniform(size=40)
     s = ScoredSet(labels=labels, scores=scores)
-    result, samples = bootstrap_ci(s, "f1", n_resamples=100, seed=21, return_samples=True)
+    result, samples = bootstrap_ci(s, "f1", n_resamples=100, seed=21)
 
     manual_rng = make_rng(21, "bootstrap-ci")
     for i in range(100):
@@ -332,7 +333,7 @@ def test_bootstrap_ci_redraws_single_class_resamples():
         labels=np.array([0, 0, 0, 0, 0, 0, 0, 1]),
         scores=np.array([0.1, 0.2, 0.3, 0.1, 0.2, 0.4, 0.3, 0.9]),
     )
-    result = bootstrap_ci(s, "roc_auc", n_resamples=300, seed=5)
+    result, _ = bootstrap_ci(s, "roc_auc", n_resamples=300, seed=5)
     assert result.n_redrawn > 0
     assert 0.0 <= result.ci_low <= result.ci_high <= 1.0
 
@@ -356,7 +357,7 @@ def test_bootstrap_ci_rejects_bad_arguments():
 def test_bootstrap_diff_self_is_zero():
     rng = np.random.default_rng(14)
     s = ScoredSet(labels=rng.integers(0, 2, 30), scores=rng.uniform(size=30))
-    diff = bootstrap_diff(s, s, "f1", n_resamples=400, seed=8)
+    diff, _ = bootstrap_diff(s, s, "f1", n_resamples=400, seed=8)
     assert (diff.mean_diff, diff.ci_low, diff.ci_high) == (0.0, 0.0, 0.0)
     assert not diff.significant
 
@@ -366,7 +367,7 @@ def test_bootstrap_diff_perfect_vs_constant():
     labels = np.ones(6, dtype=int)
     perfect = ScoredSet(labels=labels, scores=np.ones(6))
     constant = ScoredSet(labels=labels, scores=np.zeros(6))
-    diff = bootstrap_diff(perfect, constant, "f1", n_resamples=200, seed=4)
+    diff, _ = bootstrap_diff(perfect, constant, "f1", n_resamples=200, seed=4)
     assert (diff.mean_diff, diff.ci_low, diff.ci_high) == (1.0, 1.0, 1.0)
     assert diff.significant
     assert diff.n_redrawn == 0
@@ -379,7 +380,7 @@ def test_bootstrap_diff_is_paired():
     base = rng.uniform(size=60)
     first = ScoredSet(labels=labels, scores=base)
     second = ScoredSet(labels=labels, scores=base)
-    result, samples = bootstrap_diff(first, second, "accuracy", n_resamples=50, seed=1, return_samples=True)
+    result, samples = bootstrap_diff(first, second, "accuracy", n_resamples=50, seed=1)
     assert np.all(samples == 0.0)
 
 
@@ -395,9 +396,10 @@ def test_bootstrap_diff_deterministic():
     labels = rng.integers(0, 2, 40)
     a = ScoredSet(labels=labels, scores=rng.uniform(size=40))
     b = ScoredSet(labels=labels, scores=rng.uniform(size=40))
-    assert bootstrap_diff(a, b, "recall", n_resamples=100, seed=6) == bootstrap_diff(
-        a, b, "recall", n_resamples=100, seed=6
-    )
+    first, first_samples = bootstrap_diff(a, b, "recall", n_resamples=100, seed=6)
+    again, again_samples = bootstrap_diff(a, b, "recall", n_resamples=100, seed=6)
+    assert first == again
+    assert first_samples.tobytes() == again_samples.tobytes()
 
 
 @pytest.mark.parametrize("measure", MEASURES)

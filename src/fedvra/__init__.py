@@ -80,8 +80,6 @@ from .stats import (
     common_agreement,
     confusion,
     contingency,
-    pr_auc,
     prf1,
-    roc_auc,
     roc_curve,
 )

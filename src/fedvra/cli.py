@@ -18,14 +18,13 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import (
-    DEFAULT_POSITIVE_RATE,
     SynthConfig,
     check_split_plan,
     generate_synthetic,
@@ -199,15 +198,16 @@ SEED_FIELD = (_uint, None, True, "root seed (required here or in the config file
 
 # ---------- synth ----------
 
+_SYNTH = {f.name: f.default for f in fields(SynthConfig)}  # each default is declared once, on the config
 SYNTH_FIELDS = {
     "out": (str, None, True, "output dataset path"),
     "seed": SEED_FIELD,
     "n_patients": (_posint, None, True, "number of patients"),
-    "positive_rate": (_unit_float, DEFAULT_POSITIVE_RATE, False, "target positive fraction"),
-    "class_separation": (_nonneg_float, 1.0, False, "label mean shift"),
-    "ward_shift": (_nonneg_float, 0.5, False, "per-ward mean shift"),
-    "admissions_min": (_posint, 1, False, "min admissions per patient"),
-    "admissions_max": (_posint, 3, False, "max admissions per patient"),
+    "positive_rate": (_unit_float, _SYNTH["positive_rate"], False, "target positive fraction"),
+    "class_separation": (_nonneg_float, _SYNTH["class_separation"], False, "label mean shift"),
+    "ward_shift": (_nonneg_float, _SYNTH["ward_shift"], False, "per-ward mean shift"),
+    "admissions_min": (_posint, _SYNTH["admissions_per_patient"][0], False, "min admissions per patient"),
+    "admissions_max": (_posint, _SYNTH["admissions_per_patient"][1], False, "max admissions per patient"),
 }
 
 
@@ -277,6 +277,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 # ---------- run ----------
 
+_TRAIN = {f.name: f.default for f in fields(TrainConfig)}
 RUN_FIELDS = {
     "data": (str, None, True, "dataset path (JSON lines)"),
     "split": (str, None, True, "split plan path"),
@@ -286,10 +287,10 @@ RUN_FIELDS = {
     "hidden_sizes": (_int_list, DEFAULT_HIDDEN_SIZES, False, "comma list, e.g. 64,128,256,512"),
     "learning_rates": (_float_list, DEFAULT_LEARNING_RATES, False, "comma list, e.g. 0.005,0.001"),
     "weight_decays": (_float_list, DEFAULT_WEIGHT_DECAYS, False, "comma list, e.g. 0.001,0.0001"),
-    "batch_size": (_posint, 32, False, "minibatch size"),
-    "gamma": (float, 0.975, False, "learning-rate decay per epoch"),
-    "max_epochs": (_posint, 120, False, "epoch cap per fit"),
-    "patience": (_posint, 7, False, "early-stopping patience in epochs"),
+    "batch_size": (_posint, _TRAIN["batch_size"], False, "minibatch size"),
+    "gamma": (float, _TRAIN["gamma"], False, "learning-rate decay per epoch"),
+    "max_epochs": (_posint, _TRAIN["max_epochs"], False, "epoch cap per fit"),
+    "patience": (_posint, _TRAIN["patience"], False, "early-stopping patience in epochs"),
     "aggregation": (_choice(("size", "uniform")), "size", False, "size (weight by silo training size) or uniform"),
     "threads": (_posint, 1, False, "parallel CV and final fits; outputs identical for any value"),
 }
@@ -366,8 +367,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if out_dir.exists() and any(out_dir.iterdir()):
         if not args.force:
             raise ValueError(f"run directory {out_dir} is not empty; pass --force to overwrite")
-        # --force rewrites a run, never mixes two: refuse treatment directories this run would leave behind
-        stale = sorted(key for key in TREATMENT_KEYS if key not in keys and (out_dir / key).is_dir())
+        # --force rewrites a run, never mixes two: refuse any entry this run would leave behind,
+        # such as another treatment's directory or a report of the earlier run
+        rewritten = {"run_config.json", *keys}  # the file and the treatment directories
+        stale = sorted(p.name for p in out_dir.iterdir() if p.name not in rewritten or p.is_dir() != (p.name in keys))
         if stale:
             raise ValueError(f"run directory {out_dir} holds {', '.join(stale)}, which this run would not rewrite")
     records = load_records(opt["data"])

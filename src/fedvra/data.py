@@ -20,7 +20,7 @@ import time
 import zipfile
 import zlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
@@ -28,16 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SplitInvariantError
-from .network import INPUT_DIM as FEATURE_DIM
+from .network import INPUT_DIM as FEATURE_DIM, _frozen
 from .seeds import make_rng
 
-WARDS = ("A1", "A3", "A2V", "A2J")
 INSTITUTION_A = "A"
 INSTITUTION_B = "B"
 
-# defaults keep the synthetic ward sizes and prevalence in realistic
+# the synthetic ward sizes and default prevalence are in realistic
 # proportion: 759/826/1877/818 admissions, 425 positives of 4280
-DEFAULT_WARD_MIX = {
+WARD_MIX = {
     "A1": 759 / 4280,
     "A3": 826 / 4280,
     "A2V": 1877 / 4280,
@@ -67,8 +66,8 @@ class RecordTable:
     fixed-width strings drop trailing NULs). admission_ts holds seconds
     since 1970-01-01 UTC and label 0 or 1, both int64; features is one
     finite float64 row of FEATURE_DIM values per record. The arrays are
-    read-only: the table adopts a read-only array of the right dtype and
-    copies anything else.
+    read-only: the table copies an array unless _frozen may adopt it, so
+    no caller can change a checked table.
     """
 
     patient_id: tuple[str, ...]
@@ -79,9 +78,9 @@ class RecordTable:
 
     def __post_init__(self):
         ids, wards = tuple(self.patient_id), tuple(self.ward)
-        ts, x = _column(self.admission_ts, np.int64), _column(self.features, np.float64)
+        ts, x = _frozen(self.admission_ts, np.int64), _frozen(self.features)
         _check_rows(ids, wards, ts, x, np.asarray(self.label))
-        label = _column(self.label, np.int64)
+        label = _frozen(self.label, np.int64)
         for name, value in zip(_COLUMNS, (ids, wards, ts, x, label)):
             object.__setattr__(self, name, value)
 
@@ -90,16 +89,6 @@ class RecordTable:
 
 
 _COLUMNS = ("patient_id", "ward", "admission_ts", "features", "label")
-
-
-def _column(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype; a writeable array is copied,
-    so its owner cannot change the table."""
-    arr = np.asarray(values, dtype=dtype)
-    if arr is values and arr.flags.writeable:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_rows(patient_id, ward, admission_ts: np.ndarray, features: np.ndarray, label: np.ndarray) -> None:
@@ -153,13 +142,13 @@ class SynthConfig:
     Features are class-conditional Gaussians: standard normal noise plus
     label * class_separation along a fixed unit direction, plus
     ward_shift along a fixed per-ward unit direction (identity
-    covariance). Each patient keeps one ward for all admissions.
+    covariance). Each patient keeps one ward, drawn from WARD_MIX, for
+    all admissions.
     """
 
     n_patients: int
     seed: int
     admissions_per_patient: tuple[int, int] = (1, 3)
-    ward_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WARD_MIX))
     positive_rate: float = DEFAULT_POSITIVE_RATE
     class_separation: float = 1.0
     ward_shift: float = 0.5
@@ -172,11 +161,6 @@ class SynthConfig:
         lo, hi = self.admissions_per_patient
         if lo < 1 or hi < lo:
             raise ValueError("admissions_per_patient must be a range (lo, hi) with 1 <= lo <= hi")
-        if not self.ward_mix:
-            raise ValueError("ward_mix must not be empty")
-        probs = np.array(list(self.ward_mix.values()), dtype=np.float64)
-        if not (np.isfinite(probs).all() and (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-9):
-            raise ValueError("ward_mix proportions must be finite, non-negative and sum to 1")
         if not (0.0 <= self.positive_rate <= 1.0):
             raise ValueError("positive_rate must lie in [0, 1]")
         for name in ("class_separation", "ward_shift"):
@@ -395,8 +379,8 @@ def generate_synthetic(config: SynthConfig) -> RecordTable:
     configured one to within half a record.
     """
     rng = make_rng(config.seed, "synthetic")
-    wards = list(config.ward_mix)
-    probs = np.array([config.ward_mix[w] for w in wards], dtype=np.float64)
+    wards = list(WARD_MIX)
+    probs = np.array(list(WARD_MIX.values()), dtype=np.float64)
     probs = probs / probs.sum()
     lo, hi = config.admissions_per_patient
 
@@ -576,8 +560,9 @@ def _records_from_sidecar(path) -> RecordTable | None:
         if not _layout_ok(arrays, n) or int(arrays["count"]) != n:
             return None
         numeric = {name: arrays[name] for name in ("admission_ts", "features", "label")}
-        for array in numeric.values():
-            array.setflags(write=False)  # fresh, so the table adopts them
+        for array in numeric.values():  # np.load's fresh view of a fresh array: frozen, the table adopts it
+            array.base.setflags(write=False)
+            array.setflags(write=False)
         return RecordTable(tuple(arrays["patient_id"].tolist()), tuple(arrays["ward"].tolist()), **numeric)
     except _SIDECAR_READ_ERRORS:  # no sidecar, or a damaged or foreign one: parse the file
         return None

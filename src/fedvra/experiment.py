@@ -233,7 +233,7 @@ def _fit_fold(records, plan: SplitPlan, combos: list[HyperCombo], base_config: T
         best_epoch=best.epoch + 1,
         epochs_run=len(logs),
         val_loss=best.val_loss,
-        confusion=confusion(scored.labels, scored.predictions),
+        confusion=confusion(scored),
     )
 
 

@@ -32,16 +32,18 @@ from .errors import NumericalError
 INPUT_DIM = 300
 
 
-def _frozen(values) -> np.ndarray:
-    """Read-only float64 array that no caller can still write to.
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """Read-only array of dtype that no caller can still write to.
 
-    Adopts a read-only float64 array that owns its memory and copies
-    anything else.
+    Adopts a read-only array of dtype that owns its memory, or is a view
+    of a read-only array that does, and copies anything else.
     """
-    arr = values
-    if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable):
-        arr = np.array(values, dtype=np.float64)
-        arr.setflags(write=False)
+    if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
+        owner = values if values.flags.owndata else values.base
+        if type(owner) is np.ndarray and owner.flags.owndata and not owner.flags.writeable:
+            return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
     return arr
 
 

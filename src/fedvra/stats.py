@@ -5,12 +5,13 @@ every input. The ranking metrics (ROC-AUC, PR-AUC) require both classes
 and raise UndefinedMetricError otherwise; the bootstrap redraws such
 resamples and reports how many redraws happened.
 
-Both AUCs, the ROC curve and metric_bundle count positives and negatives
-per descending-score tie group, and the bootstrap runs the same kernels
-on blocks of resample rows at once: each block is a (rows, n) draw of
-index rows, which continues the generator's stream exactly as that many
-draws of n would. The redraw order is replayed from that row stream, so
-every seeded result equals the one a per-resample loop would give. One
+Every measure takes a ScoredSet. Both AUCs, the ROC curve and
+metric_bundle count positives and negatives per descending-score tie
+group, and the bootstrap runs the same kernels on blocks of resample
+rows at once: each block is a (rows, n) draw of index rows, which
+continues the generator's stream exactly as that many draws of n
+would. The redraw order is replayed from that row stream, so every
+seeded result equals the one a per-resample loop would give. One
 kernel, _bootstrap_joint, scores any number of sets that share a label
 vector on one row stream: bootstrap_ci is its one-set case and
 bootstrap_diff the difference of its two columns. A ScoredSet sorts its
@@ -129,17 +130,10 @@ def _binary(values, what: str) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def confusion(labels, predictions) -> Confusion:
-    """Counts (TN, FP, FN, TP) for binary labels and predictions."""
-    y = _binary(labels, "labels")
-    p = _binary(predictions, "predictions")
-    if y.shape != p.shape or y.ndim != 1 or y.size < 1:
-        raise ValueError("labels and predictions must be equal-length non-empty vectors")
-    tp = int(np.sum((y == 1) & (p == 1)))
-    tn = int(np.sum((y == 0) & (p == 0)))
-    fp = int(np.sum((y == 0) & (p == 1)))
-    fn = int(np.sum((y == 1) & (p == 0)))
-    return Confusion(tn=tn, fp=fp, fn=fn, tp=tp)
+def confusion(scored: ScoredSet) -> Confusion:
+    """Counts (TN, FP, FN, TP) of a scored set's labels and predictions."""
+    # code 2 * label + prediction counts TN, FP, FN, TP in that order
+    return Confusion(*np.bincount(2 * scored.labels + scored.predictions, minlength=4).tolist())
 
 
 def prf1(conf: Confusion) -> tuple[float, float, float]:
@@ -161,15 +155,12 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
-def _tie_groups(labels, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated labels, each sample's code 2 * group + label, where group
-    is its descending-score tie group, and the score of every group."""
-    y = _binary(labels, "labels")
-    s = np.asarray(scores, dtype=np.float64)
-    if y.shape != s.shape or y.ndim != 1 or y.size < 1:
-        raise ValueError("labels and scores must be equal-length non-empty vectors")
+def _tie_groups(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's code 2 * group + label, where group is its
+    descending-score tie group, and the score of every group; y and s
+    are a ScoredSet's checked labels and scores."""
     _, first, group = np.unique(-s, return_index=True, return_inverse=True)
-    return y, 2 * group + y, s[first]
+    return 2 * group + y, s[first]
 
 
 def _group_counts(codes: np.ndarray, n_groups: int) -> np.ndarray:
@@ -181,7 +172,13 @@ def _group_counts(codes: np.ndarray, n_groups: int) -> np.ndarray:
 
 
 def _roc_auc_rows(counts: np.ndarray) -> np.ndarray:
-    """ROC-AUC of each row of group counts (see roc_auc)."""
+    """ROC-AUC of each row of group counts: the area under the ROC step
+    curve by the trapezoidal rule.
+
+    Tie groups contribute half credit, so the value equals the
+    Mann-Whitney pair-counting statistic exactly. Integer accumulation
+    keeps the single final division exact up to rounding.
+    """
     neg, pos = counts[:, :, 0], counts[:, :, 1]
     tp_before = np.cumsum(pos, axis=1) - pos
     acc2 = (neg * (2 * tp_before + pos)).sum(axis=1)  # twice the unnormalised area
@@ -189,7 +186,8 @@ def _roc_auc_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _pr_auc_rows(counts: np.ndarray) -> np.ndarray:
-    """Average precision of each row of group counts (see pr_auc)."""
+    """Average precision of each row of group counts: the step-wise sum
+    of precision * delta recall, added in descending-score order."""
     neg, pos = counts[:, :, 0], counts[:, :, 1]
     tp = np.cumsum(pos, axis=1)
     precision = _ratio(tp, tp + np.cumsum(neg, axis=1))
@@ -198,37 +196,19 @@ def _pr_auc_rows(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(pos / pos.sum(axis=1)[:, None] * precision, axis=1)[:, -1]
 
 
-def _set_counts(groups, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Group counts of one whole set from its _tie_groups, plus the group
-    scores; raises UndefinedMetricError unless both classes are present."""
-    y, codes, thresholds = groups
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.size:
+def _set_counts(scored: ScoredSet, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Group counts of the whole set, plus the group scores; raises
+    UndefinedMetricError unless both classes are present."""
+    codes, thresholds = scored._groups
+    n_pos = int(scored.labels.sum())
+    if n_pos == 0 or n_pos == len(scored):
         raise UndefinedMetricError(f"{what} undefined: only one class present")
     return _group_counts(codes[None, :], thresholds.size), thresholds
 
 
-def roc_auc(labels, scores) -> float:
-    """Area under the ROC step curve by the trapezoidal rule.
-
-    Tie groups contribute half credit, so the value equals the
-    Mann-Whitney pair-counting statistic exactly. Integer accumulation
-    keeps the single final division exact up to rounding.
-    """
-    counts, _ = _set_counts(_tie_groups(labels, scores), "ROC-AUC")
-    return float(_roc_auc_rows(counts)[0])
-
-
-def pr_auc(labels, scores) -> float:
-    """Average precision: step-wise sum of precision * delta recall,
-    added in descending-score order."""
-    counts, _ = _set_counts(_tie_groups(labels, scores), "PR-AUC")
-    return float(_pr_auc_rows(counts)[0])
-
-
 def roc_curve(scored: ScoredSet) -> list[tuple[float, float, float]]:
     """All distinct-threshold ROC points of a scored set as (fpr, tpr, threshold)."""
-    counts, thresholds = _set_counts(scored._groups, "ROC curve")
+    counts, thresholds = _set_counts(scored, "ROC curve")
     fp, tp = np.cumsum(counts[0], axis=0).T
     points = zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist(), thresholds.tolist())
     return [(0.0, 0.0, float("inf")), *points]
@@ -238,11 +218,11 @@ def metric_bundle(scored: ScoredSet) -> tuple[Confusion, dict[str, float | None]
     """Confusion at the 0.5 threshold plus F1, precision, recall, ROC-AUC
     and PR-AUC of a scored set, in that key order; the AUCs are None when
     only one class is present."""
-    conf = confusion(scored.labels, scored.predictions)
+    conf = confusion(scored)
     precision, recall, f1 = prf1(conf)
     metrics: dict[str, float | None] = {"f1": f1, "precision": precision, "recall": recall}
     try:
-        counts, _ = _set_counts(scored._groups, "ROC-AUC")
+        counts, _ = _set_counts(scored, "ROC-AUC")
     except UndefinedMetricError:
         metrics["roc_auc"] = metrics["pr_auc"] = None
     else:
@@ -267,7 +247,7 @@ def _row_scorer(measure: str, scored: ScoredSet) -> Callable[[np.ndarray], np.nd
     measure per row, with the float expressions of prf1, accuracy and the
     AUC kernels."""
     if measure in _RESAMPLE_SENSITIVE:
-        _, codes, thresholds = scored._groups
+        codes, thresholds = scored._groups
         kernel = _roc_auc_rows if measure == "roc_auc" else _pr_auc_rows
         return lambda rows: kernel(_group_counts(codes[rows], thresholds.size))
     n = len(scored)

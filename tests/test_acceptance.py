@@ -33,7 +33,7 @@ from fedvra.network import (
     lr_at_epoch,
 )
 from fedvra.seeds import derive_seed
-from fedvra.stats import Confusion, ScoredSet, bootstrap_ci, bootstrap_diff, metric_bundle, prf1, roc_auc
+from fedvra.stats import Confusion, ScoredSet, bootstrap_ci, bootstrap_diff, metric_bundle, prf1
 
 from central_oracle import train_centralized
 
@@ -374,7 +374,7 @@ def test_07_roc_auc_pair_counting():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = rng.integers(0, 8, size=n) / 7.0  # coarse grid forces ties
-        assert roc_auc(labels, scores) == pair_count_auc(labels, scores)
+        assert metric_bundle(ScoredSet(labels, scores))[1]["roc_auc"] == pair_count_auc(labels, scores)
         checked += 1
     verdict(
         "roc-auc-oracle",

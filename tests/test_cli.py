@@ -379,6 +379,22 @@ def test_run_force_refuses_to_mix_two_runs(chain, tmp_path):
     assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
 
+def test_run_force_refuses_a_report_of_the_earlier_run(chain, tmp_path):
+    # a report left inside the run directory would describe the earlier run after a rerun
+    copy = tmp_path / "run"
+    shutil.copytree(chain["run"], copy)
+    shutil.copytree(chain["report"], copy / "report")
+    before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(chain["plan"]),
+        "--out", str(copy), "--seed", "2", "--hidden-sizes", "4",
+        "--learning-rates", "0.05", "--weight-decays", "0.0001", "--max-epochs", "3", "--force",
+    )
+    assert code == 2
+    assert err == f"error: run directory {copy} holds report, which this run would not rewrite\n"
+    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+
 def test_run_single_treatment_only(chain, tmp_path):
     out = tmp_path / "fed_only"
     code, _, _ = run_cli(

@@ -15,13 +15,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+import fedvra.data
 from fedvra.data import (
     DEFAULT_POSITIVE_RATE,
-    DEFAULT_WARD_MIX,
     RecordTable,
     SplitPlan,
     SynthConfig,
-    WARDS,
+    WARD_MIX,
     assign_institutions,
     check_split_plan,
     features_matrix,
@@ -43,7 +43,7 @@ from fedvra.data import (
 )
 from fedvra.errors import SplitInvariantError
 from fedvra.network import INPUT_DIM
-from fedvra.stats import roc_auc
+from fedvra.stats import ScoredSet, metric_bundle
 from record_rows import record, table
 
 
@@ -422,7 +422,7 @@ def test_generate_synthetic_counts_and_allocation():
     records = generate_synthetic(config)
     assert 200 <= len(records) <= 600
     assert records.label.sum() == round(0.25 * len(records))
-    assert set(records.ward) <= set(WARDS)
+    assert set(records.ward) <= set(WARD_MIX)
     assert records.features.shape == (len(records), INPUT_DIM)
     for ts in records.admission_ts.tolist():
         assert parse_ts(format_ts(ts)) == ts
@@ -440,7 +440,7 @@ def test_generate_synthetic_ward_proportions():
     # ~4280 records at 2 admissions per patient on average
     records = generate_synthetic(SynthConfig(n_patients=2140, seed=10))
     counts = ward_counts(records)
-    for ward, want in DEFAULT_WARD_MIX.items():
+    for ward, want in WARD_MIX.items():
         assert abs(counts[ward] / len(records) - want) <= 0.02, ward
     rate = records.label.sum() / len(records)
     assert abs(rate - DEFAULT_POSITIVE_RATE) <= 0.001
@@ -452,7 +452,7 @@ def test_generate_synthetic_no_signal_when_separation_zero():
     )
     x, y = features_matrix(records, range(len(records)))
     scores = x @ label_direction()
-    auc = roc_auc(y.astype(int), (scores - scores.min()) / (scores.max() - scores.min()))
+    auc = metric_bundle(ScoredSet(y, (scores - scores.min()) / (scores.max() - scores.min())))[1]["roc_auc"]
     assert abs(auc - 0.5) <= 0.05
 
 
@@ -460,7 +460,7 @@ def test_generate_synthetic_signal_along_label_direction():
     records = generate_synthetic(SynthConfig(n_patients=500, seed=5, class_separation=2.0))
     x, y = features_matrix(records, range(len(records)))
     scores = x @ label_direction()
-    auc = roc_auc(y.astype(int), (scores - scores.min()) / (scores.max() - scores.min()))
+    auc = metric_bundle(ScoredSet(y, (scores - scores.min()) / (scores.max() - scores.min())))[1]["roc_auc"]
     assert auc > 0.85
 
 
@@ -482,8 +482,6 @@ def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=1, admissions_per_patient=(3, 2))
     with pytest.raises(ValueError):
-        SynthConfig(n_patients=10, seed=1, ward_mix={"A1": 0.5, "A3": 0.4})
-    with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=1, positive_rate=1.5)
     with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=1, class_separation=-1.0)
@@ -492,8 +490,6 @@ def test_synth_config_validation():
         SynthConfig(n_patients=5, seed=1, class_separation=float("nan"))
     with pytest.raises(ValueError, match="ward_shift must be finite"):
         SynthConfig(n_patients=5, seed=1, ward_shift=float("inf"))
-    with pytest.raises(ValueError, match="ward_mix proportions must be finite"):
-        SynthConfig(n_patients=5, seed=1, ward_mix={"A1": float("nan"), "A3": 1.0})
 
 
 # ---------- records and persistence ----------
@@ -532,6 +528,42 @@ def test_record_table_is_read_only_and_leaves_the_callers_arrays_alone():
     assert x.flags.writeable and label.flags.writeable
     x[0, 0] = 5.0  # the table holds a copy of a writeable array
     assert records.features[0, 0] == 0.0
+
+
+def test_record_table_copies_a_read_only_view_of_a_writeable_array():
+    x, label = np.zeros((3, INPUT_DIM)), np.array([0, 1, 0])
+    x_view, label_view = x.view(), label.view()
+    for view in (x_view, label_view):
+        view.setflags(write=False)
+    records = RecordTable(["P1", "P2", "P3"], ["A1"] * 3, [0, 1, 2], x_view, label_view)
+    x[0, 0], label[0] = np.nan, 7  # the owner can still write through the base array
+    assert records.features[0, 0] == 0.0 and records.label.tolist() == [0, 1, 0]
+    assert not np.shares_memory(records.features, x) and not np.shares_memory(records.label, label)
+
+
+def test_record_table_adopts_a_fresh_read_only_array(tmp_path, monkeypatch):
+    ts, x, label = np.arange(2, dtype=np.int64), np.zeros((2, INPUT_DIM)), np.array([0, 1], dtype=np.int64)
+    for column in (ts, x, label):
+        column.setflags(write=False)
+    records = RecordTable(["P1", "P2"], ["A1", "A1"], ts, x, label)
+    assert records.admission_ts is ts and records.features is x and records.label is label
+    # a view of a read-only owner is adopted too: np.load returns the sidecar's arrays as such views
+    view = x.view()
+    assert RecordTable(["P1", "P2"], ["A1", "A1"], ts, view, label).features is view
+    # so a load from the sidecar copies no column
+    path, saved = tmp_path / "data.jsonl", synthetic_records(n_patients=5, seed=3)
+    save_records(path, saved)
+    frozen, adopted = fedvra.data._frozen, []
+
+    def spy(values, dtype=np.float64):
+        arr = frozen(values, dtype)
+        adopted.append(arr is values)
+        return arr
+
+    monkeypatch.setattr(fedvra.data, "_frozen", spy)
+    monkeypatch.setattr(fedvra.data, "_parse_row", lambda line: pytest.fail("parsed a line"))
+    assert_same_records(saved, load_records(path))
+    assert adopted == [True, True, True]
 
 
 def sidecar_of(path):

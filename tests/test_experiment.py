@@ -89,8 +89,7 @@ def refit_fold(records, plan, cfg, treatment, combo_index, fold):
     )
     params, _, _ = federated_train(silos, refit_cfg)
     val_loss, scored = federated_validate(params, silos, resolve_pos_weight(silos))
-    labels, scores = scored.labels, scored.scores
-    return val_loss, confusion(labels, (scores >= THRESHOLD).astype(np.int64)), scores, labels
+    return val_loss, confusion(scored), scored.scores, scored.labels
 
 
 # ---------- grid and treatments ----------
@@ -218,8 +217,7 @@ def test_grid_search_cv_shape_and_concatenated_f1(dataset):
     refits = [refit_fold(records, plan, base_config(), Treatment.FEDERATED, 0, fit.fold) for fit in result.fold_fits]
     labels = np.concatenate([labels for *_, labels in refits])
     scores = np.concatenate([scores for _, _, scores, _ in refits])
-    preds = (scores >= THRESHOLD).astype(np.int64)
-    _, _, want_f1 = prf1(confusion(labels, preds))
+    _, _, want_f1 = prf1(confusion(ScoredSet(labels, scores)))
     assert result.f1 == want_f1
     for fit, (val_loss, conf, _, _) in zip(result.fold_fits, refits):
         assert 1 <= fit.best_epoch <= fit.epochs_run <= base_config().max_epochs
@@ -275,7 +273,7 @@ def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
         best_epoch=best.epoch + 1,
         epochs_run=len(logs),
         val_loss=val_loss,
-        confusion=confusion(scored.labels, scored.predictions),
+        confusion=confusion(scored),
     )
 
 
@@ -309,14 +307,14 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
     result = results[Treatment.CENTRALISED][0]
     tn, fp, fn, tp = Confusion(*map(sum, zip(*(fit.confusion for fit in result.fold_fits))))
     labels = np.repeat([0, 0, 1, 1], [tn, fp, fn, tp])
-    preds = np.repeat([0, 1, 0, 1], [tn, fp, fn, tp])
-    assert prf1(confusion(labels, preds))[2] == result.f1
+    preds = np.repeat([0, 1, 0, 1], [tn, fp, fn, tp])  # as scores of 0 and 1, they are their own predictions
+    assert prf1(confusion(ScoredSet(labels, preds)))[2] == result.f1
 
     rng = np.random.default_rng(0)
     null_f1s = []
     for _ in range(200):
         shuffled = rng.permutation(labels)
-        _, _, f1 = prf1(confusion(shuffled, preds))
+        _, _, f1 = prf1(confusion(ScoredSet(shuffled, preds)))
         null_f1s.append(f1)
     mean = float(np.mean(null_f1s))
     sigma = float(np.std(null_f1s))

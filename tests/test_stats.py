@@ -26,9 +26,7 @@ from fedvra.stats import (
     confusion,
     contingency,
     metric_bundle,
-    pr_auc,
     prf1,
-    roc_auc,
     roc_curve,
 )
 from fedvra.stats import _bootstrap_joint, _ci_bounds
@@ -90,24 +88,25 @@ def vectors_from_confusion(conf: Confusion):
 
 
 def test_confusion_basics():
-    assert confusion([1, 0], [1, 0]) == Confusion(tn=1, fp=0, fn=0, tp=1)
+    # scores of 0 and 1 make the predictions equal to them
+    assert confusion(ScoredSet([1, 0], [1.0, 0.0])) == Confusion(tn=1, fp=0, fn=0, tp=1)
     labels, preds = vectors_from_confusion(PUBLISHED_CONFUSIONS["a"])
-    assert confusion(labels, preds) == PUBLISHED_CONFUSIONS["a"]
+    assert confusion(ScoredSet(labels, preds)) == PUBLISHED_CONFUSIONS["a"]
 
 
 def test_confusion_all_negative_predictions():
     labels = np.array([0] * 757 + [1] * 99)
-    preds = np.zeros(856, dtype=int)
-    assert confusion(labels, preds) == Confusion(tn=757, fp=0, fn=99, tp=0)
+    assert confusion(ScoredSet(labels, np.zeros(856))) == Confusion(tn=757, fp=0, fn=99, tp=0)
 
 
 def test_confusion_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        confusion([0, 1], [0, 2])
-    with pytest.raises(ValueError):
-        confusion([0, 1], [0])
-    with pytest.raises(ValueError):
-        confusion([], [])
+    # a confusion is taken of a ScoredSet, which checks its vectors once
+    with pytest.raises(ValueError, match="^scores must lie in"):
+        ScoredSet([0, 1], [0.0, 2.0])
+    with pytest.raises(ValueError, match="^labels and scores must be equal-length non-empty vectors$"):
+        ScoredSet([0, 1], [0.0])
+    with pytest.raises(ValueError, match="^labels and scores must be equal-length non-empty vectors$"):
+        ScoredSet([], [])
 
 
 def test_prf1_reproduces_published_combined_metrics():
@@ -135,16 +134,18 @@ def test_accuracy():
 
 def test_roc_auc_endpoints():
     y = np.array([0, 0, 1, 1])
-    assert roc_auc(y, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
-    assert roc_auc(y, np.array([0.9, 0.8, 0.2, 0.1])) == 0.0
-    assert roc_auc(y, np.array([0.4, 0.4, 0.4, 0.4])) == 0.5
+    assert metric_bundle(ScoredSet(y, np.array([0.1, 0.2, 0.8, 0.9])))[1]["roc_auc"] == 1.0
+    assert metric_bundle(ScoredSet(y, np.array([0.9, 0.8, 0.2, 0.1])))[1]["roc_auc"] == 0.0
+    assert metric_bundle(ScoredSet(y, np.array([0.4, 0.4, 0.4, 0.4])))[1]["roc_auc"] == 0.5
 
 
 def test_roc_auc_single_class_undefined():
+    assert metric_bundle(ScoredSet(np.ones(4), np.linspace(0, 1, 4)))[1]["roc_auc"] is None
+    assert metric_bundle(ScoredSet(np.zeros(4), np.linspace(0, 1, 4)))[1]["pr_auc"] is None
     with pytest.raises(UndefinedMetricError):
-        roc_auc(np.ones(4), np.linspace(0, 1, 4))
+        roc_curve(ScoredSet(np.ones(4), np.linspace(0, 1, 4)))
     with pytest.raises(UndefinedMetricError):
-        pr_auc(np.zeros(4), np.linspace(0, 1, 4))
+        roc_curve(ScoredSet(np.zeros(4), np.linspace(0, 1, 4)))
 
 
 def test_roc_auc_equals_pair_counting():
@@ -156,16 +157,17 @@ def test_roc_auc_equals_pair_counting():
             labels[0] = 1 - labels[0]
         # coarse grid forces heavy score ties
         scores = rng.integers(0, 7, size=n) / 6.0
-        assert roc_auc(labels, scores) == pair_count_auc(labels.tolist(), scores.tolist())
+        got = metric_bundle(ScoredSet(labels, scores))[1]["roc_auc"]
+        assert got == pair_count_auc(labels.tolist(), scores.tolist())
 
 
 def test_pr_auc_values():
     y = np.array([0, 0, 1, 1])
-    assert pr_auc(y, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
+    assert metric_bundle(ScoredSet(y, np.array([0.1, 0.2, 0.8, 0.9])))[1]["pr_auc"] == 1.0
     # one tie group: AP collapses to the prevalence
-    assert pr_auc(y, np.full(4, 0.3)) == 0.5
+    assert metric_bundle(ScoredSet(y, np.full(4, 0.3)))[1]["pr_auc"] == 0.5
     labels = np.array([0] * 9 + [1])
-    assert pr_auc(labels, np.full(10, 0.4)) == 0.1
+    assert metric_bundle(ScoredSet(labels, np.full(10, 0.4)))[1]["pr_auc"] == 0.1
 
 
 def test_pr_auc_matches_threshold_scan():
@@ -176,7 +178,7 @@ def test_pr_auc_matches_threshold_scan():
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
         scores = rng.integers(0, 9, size=n) / 8.0
-        got = pr_auc(labels, scores)
+        got = metric_bundle(ScoredSet(labels, scores))[1]["pr_auc"]
         want = threshold_scan_ap(labels.tolist(), scores.tolist())
         assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
 
@@ -216,21 +218,19 @@ def test_non_integral_labels_are_rejected_before_the_int_cast():
     labels, scores = [0.5, 1.7, 0.0], np.array([0.2, 0.9, 0.4])
     for call in (
         lambda: ScoredSet(labels=labels, scores=scores),
-        lambda: confusion([0.9, 1.0], [0, 1]),
+        lambda: confusion(ScoredSet([0.9, 1.0], [0.0, 1.0])),
         lambda: metric_bundle(ScoredSet(labels, scores)),
-        lambda: roc_auc(labels, scores),
-        lambda: pr_auc(labels, scores),
+        lambda: metric_bundle(ScoredSet(labels, scores))[1]["roc_auc"],
+        lambda: metric_bundle(ScoredSet(labels, scores))[1]["pr_auc"],
         lambda: roc_curve(ScoredSet(labels, scores)),
     ):
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             call()
-    with pytest.raises(ValueError, match="^predictions must be 0 or 1$"):
-        confusion([0, 1], [0, 0.5])
     # float 0.0 / 1.0 labels, as features_matrix and federated_validate pass them
     floats = np.array([0.0, 1.0, 0.0])
     assert ScoredSet(labels=floats, scores=scores).labels.tolist() == [0, 1, 0]
     assert metric_bundle(ScoredSet(floats, scores)) == metric_bundle(ScoredSet(floats.astype(np.int64), scores))
-    assert confusion(floats, [0, 1, 1]) == Confusion(tn=1, fp=1, fn=0, tp=1)
+    assert confusion(ScoredSet(floats, [0.0, 1.0, 1.0])) == Confusion(tn=1, fp=1, fn=0, tp=1)
 
 
 def test_scored_set_leaves_the_callers_arrays_writeable():
@@ -245,7 +245,7 @@ def test_scored_set_leaves_the_callers_arrays_writeable():
 
 def test_metric_bundle_matches_the_single_measures():
     s = ScoredSet(labels=np.array([0, 0, 1, 1]), scores=np.array([0.1, 0.6, 0.4, 0.8]))
-    conf = confusion(s.labels, s.predictions)
+    conf = confusion(s)
     precision, recall, f1 = prf1(conf)
     got_conf, metrics = metric_bundle(s)
     assert got_conf == conf
@@ -253,12 +253,12 @@ def test_metric_bundle_matches_the_single_measures():
     assert metrics["precision"] == precision
     assert metrics["recall"] == recall
     assert metrics["f1"] == f1
-    assert metrics["roc_auc"] == roc_auc(s.labels, s.scores)
-    assert metrics["pr_auc"] == pr_auc(s.labels, s.scores)
+    assert metrics["roc_auc"] == pair_count_auc(s.labels.tolist(), s.scores.tolist())
+    assert math.isclose(metrics["pr_auc"], threshold_scan_ap(s.labels.tolist(), s.scores.tolist()), abs_tol=1e-12)
     # the trapezoids under the set's ROC curve add up to its ROC-AUC
     fpr, tpr, _ = np.array(roc_curve(s)).T
     assert math.isclose(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2), metrics["roc_auc"], abs_tol=1e-12)
-    # a list of scores is read as an array, as roc_auc and pr_auc read it
+    # lists of labels and scores are read as arrays
     assert metric_bundle(ScoredSet([0, 1, 0], [0.2, 0.9, 0.4])) == (
         Confusion(tn=2, fp=0, fn=0, tp=1),
         {"f1": 1.0, "precision": 1.0, "recall": 1.0, "roc_auc": 1.0, "pr_auc": 1.0},
@@ -266,7 +266,7 @@ def test_metric_bundle_matches_the_single_measures():
     # accuracy is a bootstrap-only measure: one resample, replayed by hand
     _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4)
     idx = make_rng(4, "bootstrap-ci").integers(0, len(s), size=len(s))
-    assert samples[0] == accuracy(confusion(s.labels[idx], s.predictions[idx]))
+    assert samples[0] == accuracy(confusion(ScoredSet(s.labels[idx], s.scores[idx])))
     with pytest.raises(ValueError):
         bootstrap_ci(s, "mcc")
     with pytest.raises(ValueError):
@@ -306,7 +306,7 @@ def test_bootstrap_ci_matches_manual_resampler():
     manual_rng = make_rng(21, "bootstrap-ci")
     for i in range(100):
         idx = manual_rng.integers(0, 40, size=40)
-        _, _, f1 = prf1(confusion(labels[idx], (scores[idx] >= 0.5).astype(int)))
+        _, _, f1 = prf1(confusion(ScoredSet(labels[idx], scores[idx])))
         assert samples[i] == f1
     assert result.ci_low == float(np.percentile(samples, 2.5))
     assert result.ci_high == float(np.percentile(samples, 97.5))

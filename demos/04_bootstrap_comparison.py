@@ -49,7 +49,7 @@ print(f"  good - good f1       {self_diff.mean_diff:+.3f} "
       f"[{self_diff.ci_low:+.3f}, {self_diff.ci_high:+.3f}]  (exactly zero by construction)")
 
 print("\n== where the two models disagree ==")
-counts = contingency(good.predictions == labels, weak.predictions == labels)
+counts = contingency(good, weak)  # two scored sets of the same records
 print(f"  both correct {counts.both_correct}, good only {counts.first_only}, "
       f"weak only {counts.second_only}, neither {counts.neither}")
 

@@ -486,9 +486,8 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
         sets = {key: scored[key][set_name] for key in TREATMENT_KEYS}
         bundles = {key: metric_bundle(s) for key, s in sets.items()}
         payload["confusion"][set_name] = {key: bundles[key][0]._asdict() for key in TREATMENT_KEYS}
-        correct = {key: s.predictions == s.labels for key, s in sets.items()}
         payload["contingency_vs_federated"][set_name] = {
-            key: dict(zip(CONTINGENCY_KEYS, contingency(correct[FEDERATED_KEY], correct[key]))) for key in OTHER_KEYS
+            key: dict(zip(CONTINGENCY_KEYS, contingency(sets[FEDERATED_KEY], sets[key]))) for key in OTHER_KEYS
         }
         agreement = common_agreement(list(sets.values()))
         payload["common_agreement"][set_name] = {**asdict(agreement), "agreement_rate": agreement.agreement_rate}

@@ -66,8 +66,9 @@ class RecordTable:
     fixed-width strings drop trailing NULs). admission_ts holds seconds
     since 1970-01-01 UTC and label 0 or 1, both int64; features is one
     finite float64 row of FEATURE_DIM values per record. The arrays are
-    read-only: the table copies an array unless _frozen may adopt it, so
-    no caller can change a checked table.
+    read-only: the table copies an array unless _frozen may adopt it. An
+    adopted array is the caller's own, and the caller must not make it
+    writeable again, or the checked table could change under it.
     """
 
     patient_id: tuple[str, ...]
@@ -156,7 +157,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_patients < 1:
             raise ValueError("n_patients must be at least 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         lo, hi = self.admissions_per_patient
         if lo < 1 or hi < lo:

@@ -61,8 +61,9 @@ class Silo:
     Validated once, here, so training steps can work on plain slices:
     the training and the validation features must be finite with
     INPUT_DIM columns, and their labels 0 or 1, one per row. The silo
-    keeps read-only arrays of its own: it adopts an array that is
-    already read-only and owns its memory, and copies anything else.
+    keeps read-only arrays: it adopts an array that is already read-only
+    and owns its memory (see _frozen), and copies anything else. The
+    caller must not make an adopted array writeable again.
     """
 
     name: str

@@ -33,10 +33,12 @@ INPUT_DIM = 300
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
-    """Read-only array of dtype that no caller can still write to.
+    """Read-only array of dtype.
 
     Adopts a read-only array of dtype that owns its memory, or is a view
-    of a read-only array that does, and copies anything else.
+    of a read-only array that does, and copies anything else. An adopted
+    array is still the caller's, who must not make it writeable again:
+    nothing here can stop that.
     """
     if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
         owner = values if values.flags.owndata else values.base
@@ -57,7 +59,8 @@ def _ro(values, shape_hint: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Weights and biases of the classifier. Immutable."""
+    """Weights and biases of the classifier. Immutable as long as the
+    caller does not make an array it adopted (see _frozen) writeable again."""
 
     w1: np.ndarray  # (hidden, INPUT_DIM)
     b1: np.ndarray  # (hidden,)
@@ -132,7 +135,7 @@ class TrainConfig:
             raise ValueError("lr0 must be finite and non-negative")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be at least 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")

@@ -20,7 +20,7 @@ def seed_entropy(*parts: int | str) -> list[int]:
         if isinstance(part, str):
             digest = hashlib.sha256(part.encode("utf-8")).digest()
             out.append(int.from_bytes(digest[:8], "little"))
-        elif isinstance(part, (int, np.integer)):
+        elif isinstance(part, (int, np.integer)) and not isinstance(part, bool):
             if part < 0:
                 raise ValueError(f"seed parts must be non-negative, got {part}")
             out.append(int(part))

@@ -5,24 +5,26 @@ every input. The ranking metrics (ROC-AUC, PR-AUC) require both classes
 and raise UndefinedMetricError otherwise; the bootstrap redraws such
 resamples and reports how many redraws happened.
 
-Every measure takes a ScoredSet. Both AUCs, the ROC curve and
-metric_bundle count positives and negatives per descending-score tie
-group, and the bootstrap runs the same kernels on blocks of resample
-rows at once: each block is a (rows, n) draw of index rows, which
-continues the generator's stream exactly as that many draws of n
-would. The redraw order is replayed from that row stream, so every
-seeded result equals the one a per-resample loop would give. One
-kernel, _bootstrap_joint, scores any number of sets that share a label
-vector on one row stream: bootstrap_ci is its one-set case and
-bootstrap_diff the difference of its two columns. A ScoredSet sorts its
-tie groups once, when it is made. The CI bounds are NumPy's linear
-percentiles, taken from one sort.
+Every measure takes a ScoredSet and is a formula over counts that one
+counter, _group_counts, takes of the whole set as one row or of each
+row of a block of resamples. A ScoredSet codes its samples once, when
+it is made, in two ways: by confusion cell (2 * label + prediction:
+TN, FP, FN, TP), which the threshold measures count, and by
+descending-score tie group and label, which both AUCs and the ROC
+curve count. The bootstrap draws each block as one (rows, n) draw of
+index rows, which continues the generator's stream exactly as that
+many draws of n would. The redraw order is replayed from that row
+stream, so every seeded result equals the one a per-resample loop
+would give. One kernel, _bootstrap_joint, scores any number of sets
+that share a label vector on one row stream: bootstrap_ci is its
+one-set case and bootstrap_diff the difference of its two columns. The
+CI bounds are NumPy's linear percentiles, taken from one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,6 +97,7 @@ class ScoredSet:
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "predictions", preds)
+        object.__setattr__(self, "_cells", 2 * y + preds)  # confusion cell codes: TN, FP, FN, TP
         object.__setattr__(self, "_groups", _tie_groups(y, s))  # sorted once for every measure of the set
 
     def __len__(self) -> int:
@@ -130,24 +133,12 @@ def _binary(values, what: str) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def confusion(scored: ScoredSet) -> Confusion:
-    """Counts (TN, FP, FN, TP) of a scored set's labels and predictions."""
-    # code 2 * label + prediction counts TN, FP, FN, TP in that order
-    return Confusion(*np.bincount(2 * scored.labels + scored.predictions, minlength=4).tolist())
-
-
-def prf1(conf: Confusion) -> tuple[float, float, float]:
-    """Precision, recall, F1 with the 0/0 -> 0 convention."""
-    tn, fp, fn, tp = conf
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
-
-
-def accuracy(conf: Confusion) -> float:
-    tn, fp, fn, tp = conf
-    return (tn + tp) / (tn + fp + fn + tp)
+def _shared_labels(sets: list[ScoredSet]) -> np.ndarray:
+    """The label vector of every set; raises ValueError unless they share one."""
+    labels = sets[0].labels
+    if any(not np.array_equal(s.labels, labels) for s in sets[1:]):
+        raise ValueError("scored sets must have identical label vectors")
+    return labels
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -164,11 +155,55 @@ def _tie_groups(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _group_counts(codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """Negatives and positives per tie group of each row of sample codes
-    (see _tie_groups): shape (rows, groups, 2)."""
+    """How often each code in [0, 2 * n_groups) occurs in each row of
+    codes, in pairs: shape (rows, n_groups, 2). Of tie-group codes (see
+    _tie_groups) these are the negatives and positives per group; of
+    confusion-cell codes, [[TN, FP], [FN, TP]]."""
     k = codes.shape[0]
     flat = (codes + 2 * n_groups * np.arange(k)[:, None]).ravel()
     return np.bincount(flat, minlength=2 * n_groups * k).reshape(k, n_groups, 2)
+
+
+def _cell_counts(scored: ScoredSet, rows: np.ndarray | None = None) -> np.ndarray:
+    """Confusion cells of each row of sample indices, or of the whole
+    set as one row when rows is None (codes[None] is that row)."""
+    return _group_counts(scored._cells[rows], 2)
+
+
+def _tie_counts(scored: ScoredSet, rows: np.ndarray | None = None) -> np.ndarray:
+    """Tie-group counts of each row of sample indices, or of the whole
+    set as one row when rows is None."""
+    codes, thresholds = scored._groups
+    return _group_counts(codes[rows], thresholds.size)
+
+
+def _both_classes(counts: np.ndarray) -> np.ndarray:
+    """Whether each row of tie-group counts holds a negative and a positive."""
+    return (counts[:, :, 0].sum(axis=1) > 0) & (counts[:, :, 1].sum(axis=1) > 0)
+
+
+def _prf1_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F1 of each row of confusion cells, with the
+    0/0 -> 0 convention."""
+    tn, fp, fn, tp = np.reshape(cells, (-1, 4)).T
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    return precision, recall, _ratio(2 * precision * recall, precision + recall)
+
+
+def _accuracy_rows(cells: np.ndarray) -> np.ndarray:
+    tn, fp, fn, tp = np.reshape(cells, (-1, 4)).T
+    return (tn + tp) / (tn + fp + fn + tp)
+
+
+def confusion(scored: ScoredSet) -> Confusion:
+    """Counts (TN, FP, FN, TP) of a scored set's labels and predictions."""
+    return Confusion(*_cell_counts(scored).ravel().tolist())
+
+
+def prf1(conf: Confusion) -> tuple[float, float, float]:
+    """Precision, recall, F1 with the 0/0 -> 0 convention."""
+    return tuple(v.item() for v in _prf1_rows(np.array([conf])))
 
 
 def _roc_auc_rows(counts: np.ndarray) -> np.ndarray:
@@ -197,13 +232,12 @@ def _pr_auc_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _set_counts(scored: ScoredSet, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Group counts of the whole set, plus the group scores; raises
+    """Tie-group counts of the whole set, plus the group scores; raises
     UndefinedMetricError unless both classes are present."""
-    codes, thresholds = scored._groups
-    n_pos = int(scored.labels.sum())
-    if n_pos == 0 or n_pos == len(scored):
+    counts = _tie_counts(scored)
+    if not _both_classes(counts)[0]:
         raise UndefinedMetricError(f"{what} undefined: only one class present")
-    return _group_counts(codes[None, :], thresholds.size), thresholds
+    return counts, scored._groups[1]
 
 
 def roc_curve(scored: ScoredSet) -> list[tuple[float, float, float]]:
@@ -231,7 +265,17 @@ def metric_bundle(scored: ScoredSet) -> tuple[Confusion, dict[str, float | None]
     return conf, metrics
 
 
-MEASURES = ("f1", "precision", "recall", "accuracy", "roc_auc", "pr_auc")
+# each measure as a formula over rows of confusion cells, or of
+# tie-group counts for the two AUCs
+_ROW_MEASURES = {
+    "f1": lambda cells: _prf1_rows(cells)[2],
+    "precision": lambda cells: _prf1_rows(cells)[0],
+    "recall": lambda cells: _prf1_rows(cells)[1],
+    "accuracy": _accuracy_rows,
+    "roc_auc": _roc_auc_rows,
+    "pr_auc": _pr_auc_rows,
+}
+MEASURES = tuple(_ROW_MEASURES)
 # measures that can be undefined on a single-class resample
 _RESAMPLE_SENSITIVE = ("roc_auc", "pr_auc")
 
@@ -240,36 +284,6 @@ _MAX_REDRAW_ROUNDS = 1000
 # index elements per block of resample rows: bounds the bootstrap's memory
 # (a few MB of temporaries); larger blocks were no faster at n = 800
 _BLOCK_ELEMENTS = 1 << 14
-
-
-def _row_scorer(measure: str, scored: ScoredSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Scores a (rows, n) block of resample index rows into one value of
-    measure per row, with the float expressions of prf1, accuracy and the
-    AUC kernels."""
-    if measure in _RESAMPLE_SENSITIVE:
-        codes, thresholds = scored._groups
-        kernel = _roc_auc_rows if measure == "roc_auc" else _pr_auc_rows
-        return lambda rows: kernel(_group_counts(codes[rows], thresholds.size))
-    n = len(scored)
-    positive = scored.labels == 1
-    predicted = scored.predictions == 1
-    hit = positive & predicted
-
-    def score(rows: np.ndarray) -> np.ndarray:
-        tp = np.count_nonzero(hit[rows], axis=1)
-        n_pos = np.count_nonzero(positive[rows], axis=1)
-        n_pred = np.count_nonzero(predicted[rows], axis=1)
-        if measure == "accuracy":
-            return (n - n_pos - n_pred + 2 * tp) / n  # (tn + tp) / n
-        precision = _ratio(tp, n_pred)
-        recall = _ratio(tp, n_pos)
-        if measure == "precision":
-            return precision
-        if measure == "recall":
-            return recall
-        return _ratio(2 * precision * recall, precision + recall)
-
-    return score
 
 
 def _bootstrap_joint(
@@ -291,12 +305,10 @@ def _bootstrap_joint(
         raise ValueError(f"unknown measure {measure!r}; pick one of {MEASURES}")
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
-    labels = sets[0].labels
-    if any(not np.array_equal(s.labels, labels) for s in sets[1:]):
-        raise ValueError("paired bootstrap requires identical label vectors")
-    scorers = [_row_scorer(measure, s) for s in sets]
-    n = labels.size
-    positive = labels == 1
+    n = _shared_labels(sets).size
+    sensitive = measure in _RESAMPLE_SENSITIVE
+    count = _tie_counts if sensitive else _cell_counts
+    formula = _ROW_MEASURES[measure]
     block_rows = max(1, _BLOCK_ELEMENTS // n)
     values = np.empty((n_resamples, len(sets)), dtype=np.float64)
     filled = 0
@@ -306,9 +318,9 @@ def _bootstrap_joint(
     while filled < n_resamples:
         # at most one row per open resample, so every row drawn is consumed
         rows = rng.integers(0, n, size=(min(block_rows, n_resamples - filled), n))
-        if measure in _RESAMPLE_SENSITIVE:
-            n_pos = np.count_nonzero(positive[rows], axis=1)
-            kept = np.flatnonzero((n_pos > 0) & (n_pos < n))
+        counts = count(sets[0], rows)
+        if sensitive:
+            kept = np.flatnonzero(_both_classes(counts))
             # undefined runs before each kept row and after the last one
             gaps = np.diff(kept, prepend=-1, append=len(rows)) - 1
             gaps[0] += run
@@ -316,10 +328,11 @@ def _bootstrap_joint(
             if gaps.max() > _MAX_REDRAW_ROUNDS:
                 raise StatisticalError("measure undefined on every redraw attempt")
             run = int(gaps[-1])
-            n_redrawn += len(rows) - kept.size
-            rows = rows[kept]
-        for j, score_rows in enumerate(scorers):
-            values[filled : filled + len(rows), j] = score_rows(rows)
+            if kept.size < len(rows):  # most blocks keep every row and need no copy
+                n_redrawn += len(rows) - kept.size
+                rows, counts = rows[kept], counts[kept]
+        for j, scored in enumerate(sets):
+            values[filled : filled + len(rows), j] = formula(counts if j == 0 else count(scored, rows))
         filled += len(rows)
     if 2 * first_pass_undefined > n_resamples:
         raise StatisticalError(
@@ -385,18 +398,12 @@ def bootstrap_diff(
     return result, values
 
 
-def contingency(first_correct, second_correct) -> ContingencyCounts:
-    """Joint correctness counts of two models on the same test set."""
-    a = np.asarray(first_correct, dtype=bool)
-    b = np.asarray(second_correct, dtype=bool)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise ValueError("correctness vectors must be equal-length non-empty vectors")
-    return ContingencyCounts(
-        both_correct=int(np.sum(a & b)),
-        first_only=int(np.sum(a & ~b)),
-        second_only=int(np.sum(~a & b)),
-        neither=int(np.sum(~a & ~b)),
-    )
+def contingency(first: ScoredSet, second: ScoredSet) -> ContingencyCounts:
+    """Joint correctness counts of two models' predictions on one test set."""
+    labels = _shared_labels([first, second])
+    # code 2 * first wrong + second wrong counts the fields in their order
+    codes = 2 * (first.predictions != labels) + (second.predictions != labels)
+    return ContingencyCounts(*_group_counts(codes[None], 2).ravel().tolist())
 
 
 def common_agreement(sets: list[ScoredSet]) -> CommonAgreement:
@@ -407,21 +414,9 @@ def common_agreement(sets: list[ScoredSet]) -> CommonAgreement:
     """
     if len(sets) < 2:
         raise ValueError("need at least two scored sets")
-    labels = sets[0].labels
-    for s in sets[1:]:
-        if not np.array_equal(s.labels, labels):
-            raise ValueError("all scored sets must share the same label vector")
+    labels = _shared_labels(sets)
     preds = np.stack([s.predictions for s in sets])
-    agree = (preds == preds[0]).all(axis=0)
-    correct = agree & (preds[0] == labels)
-    wrong = agree & (preds[0] != labels)
-    neg = labels == 0
-    pos = labels == 1
-    return CommonAgreement(
-        neg_correct=int(np.sum(correct & neg)),
-        neg_wrong=int(np.sum(wrong & neg)),
-        neg_disagree=int(np.sum(~agree & neg)),
-        pos_correct=int(np.sum(correct & pos)),
-        pos_wrong=int(np.sum(wrong & pos)),
-        pos_disagree=int(np.sum(~agree & pos)),
-    )
+    # outcome 0 unanimous and correct, 1 unanimous and wrong, 2 split;
+    # code 3 * label + outcome counts the fields in their order
+    outcome = np.where((preds == preds[0]).all(axis=0), preds[0] != labels, 2)
+    return CommonAgreement(*_group_counts((3 * labels + outcome)[None], 3).ravel().tolist())

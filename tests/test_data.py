@@ -479,6 +479,8 @@ def test_synth_config_validation():
         SynthConfig(n_patients=0, seed=1)
     with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        SynthConfig(n_patients=3, seed=False)
     with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=1, admissions_per_patient=(3, 2))
     with pytest.raises(ValueError):

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from fedvra.cli import _write_text
+from fedvra.data import RecordTable
 from fedvra.errors import NumericalError
+from fedvra.federated import Silo
 from fedvra.network import (
     INPUT_DIM,
     Gradients,
@@ -455,6 +457,23 @@ def test_model_params_never_alias_writable_memory():
     assert m.w1[0, 0] == 0.0  # writable: copied
 
 
+@pytest.mark.parametrize("writeable", [False, True])
+def test_table_silo_and_model_adopt_read_only_arrays_and_copy_writeable_ones(writeable):
+    # the contract of network._frozen: an adopted array is the caller's
+    # own, and the caller must not make it writeable again
+    x, w1, y, b1 = np.zeros((2, INPUT_DIM)), np.ones((2, INPUT_DIM)), np.array([0.0, 1.0]), np.ones(2)
+    for arr in (x, w1, y, b1):
+        arr.setflags(write=writeable)
+    t = RecordTable(["P1", "P2"], ["A1", "A1"], [0, 1], x, [0, 1])
+    silo = Silo("s", x, y, x, y)
+    m = ModelParams(w1=w1, b1=b1, w2=b1, b2=0.0)
+    kept = (t.features, silo.train_features, silo.val_labels, m.w1, m.w2)
+    for got, given in zip(kept, (x, x, y, w1, b1)):
+        assert (got is given) == (not writeable)
+        assert np.shares_memory(got, given) == (not writeable)
+        assert not got.flags.writeable
+
+
 def test_train_config_validation():
     cfg = TrainConfig(lr0=0.0, hidden_size=1, seed=0)  # zero rate is allowed
     assert cfg.batch_size == 32 and cfg.gamma == 0.975
@@ -464,6 +483,8 @@ def test_train_config_validation():
         TrainConfig(lr0=0.1, hidden_size=0, seed=0)
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.1, hidden_size=1, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        TrainConfig(lr0=0.01, hidden_size=4, seed=True)
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.1, hidden_size=1, seed=0, gamma=0.0)
     with pytest.raises(ValueError):

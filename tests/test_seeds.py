@@ -48,6 +48,8 @@ def test_rejects_bad_parts():
         seed_entropy(-1)
     with pytest.raises(TypeError):
         seed_entropy(1.5)
+    with pytest.raises(TypeError):  # True would otherwise seed as 1
+        seed_entropy(1, True)
     with pytest.raises(ValueError):
         seed_entropy()
 

@@ -19,7 +19,6 @@ from fedvra.stats import (
     ContingencyCounts,
     MEASURES,
     ScoredSet,
-    accuracy,
     bootstrap_ci,
     bootstrap_diff,
     common_agreement,
@@ -29,7 +28,7 @@ from fedvra.stats import (
     prf1,
     roc_curve,
 )
-from fedvra.stats import _bootstrap_joint, _ci_bounds
+from fedvra.stats import _ROW_MEASURES, _bootstrap_joint, _ci_bounds
 
 # combined-test-set confusion matrices of the four treatments, published
 # alongside the study this package replicates (TN, FP, FN, TP)
@@ -126,7 +125,9 @@ def test_prf1_zero_conventions():
 
 
 def test_accuracy():
-    assert accuracy(Confusion(tn=615, fp=142, fn=41, tp=58)) == (615 + 58) / 856
+    # the bootstrap's accuracy formula over one row of confusion cells
+    cells = np.array([[[615, 142], [41, 58]]])
+    assert _ROW_MEASURES["accuracy"](cells).tolist() == [(615 + 58) / 856]
 
 
 # ---------- ranking metrics ----------
@@ -266,7 +267,8 @@ def test_metric_bundle_matches_the_single_measures():
     # accuracy is a bootstrap-only measure: one resample, replayed by hand
     _, samples = bootstrap_ci(s, "accuracy", n_resamples=1, seed=4)
     idx = make_rng(4, "bootstrap-ci").integers(0, len(s), size=len(s))
-    assert samples[0] == accuracy(confusion(ScoredSet(s.labels[idx], s.scores[idx])))
+    conf = confusion(ScoredSet(s.labels[idx], s.scores[idx]))
+    assert samples[0] == (conf.tn + conf.tp) / len(s)
     with pytest.raises(ValueError):
         bootstrap_ci(s, "mcc")
     with pytest.raises(ValueError):
@@ -429,10 +431,28 @@ def test_bootstrap_joint_requires_one_label_vector():
 # ---------- agreement ----------
 
 
+def correct_where(correct):
+    """A scored set of all-positive labels whose prediction is right exactly where correct is true."""
+    correct = np.asarray(correct)
+    return ScoredSet(labels=np.ones(correct.size, dtype=int), scores=correct.astype(float))
+
+
 def test_contingency_identity_and_complement():
     a = np.array([True, False, True, True])
-    assert contingency(a, a) == ContingencyCounts(3, 0, 0, 1)
-    assert contingency(a, ~a) == ContingencyCounts(0, 3, 1, 0)
+    assert contingency(correct_where(a), correct_where(a)) == ContingencyCounts(3, 0, 0, 1)
+    assert contingency(correct_where(a), correct_where(~a)) == ContingencyCounts(0, 3, 1, 0)
+    # mixed labels: correctness is prediction == label, whatever the class
+    labels = np.array([0, 1, 0, 1, 1])
+    first = ScoredSet(labels, np.array([0.1, 0.9, 0.8, 0.2, 0.7]))  # right, right, wrong, wrong, right
+    second = ScoredSet(labels, np.array([0.6, 0.9, 0.3, 0.1, 0.4]))  # wrong, right, right, wrong, wrong
+    assert contingency(first, second) == ContingencyCounts(both_correct=1, first_only=2, second_only=1, neither=1)
+
+
+def test_contingency_requires_shared_labels():
+    a = ScoredSet(labels=np.array([0, 1]), scores=np.array([0.1, 0.9]))
+    b = ScoredSet(labels=np.array([1, 0]), scores=np.array([0.1, 0.9]))
+    with pytest.raises(ValueError, match="identical label vectors"):
+        contingency(a, b)
 
 
 def test_contingency_published_anchor():
@@ -440,7 +460,7 @@ def test_contingency_published_anchor():
     # i.e. the two models disagree on only 21 + 15 = 36 records
     fed = np.array([True] * 673 + [False] * 183)
     other = np.array([True] * 658 + [False] * 15 + [True] * 21 + [False] * 162)
-    counts = contingency(fed, other)
+    counts = contingency(correct_where(fed), correct_where(other))
     assert counts == ContingencyCounts(658, 15, 21, 162)
     assert counts.first_only + counts.second_only == 36
     assert sum(counts) == 856

@@ -3,7 +3,7 @@
 Run with: python3 demos/03_federated_vs_central.py
 """
 
-from fedvra.data import SynthConfig, generate_synthetic, make_split_plan
+from fedvra.data import SynthConfig, generate_synthetic, make_split_plan, split_index
 from fedvra.experiment import Treatment, silos_for_treatment
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight
 from fedvra.network import TrainConfig
@@ -13,10 +13,11 @@ records = generate_synthetic(
     SynthConfig(n_patients=400, seed=11, positive_rate=0.15, class_separation=1.5, ward_shift=1.0)
 )
 plan = make_split_plan(records, test_fraction=0.2, n_folds=5, seed=0)
+index = split_index(records, plan)  # every record's institution and fold
 config = TrainConfig(lr0=0.01, hidden_size=16, seed=3, batch_size=32, max_epochs=30, patience=5)
 
 print("== two-silo federation (institutions A and B, fold 1 held out) ==")
-silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=1)
+silos = silos_for_treatment(Treatment.FEDERATED, records, index, heldout_fold=1)
 for silo in silos:
     neg, pos = silo.label_counts()
     print(f"  silo {silo.name}: {silo.n_train} train ({pos} positive), {silo.n_val} val")
@@ -31,7 +32,7 @@ _, metrics = metric_bundle(kept)
 print(f"kept the checkpoint of epoch {best.epoch}: val={best.val_loss:.4f}  f1={metrics['f1']:.3f}")
 
 print("\n== the same records pooled into one silo: plain training ==")
-pool = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
+pool = silos_for_treatment(Treatment.CENTRALISED, records, index, heldout_fold=1)
 print(f"  silo {pool[0].name}: {pool[0].n_train} train, {pool[0].n_val} val")
 pooled_params, pooled_logs, _ = federated_train(pool, config)
 print(f"trained for {len(pooled_logs)} epochs; best validation loss {min(log.val_loss for log in pooled_logs):.4f}")

@@ -30,6 +30,7 @@ from .data import (
     remove_patient_overlap,
     save_records,
     save_split_plan,
+    split_index,
     split_time_test,
     verify_split_plan,
 )

@@ -33,6 +33,7 @@ from .data import (
     make_split_plan,
     save_records,
     save_split_plan,
+    split_index,
     ward_counts,
 )
 from .errors import NumericalError, SplitInvariantError, StatisticalError, UndefinedMetricError
@@ -260,16 +261,11 @@ def cmd_split(args: argparse.Namespace) -> int:
         print(f"institution {inst}: wards {', '.join(wards)}")
     header = ["fold"] + [f"{inst} neg/pos" for inst in insts] + ["total neg/pos"]
     print("  ".join(f"{h:>14}" for h in header))
-    rows = [(str(fold), plan.fold_ids(fold)) for fold in range(1, plan.n_folds + 1)]
-    labels = records.label.tolist()
-    for name, ids in rows + [("test", plan.test_ids)]:
-        by_inst = {inst: [0, 0] for inst in insts}
-        total = [0, 0]
-        for i in ids:
-            by_inst[plan.institution_of_ward[records.ward[i]]][labels[i]] += 1
-            total[labels[i]] += 1
-        cells = [name] + [f"{by_inst[i][0]}/{by_inst[i][1]}" for i in insts]
-        cells.append(f"{total[0]}/{total[1]}")
+    institution, fold = split_index(records, plan)
+    test = np.isin(np.arange(len(records)), plan.test_ids)
+    for name, rows in [(str(f), fold == f) for f in range(1, plan.n_folds + 1)] + [("test", test)]:
+        masks = [rows & (institution == inst) for inst in insts] + [rows]  # each institution's, then all
+        cells = [name] + ["{}/{}".format(*np.bincount(records.label[mask], minlength=2)) for mask in masks]
         print("  ".join(f"{c:>14}" for c in cells))
     print(f"dropped {len(plan.dropped_ids)} train/val records of test-set patients")
     return 0
@@ -466,9 +462,9 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
     return scored
 
 
-def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resamples: int, distributions=False):
+def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resamples: int):
     """The comparison.json payload, less config.run_dir, and the resample
-    values by dist_*.csv stem (empty unless `distributions`).
+    values by dist_*.csv stem.
 
     Every (test set, measure) runs the BOOTSTRAP_ENTRIES. An entry is
     None when the point estimate of a treatment it scores is undefined.
@@ -505,8 +501,7 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
                 else:
                     result, samples = bootstrap_diff(sets[key], sets[FEDERATED_KEY], measure, n_resamples, entry_seed)
                 cell[key] = asdict(result)
-                if distributions:
-                    dists[f"dist_{set_name}_{measure}_{stem}"] = samples
+                dists[f"dist_{set_name}_{measure}_{stem}"] = samples
     return payload, dists
 
 
@@ -515,7 +510,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(opt["run"])
     out_dir = Path(opt["out"]) if opt["out"] else run_dir / "report"
     scored = _load_scored_sets(run_dir)
-    payload, dists = build_comparison(scored, opt["seed"], opt["bootstrap_n"], args.emit_distributions)
+    payload, dists = build_comparison(scored, opt["seed"], opt["bootstrap_n"])
+    dists = dists if args.emit_distributions else {}
     payload["config"]["run_dir"] = str(run_dir)
     curves = {}
     for key, sets in scored.items():

@@ -132,8 +132,15 @@ class SplitPlan:
     def n_folds(self) -> int:
         return max(self.fold_of_record.values(), default=0)
 
-    def fold_ids(self, fold: int) -> list[int]:
-        return sorted(i for i, f in self.fold_of_record.items() if f == fold)
+
+def split_index(records: RecordTable, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's institution and fold, as arrays by record id; the
+    fold is 0 for test and dropped records. A silo, a fold or a test set
+    is a boolean mask over them, so its rows stay in record order."""
+    institution = np.array([plan.institution_of_ward[ward] for ward in records.ward], dtype=str)
+    fold = np.zeros(len(records), dtype=np.int64)
+    fold[list(plan.fold_of_record)] = list(plan.fold_of_record.values())
+    return institution, fold
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ seed, so _map may run the tasks in any order; results go by task index.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -25,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import RecordTable, SplitPlan, features_matrix
+from .data import RecordTable, SplitPlan, features_matrix, split_index
 from .federated import RoundLog, Silo, federated_train, train_for_epochs
 from .network import ModelParams, TrainConfig, forward_batch, sigmoid
 from .seeds import derive_seed
@@ -127,44 +126,32 @@ class TestSet:
         return len(self.record_ids)
 
 
-# the institutions whose silos a treatment trains; the centralised
-# treatment pools both institutions into one silo instead
-_SILO_INSTITUTIONS = {Treatment.LOCAL_A: ("A",), Treatment.LOCAL_B: ("B",), Treatment.FEDERATED: ("A", "B")}
+# each treatment's silos as (silo name, the institutions whose records it holds)
+_SILOS = {
+    Treatment.LOCAL_A: (("A", ("A",)),),
+    Treatment.LOCAL_B: (("B", ("B",)),),
+    Treatment.FEDERATED: (("A", ("A",)), ("B", ("B",))),
+    Treatment.CENTRALISED: ((CENTRAL_SILO_NAME, ("A", "B")),),
+}
 
 
-def _institution_indices(records, plan: SplitPlan, indices) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {"A": [], "B": []}
-    for i in indices:
-        out[plan.institution_of_ward[records.ward[i]]].append(i)
-    return out
-
-
-def silos_for_treatment(
-    treatment: Treatment,
-    records: RecordTable,
-    plan: SplitPlan,
-    heldout_fold: int | None,
-) -> list[Silo]:
-    """Training/validation silos for one treatment and one held-out fold.
+def silos_for_treatment(treatment: Treatment, records: RecordTable, index, heldout_fold: int | None) -> list[Silo]:
+    """Training/validation silos for one treatment and one held-out fold;
+    index is split_index of the records and their plan.
 
     heldout_fold None means all folds train and validation is empty
     (used for the final fixed-budget fit).
     """
-    train_ids = sorted(
-        i for i, f in plan.fold_of_record.items() if heldout_fold is None or f != heldout_fold
-    )
-    val_ids = [] if heldout_fold is None else plan.fold_ids(heldout_fold)
-
-    def build(name: str, ids_train, ids_val) -> Silo:
-        tx, ty = features_matrix(records, ids_train)
-        vx, vy = features_matrix(records, ids_val)
-        return Silo(name=name, train_features=tx, train_labels=ty, val_features=vx, val_labels=vy)
-
-    if treatment is Treatment.CENTRALISED:
-        return [build(CENTRAL_SILO_NAME, train_ids, val_ids)]
-    train_by_inst = _institution_indices(records, plan, train_ids)
-    val_by_inst = _institution_indices(records, plan, val_ids)
-    return [build(name, train_by_inst[name], val_by_inst[name]) for name in _SILO_INSTITUTIONS[treatment]]
+    institution, fold = index
+    val = fold == heldout_fold  # all False for None
+    train = (fold > 0) & ~val
+    silos = []
+    for name, insts in _SILOS[treatment]:
+        mine = np.isin(institution, insts)
+        tx, ty = features_matrix(records, np.flatnonzero(train & mine))
+        vx, vy = features_matrix(records, np.flatnonzero(val & mine))
+        silos.append(Silo(name=name, train_features=tx, train_labels=ty, val_features=vx, val_labels=vy))
+    return silos
 
 
 def check_cv_folds(treatments: list[Treatment], records: RecordTable, plan: SplitPlan) -> None:
@@ -174,31 +161,29 @@ def check_cv_folds(treatments: list[Treatment], records: RecordTable, plan: Spli
     other folds), or leave a fit's training silos without a positive or
     without a negative record between them (pos_weight is their
     negative/positive ratio). A run calls this before it writes anything."""
-    cells = {i: (f, plan.institution_of_ward[records.ward[i]]) for i, f in plan.fold_of_record.items()}
-    per_fold = Counter(cells.values())
-    by_label = Counter((cell, int(records.label[i])) for i, cell in cells.items())
-    folds = sorted(set(plan.fold_of_record.values()))
+    institution, fold = split_index(records, plan)
+    folds = sorted(set(plan.fold_of_record.values()))  # np.unique would import numpy.ma: +1.3 MB peak RSS
+    in_fold = fold == np.array(folds)[:, None]  # (fold, record): whether the record is in the fold
     for treatment in treatments:
-        groups = [(inst,) for inst in _SILO_INSTITUTIONS.get(treatment, ())] or [("A", "B")]
         key = treatment.key
+        groups = [insts for _, insts in _SILOS[treatment]]
         for insts in groups:
-            held_out = {fold: sum(per_fold[fold, inst] for inst in insts) for fold in folds}
-            total = sum(held_out.values())
+            held_out = np.count_nonzero(in_fold & np.isin(institution, insts), axis=1)
             name = _institutions_name(insts)
-            for fold in folds:
-                if held_out[fold] == 0:
-                    raise ValueError(f"fold {fold} holds no records of {name}, which treatment {key!r} trains on")
-                if held_out[fold] == total:
+            for f, count in zip(folds, held_out):
+                if count == 0:
+                    raise ValueError(f"fold {f} holds no records of {name}, which treatment {key!r} trains on")
+                if count == held_out.sum():
                     raise ValueError(
-                        f"fold {fold} holds every record of {name}: treatment {key!r} has no other fold to train on"
+                        f"fold {f} holds every record of {name}: treatment {key!r} has no other fold to train on"
                     )
         trained = sum(groups, ())  # pos_weight pools the labels of all the treatment's silos
         for label, name in ((1, "positive"), (0, "negative")):
-            held_out = {fold: sum(by_label[(fold, inst), label] for inst in trained) for fold in folds}
-            for fold in folds:
-                if held_out[fold] == sum(held_out.values()):
+            held_out = np.count_nonzero(in_fold & np.isin(institution, trained) & (records.label == label), axis=1)
+            for f, count in zip(folds, held_out):
+                if count == held_out.sum():
                     raise ValueError(
-                        f"holding out fold {fold} leaves no {name} record of {_institutions_name(trained)} "
+                        f"holding out fold {f} leaves no {name} record of {_institutions_name(trained)} "
                         f"for treatment {key!r} to train on"
                     )
 
@@ -220,10 +205,10 @@ def _map(fn, tasks: list, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _fit_fold(records, plan: SplitPlan, combos: list[HyperCombo], base_config: TrainConfig, task) -> FoldFit:
-    """One (treatment, combo index, fold) task of grid_search_cv."""
+def _fit_fold(records, index, combos: list[HyperCombo], base_config: TrainConfig, task) -> FoldFit:
+    """One (treatment, combo index, fold) task of grid_search_cv; index is split_index of the records."""
     treatment, combo_index, fold = task
-    silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
+    silos = silos_for_treatment(treatment, records, index, heldout_fold=fold)
     cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
     _, logs, scored = federated_train(silos, cfg)
     # the first round with the lowest loss holds the checkpoint early stopping kept
@@ -251,12 +236,13 @@ def grid_search_cv(
     One task per (treatment, combo, fold), in that order; the results
     are assembled by task index and do not depend on the schedule.
     """
+    index = split_index(records, plan)
     folds = sorted(set(plan.fold_of_record.values()))
     if not folds:
         raise ValueError("split plan has no folds")
     combos = grid.combos()
     tasks = list(product(treatments, range(len(combos)), folds))
-    by_task = dict(zip(tasks, _map(partial(_fit_fold, records, plan, combos, base_config), tasks, threads)))
+    by_task = dict(zip(tasks, _map(partial(_fit_fold, records, index, combos, base_config), tasks, threads)))
     return {
         t: [_cv_result(combo, tuple(by_task[t, ci, fold] for fold in folds)) for ci, combo in enumerate(combos)]
         for t in treatments
@@ -295,13 +281,14 @@ def train_final(
     treatment: Treatment,
     cv_result: CvResult,
     records: RecordTable,
-    plan: SplitPlan,
+    index,
     base_config: TrainConfig,
 ) -> tuple[ModelParams, int, list[RoundLog]]:
     """Refit the selected combo on all folds for the median epoch budget;
-    returns the parameters, the budget and one log per epoch."""
+    returns the parameters, the budget and one log per epoch. index is
+    split_index of the records."""
     budget = final_epoch_budget(cv_result.best_epochs)
-    silos = silos_for_treatment(treatment, records, plan, heldout_fold=None)
+    silos = silos_for_treatment(treatment, records, index, heldout_fold=None)
     cfg = cv_result.combo.config(base_config, derive_seed(base_config.seed, treatment.key, "final"))
     params, logs = train_for_epochs(silos, cfg, budget)
     return params, budget, logs
@@ -309,8 +296,10 @@ def train_final(
 
 def test_sets_from_plan(records: RecordTable, plan: SplitPlan) -> tuple[TestSet, TestSet, TestSet]:
     """The A, B and combined (A then B) test sets, in stable record order."""
-    by_inst = _institution_indices(records, plan, plan.test_ids)
-    a, b = (TestSet(name, tuple(by_inst[name]), *features_matrix(records, by_inst[name])) for name in ("A", "B"))
+    institution, _ = split_index(records, plan)
+    test = np.isin(np.arange(len(records)), plan.test_ids)
+    ids = {name: np.flatnonzero(test & (institution == name)) for name in ("A", "B")}
+    a, b = (TestSet(name, tuple(ids[name].tolist()), *features_matrix(records, ids[name])) for name in ("A", "B"))
     combined = TestSet(
         "combined",
         a.record_ids + b.record_ids,
@@ -354,7 +343,8 @@ def run_treatments(
     model on the test sets, which are built once."""
     cv_results = grid_search_cv(treatments, records, plan, grid, base_config, threads=threads)
     best = {t: select_best(cv_results[t]) for t in treatments}
-    finals = _map(lambda t: train_final(t, best[t], records, plan, base_config), treatments, threads)
+    index = split_index(records, plan)
+    finals = _map(lambda t: train_final(t, best[t], records, index, base_config), treatments, threads)
     test_sets = test_sets_from_plan(records, plan)
     record_ids = {ts.name: ts.record_ids for ts in test_sets}
     return {

@@ -7,11 +7,11 @@ resamples and reports how many redraws happened.
 
 Every measure takes a ScoredSet and is a formula over counts that one
 counter, _group_counts, takes of the whole set as one row or of each
-row of a block of resamples. A ScoredSet codes its samples once, when
-it is made, in two ways: by confusion cell (2 * label + prediction:
-TN, FP, FN, TP), which the threshold measures count, and by
-descending-score tie group and label, which both AUCs and the ROC
-curve count. The bootstrap draws each block as one (rows, n) draw of
+row of a block of resamples. A ScoredSet codes its samples once each
+way: by confusion cell (2 * label + prediction: TN, FP, FN, TP) when
+it is made, for the threshold measures, and by descending-score tie
+group and label when an AUC or the ROC curve first needs them. The
+bootstrap draws each block as one (rows, n) draw of
 index rows, which continues the generator's stream exactly as that
 many draws of n would. The redraw order is replayed from that row
 stream, so every seeded result equals the one a per-resample loop
@@ -24,6 +24,7 @@ CI bounds are NumPy's linear percentiles, taken from one sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -98,10 +99,13 @@ class ScoredSet:
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "_cells", 2 * y + preds)  # confusion cell codes: TN, FP, FN, TP
-        object.__setattr__(self, "_groups", _tie_groups(y, s))  # sorted once for every measure of the set
 
     def __len__(self) -> int:
         return self.labels.size
+
+    @cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:  # sorted when a measure first needs them
+        return _tie_groups(self.labels, self.scores)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,19 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fedvra
 from fedvra.cli import (
+    BOOTSTRAP_ENTRIES,
     _load_scored_sets,
     _render_text_report,
     _round_log_line,
@@ -46,6 +49,12 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+CHAIN_RUN_ARGS = (
+    "--seed", "9", "--hidden-sizes", "4", "--learning-rates", "0.05", "--weight-decays", "0.0001",
+    "--batch-size", "16", "--max-epochs", "3", "--patience", "3", "--threads", "2",
+)
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """One synth -> split -> run -> report pipeline shared by the read-only tests."""
@@ -58,20 +67,18 @@ def chain(tmp_path_factory):
         "synth", "--out", str(data), "--seed", "9", "--n-patients", "40",
         "--class-separation", "2.0", "--positive-rate", "0.3",
     )[0] == 0
-    assert run_cli(
+    code, split_stdout, _ = run_cli(
         "split", "--data", str(data), "--out", str(plan), "--seed", "9", "--folds", "2",
-    )[0] == 0
-    assert run_cli(
-        "run", "--data", str(data), "--split", str(plan), "--out", str(run_dir),
-        "--seed", "9", "--hidden-sizes", "4", "--learning-rates", "0.05",
-        "--weight-decays", "0.0001", "--batch-size", "16", "--max-epochs", "3",
-        "--patience", "3", "--threads", "2",
-    )[0] == 0
+    )
+    assert code == 0
+    assert run_cli("run", "--data", str(data), "--split", str(plan), "--out", str(run_dir), *CHAIN_RUN_ARGS)[0] == 0
     assert run_cli(
         "report", "--run", str(run_dir), "--out", str(report_dir),
         "--seed", "5", "--bootstrap-n", "200",
     )[0] == 0
-    return {"root": root, "data": data, "plan": plan, "run": run_dir, "report": report_dir}
+    return {
+        "root": root, "data": data, "plan": plan, "split_stdout": split_stdout, "run": run_dir, "report": report_dir
+    }
 
 
 def craft_run_dir(root, csv_by_set):
@@ -249,6 +256,28 @@ def test_split_is_deterministic(chain, tmp_path):
     assert code == 0
     assert "institution A" in out and "dropped" in out
     assert again.read_bytes() == chain["plan"].read_bytes()
+
+
+def test_split_table_counts_the_plan_it_writes(chain):
+    # each fold row's and the test row's neg/pos cells, per institution and
+    # in total, are the label counts of the records the written plan puts there
+    records = load_records(chain["data"])
+    plan = load_split_plan(chain["plan"])
+    lines = chain["split_stdout"].splitlines()
+    start = next(n for n, line in enumerate(lines) if line.split()[0] == "fold")
+    assert re.split(r"\s{2,}", lines[start].strip()) == ["fold", "A neg/pos", "B neg/pos", "total neg/pos"]
+    rows = {cells[0]: cells[1:] for cells in (line.split() for line in lines[start + 1 : -1])}
+    labels = records.label.tolist()
+
+    def cells(ids):
+        counts = Counter((plan.institution_of_ward[records.ward[i]], labels[i]) for i in ids)
+        totals = Counter(labels[i] for i in ids)
+        return [f"{counts[inst, 0]}/{counts[inst, 1]}" for inst in ("A", "B")] + [f"{totals[0]}/{totals[1]}"]
+
+    want = {str(f): cells([i for i, g in plan.fold_of_record.items() if g == f]) for f in (1, 2)}
+    want["test"] = cells(plan.test_ids)
+    assert rows == want
+    assert lines[-1] == f"dropped {len(plan.dropped_ids)} train/val records of test-set patients"
 
 
 def test_split_drops_train_records_of_test_patients(tmp_path):
@@ -887,7 +916,17 @@ def test_report_bad_score_values_name_the_file(chain, tmp_path, treatment, colum
 def test_build_comparison_reproduces_the_written_report(chain):
     scored = _load_scored_sets(chain["run"])
     payload, dists = build_comparison(scored, 5, 200)
-    assert dists == {}
+    # the resample values of every defined bootstrap entry, by dist_*.csv stem
+    want = {}
+    for section, _, key, _, stem in BOOTSTRAP_ENTRIES:
+        for set_name, cells in payload[section].items():
+            for measure, entries in cells.items():
+                if entries[key] is not None:
+                    want[f"dist_{set_name}_{measure}_{stem}"] = entries[key]
+    assert sorted(dists) == sorted(want) and len(want) == 3 * 5 * 7
+    for stem, entry in want.items():
+        assert len(dists[stem]) == 200
+        assert float(dists[stem].mean()) == entry.get("mean", entry.get("mean_diff"))
     payload["config"]["run_dir"] = str(chain["run"])
     assert payload == json.loads((chain["report"] / "comparison.json").read_text())
     text = (chain["report"] / "comparison.txt").read_text()
@@ -925,6 +964,34 @@ def test_report_process_sorts_each_scored_set_once_and_skips_numpy_ma(chain, tmp
     assert proc.stdout.splitlines()[-1].split() == ["0", "12", "False"]
     for name in ("comparison.json", "comparison.txt"):
         assert (out / name).read_bytes() == (chain["report"] / name).read_bytes()
+
+
+RUN_COSTS = """
+import sys
+from fedvra import cli, stats
+
+calls = []
+tie_groups = stats._tie_groups
+stats._tie_groups = lambda *args: calls.append(args) or tie_groups(*args)
+code = cli.main(["run", "--data", sys.argv[1], "--split", sys.argv[2], "--out", sys.argv[3], *sys.argv[4:]])
+print(code, len(calls))
+"""
+
+
+def test_run_process_sorts_only_the_test_sets(chain, tmp_path):
+    # a CV fit reads only the confusion of its validation rounds, so no
+    # round's scored set sorts its tie groups; the 12 sorts are of the
+    # final models' test sets (4 treatments x 3 sets), each scored once
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [str(chain["data"]), str(chain["plan"]), str(out), *CHAIN_RUN_ARGS]
+    proc = subprocess.run([sys.executable, "-c", RUN_COSTS, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "12"]
+    for key in ("a", "b", "federated", "central"):
+        for path in (chain["run"] / key).iterdir():
+            assert (out / key / path.name).read_bytes() == path.read_bytes(), path
 
 
 def test_report_identical_treatments_have_zero_differences(tmp_path):

@@ -37,6 +37,7 @@ from fedvra.data import (
     remove_patient_overlap,
     save_records,
     save_split_plan,
+    split_index,
     split_time_test,
     verify_split_plan,
     ward_counts,
@@ -233,6 +234,15 @@ def test_make_split_plan_passes_independent_checks():
         test_ts = [records.admission_ts[i] for i in test if in_inst(i)]
         if train_ts and test_ts:
             assert min(test_ts) >= max(train_ts)
+
+
+def test_split_index_gives_each_records_institution_and_fold():
+    records = synthetic_records(seed=5)
+    plan = make_split_plan(records, test_fraction=0.2, n_folds=5, seed=5)
+    institution, fold = split_index(records, plan)
+    assert institution.tolist() == [plan.institution_of_ward[ward] for ward in records.ward]
+    assert fold.tolist() == [plan.fold_of_record.get(i, 0) for i in range(len(records))]
+    assert not fold[list(plan.test_ids + plan.dropped_ids)].any()
 
 
 def test_verifier_catches_partition_violations():

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fedvra.data import SynthConfig, features_matrix, generate_synthetic, make_split_plan
+from fedvra.data import SynthConfig, features_matrix, generate_synthetic, make_split_plan, split_index
 from fedvra.experiment import (
     CENTRAL_SILO_NAME,
     CvResult,
@@ -76,7 +76,7 @@ def dummy_result(f1, hidden=64, lr=0.001, wd=1e-4):
 def refit_fold(records, plan, cfg, treatment, combo_index, fold):
     """Refit one CV fit of tiny_grid() from its derived seed and validate
     its checkpoint: (val_loss, confusion, scores, labels)."""
-    silos = silos_for_treatment(treatment, records, plan, heldout_fold=fold)
+    silos = silos_for_treatment(treatment, records, split_index(records, plan), heldout_fold=fold)
     combo = tiny_grid().combos()[combo_index]
     refit_cfg = TrainConfig(
         lr0=combo.learning_rate,
@@ -122,18 +122,74 @@ def test_treatment_keys_round_trip():
 # ---------- silo construction ----------
 
 
+def fold_ids(plan, fold):
+    """The record ids of one fold, ascending."""
+    return sorted(i for i, f in plan.fold_of_record.items() if f == fold)
+
+
+def institution_ids(records, plan, ids):
+    """ids by institution, in their order, one record at a time."""
+    out = {"A": [], "B": []}
+    for i in ids:
+        out[plan.institution_of_ward[records.ward[i]]].append(i)
+    return out
+
+
+def oracle_silo_ids(treatment, records, plan, heldout_fold):
+    """(name, train ids, validation ids) of each of a treatment's silos,
+    by per-record loops over the plan's fold and institution maps."""
+    train = sorted(i for i, f in plan.fold_of_record.items() if heldout_fold is None or f != heldout_fold)
+    val = [] if heldout_fold is None else fold_ids(plan, heldout_fold)
+    if treatment is Treatment.CENTRALISED:
+        return [(CENTRAL_SILO_NAME, train, val)]
+    train_by, val_by = institution_ids(records, plan, train), institution_ids(records, plan, val)
+    names = {Treatment.LOCAL_A: ["A"], Treatment.LOCAL_B: ["B"], Treatment.FEDERATED: ["A", "B"]}[treatment]
+    return [(name, train_by[name], val_by[name]) for name in names]
+
+
+def assert_rows(features, labels, records, ids):
+    x, y = features_matrix(records, ids)
+    assert features.shape == x.shape and features.tobytes() == x.tobytes()
+    assert labels.shape == y.shape and labels.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("treatment", list(Treatment))
+def test_silo_rows_match_the_per_record_loop(dataset, treatment):
+    records, plan = dataset
+    index = split_index(records, plan)
+    for heldout_fold in [*range(1, plan.n_folds + 1), None]:
+        silos = silos_for_treatment(treatment, records, index, heldout_fold)
+        want = oracle_silo_ids(treatment, records, plan, heldout_fold)
+        assert [s.name for s in silos] == [name for name, _, _ in want]
+        for silo, (_, train, val) in zip(silos, want):
+            assert_rows(silo.train_features, silo.train_labels, records, train)
+            assert_rows(silo.val_features, silo.val_labels, records, val)
+
+
+def test_test_set_rows_match_the_per_record_loop(dataset):
+    records, plan = dataset
+    by_inst = institution_ids(records, plan, plan.test_ids)
+    want = {"A": by_inst["A"], "B": by_inst["B"], "combined": by_inst["A"] + by_inst["B"]}
+    test_sets = build_test_sets(records, plan)
+    assert [ts.name for ts in test_sets] == list(want)
+    for ts in test_sets:
+        assert ts.record_ids == tuple(want[ts.name])
+        assert all(type(i) is int for i in ts.record_ids)
+        assert_rows(ts.features, ts.labels, records, want[ts.name])
+
+
 def test_silos_central_is_single_pool(dataset):
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
+    silos = silos_for_treatment(Treatment.CENTRALISED, records, split_index(records, plan), heldout_fold=1)
     assert [s.name for s in silos] == [CENTRAL_SILO_NAME]
     folded = sorted(plan.fold_of_record)
-    assert silos[0].n_train == len(folded) - len(plan.fold_ids(1))
-    assert silos[0].n_val == len(plan.fold_ids(1))
+    assert silos[0].n_train == len(folded) - len(fold_ids(plan, 1))
+    assert silos[0].n_val == len(fold_ids(plan, 1))
 
 
 def test_silos_federated_partition_by_institution(dataset):
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=2)
+    silos = silos_for_treatment(Treatment.FEDERATED, records, split_index(records, plan), heldout_fold=2)
     assert [s.name for s in silos] == ["A", "B"]
     train_ids = [i for i, f in plan.fold_of_record.items() if f != 2]
     for silo in silos:
@@ -145,7 +201,7 @@ def test_silos_federated_partition_by_institution(dataset):
         assert np.array_equal(silo.train_features, x)
         assert np.array_equal(silo.train_labels, y)
         want_val = [
-            i for i in plan.fold_ids(2)
+            i for i in fold_ids(plan, 2)
             if plan.institution_of_ward[records.ward[i]] == silo.name
         ]
         assert silo.n_val == len(want_val)
@@ -154,9 +210,10 @@ def test_silos_federated_partition_by_institution(dataset):
 
 def test_silos_local_single_institution(dataset):
     records, plan = dataset
-    fed = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=1)
-    local_a = silos_for_treatment(Treatment.LOCAL_A, records, plan, heldout_fold=1)
-    local_b = silos_for_treatment(Treatment.LOCAL_B, records, plan, heldout_fold=1)
+    index = split_index(records, plan)
+    fed = silos_for_treatment(Treatment.FEDERATED, records, index, heldout_fold=1)
+    local_a = silos_for_treatment(Treatment.LOCAL_A, records, index, heldout_fold=1)
+    local_b = silos_for_treatment(Treatment.LOCAL_B, records, index, heldout_fold=1)
     assert [s.name for s in local_a] == ["A"]
     assert [s.name for s in local_b] == ["B"]
     assert np.array_equal(local_a[0].train_features, fed[0].train_features)
@@ -165,7 +222,7 @@ def test_silos_local_single_institution(dataset):
 
 def test_silos_no_heldout_fold_means_empty_validation(dataset):
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=None)
+    silos = silos_for_treatment(Treatment.CENTRALISED, records, split_index(records, plan), heldout_fold=None)
     assert silos[0].n_train == len(plan.fold_of_record)
     assert silos[0].n_val == 0
 
@@ -222,7 +279,7 @@ def test_grid_search_cv_shape_and_concatenated_f1(dataset):
     for fit, (val_loss, conf, _, _) in zip(result.fold_fits, refits):
         assert 1 <= fit.best_epoch <= fit.epochs_run <= base_config().max_epochs
         assert (fit.val_loss, fit.confusion) == (val_loss, conf)
-        assert sum(fit.confusion) == len(plan.fold_ids(fit.fold))
+        assert sum(fit.confusion) == len(fold_ids(plan, fit.fold))
 
 
 def test_grid_search_cv_thread_schedule_does_not_matter(dataset):
@@ -258,7 +315,7 @@ def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
     records, plan = dataset
     cfg = base_config(max_epochs=30, patience=2)
     combos = tiny_grid().combos()
-    silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=2)
+    silos = silos_for_treatment(Treatment.FEDERATED, records, split_index(records, plan), heldout_fold=2)
     seed = derive_seed(cfg.seed, Treatment.FEDERATED.key, 0, 2)
     params, logs, kept = federated_train(silos, combos[0].config(cfg, seed))
     best = min(logs, key=lambda log: log.val_loss)
@@ -267,7 +324,7 @@ def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
     for name in ("labels", "scores", "predictions"):
         got, want = getattr(kept, name), getattr(scored, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    fit = _fit_fold(records, plan, combos, cfg, (Treatment.FEDERATED, 0, 2))
+    fit = _fit_fold(records, split_index(records, plan), combos, cfg, (Treatment.FEDERATED, 0, 2))
     assert fit == FoldFit(
         fold=2,
         best_epoch=best.epoch + 1,
@@ -327,8 +384,9 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
 def test_train_final_uses_median_budget_and_is_deterministic(dataset):
     records, plan = dataset
     cv = grid_search_cv([Treatment.CENTRALISED], records, plan, tiny_grid(), base_config())[Treatment.CENTRALISED][0]
-    params1, budget1, logs1 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
-    params2, budget2, logs2 = train_final(Treatment.CENTRALISED, cv, records, plan, base_config())
+    index = split_index(records, plan)
+    params1, budget1, logs1 = train_final(Treatment.CENTRALISED, cv, records, index, base_config())
+    params2, budget2, logs2 = train_final(Treatment.CENTRALISED, cv, records, index, base_config())
     assert budget1 == budget2 == final_epoch_budget(cv.best_epochs)
     assert len(logs1) == budget1
     assert params1 == params2
@@ -339,7 +397,7 @@ def test_single_silo_federated_matches_flat_loop(dataset):
     # the independent centralized trainer and the shared loop must agree
     # bit for bit when the federation has one silo
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.CENTRALISED, records, plan, heldout_fold=1)
+    silos = silos_for_treatment(Treatment.CENTRALISED, records, split_index(records, plan), heldout_fold=1)
     cfg = base_config(max_epochs=6, patience=6)
     fed_params, fed_logs, _ = federated_train(silos, cfg)
     flat_params, flat_logs = train_centralized(
@@ -496,7 +554,7 @@ def test_each_cv_round_is_validated_once(dataset, monkeypatch):
 def test_aggregation_reaches_every_fit_through_the_config(dataset):
     # uniform averaging changes only the treatment that averages two silos
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.FEDERATED, records, plan, heldout_fold=None)
+    silos = silos_for_treatment(Treatment.FEDERATED, records, split_index(records, plan), heldout_fold=None)
     assert silos[0].n_train != silos[1].n_train
     sized = run_treatments(list(Treatment), records, plan, tiny_grid(), base_config())
     uniform = run_treatments(list(Treatment), records, plan, tiny_grid(), base_config(uniform_weights=True))

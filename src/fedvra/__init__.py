@@ -45,7 +45,7 @@ from .experiment import (
     grid_search_cv,
     run_treatments,
     select_best,
-    test_sets_from_plan,
+    test_rows,
     train_final,
 )
 from .federated import (

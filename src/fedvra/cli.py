@@ -45,7 +45,6 @@ from .experiment import (
     TEST_SET_NAMES,
     Treatment,
     TreatmentRun,
-    check_cv_folds,
     run_treatments,
 )
 from .federated import RoundLog
@@ -262,8 +261,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     header = ["fold"] + [f"{inst} neg/pos" for inst in insts] + ["total neg/pos"]
     print("  ".join(f"{h:>14}" for h in header))
     institution, fold = split_index(records, plan)
-    test = np.isin(np.arange(len(records)), plan.test_ids)
-    for name, rows in [(str(f), fold == f) for f in range(1, plan.n_folds + 1)] + [("test", test)]:
+    for name, rows in [(str(f), fold == f) for f in range(1, plan.n_folds + 1)] + [("test", fold == 0)]:
         masks = [rows & (institution == inst) for inst in insts] + [rows]  # each institution's, then all
         cells = [name] + ["{}/{}".format(*np.bincount(records.label[mask], minlength=2)) for mask in masks]
         print("  ".join(f"{c:>14}" for c in cells))
@@ -372,7 +370,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = load_records(opt["data"])
     plan = load_split_plan(opt["split"])
     check_split_plan(records, plan)
-    check_cv_folds(treatments, records, plan)
 
     grid = GridSpec(
         hidden_sizes=opt["hidden_sizes"],

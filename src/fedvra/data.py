@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SplitInvariantError
-from .network import INPUT_DIM as FEATURE_DIM, _frozen
+from .network import INPUT_DIM as FEATURE_DIM, _check_int, _frozen
 from .seeds import make_rng
 
 INSTITUTION_A = "A"
@@ -134,11 +134,13 @@ class SplitPlan:
 
 
 def split_index(records: RecordTable, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Every record's institution and fold, as arrays by record id; the
-    fold is 0 for test and dropped records. A silo, a fold or a test set
-    is a boolean mask over them, so its rows stay in record order."""
+    """Every record's institution and fold, as arrays by record id: fold
+    1..k for a cross-validation record, 0 for a test record and -1 for a
+    dropped one. A silo, a fold or a test set is a boolean mask over
+    them, so its rows stay in ascending record order."""
     institution = np.array([plan.institution_of_ward[ward] for ward in records.ward], dtype=str)
-    fold = np.zeros(len(records), dtype=np.int64)
+    fold = np.full(len(records), -1, dtype=np.int64)
+    fold[list(plan.test_ids)] = 0
     fold[list(plan.fold_of_record)] = list(plan.fold_of_record.values())
     return institution, fold
 
@@ -162,13 +164,11 @@ class SynthConfig:
     ward_shift: float = 0.5
 
     def __post_init__(self):
-        if self.n_patients < 1:
-            raise ValueError("n_patients must be at least 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        lo, hi = self.admissions_per_patient
-        if lo < 1 or hi < lo:
-            raise ValueError("admissions_per_patient must be a range (lo, hi) with 1 <= lo <= hi")
+        _check_int("n_patients", self.n_patients, 1)
+        _check_int("seed", self.seed, 0)
+        lo, hi = self.admissions_per_patient  # a range: 1 <= lo <= hi
+        _check_int("admissions_per_patient[0]", lo, 1)
+        _check_int("admissions_per_patient[1]", hi, lo)
         if not (0.0 <= self.positive_rate <= 1.0):
             raise ValueError("positive_rate must lie in [0, 1]")
         for name in ("class_separation", "ward_shift"):

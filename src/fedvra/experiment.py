@@ -115,17 +115,6 @@ class CvResult:
         return tuple(fit.best_epoch for fit in self.fold_fits)
 
 
-@dataclass(frozen=True, eq=False)
-class TestSet:
-    name: str
-    record_ids: tuple[int, ...]
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.record_ids)
-
-
 # each treatment's silos as (silo name, the institutions whose records it holds)
 _SILOS = {
     Treatment.LOCAL_A: (("A", ("A",)),),
@@ -154,15 +143,19 @@ def silos_for_treatment(treatment: Treatment, records: RecordTable, index, heldo
     return silos
 
 
-def check_cv_folds(treatments: list[Treatment], records: RecordTable, plan: SplitPlan) -> None:
-    """Raise ValueError naming the first fold and institution that would
-    leave a silo of one of the treatments' cross-validation fits without
-    validation records (the held-out fold) or training records (the
-    other folds), or leave a fit's training silos without a positive or
-    without a negative record between them (pos_weight is their
-    negative/positive ratio). A run calls this before it writes anything."""
-    institution, fold = split_index(records, plan)
-    folds = sorted(set(plan.fold_of_record.values()))  # np.unique would import numpy.ma: +1.3 MB peak RSS
+def check_cv_folds(treatments: list[Treatment], records: RecordTable, index) -> None:
+    """Raise ValueError naming the first institution without a test
+    record, or the first fold and institution that would leave a silo of
+    one of the treatments' cross-validation fits without validation
+    records (the held-out fold) or training records (the other folds),
+    or a fit's training silos without a positive or without a negative
+    record between them (pos_weight is their negative/positive ratio).
+    index is split_index of the records."""
+    institution, fold = index
+    for name in ("A", "B"):  # every run scores both institutions' test sets
+        if not np.any((fold == 0) & (institution == name)):
+            raise ValueError(f"the test set holds no records of institution {name}")
+    folds = range(1, int(fold.max(initial=0)) + 1)  # a checked plan numbers its folds 1..k
     in_fold = fold == np.array(folds)[:, None]  # (fold, record): whether the record is in the fold
     for treatment in treatments:
         key = treatment.key
@@ -225,19 +218,18 @@ def _fit_fold(records, index, combos: list[HyperCombo], base_config: TrainConfig
 def grid_search_cv(
     treatments: list[Treatment],
     records: RecordTable,
-    plan: SplitPlan,
+    index,
     grid: GridSpec,
     base_config: TrainConfig,
     threads: int = 1,
 ) -> dict[Treatment, list[CvResult]]:
     """Cross-validate every combo of every treatment; each fit gets its
-    own derived seed.
+    own derived seed. index is split_index of the records.
 
     One task per (treatment, combo, fold), in that order; the results
     are assembled by task index and do not depend on the schedule.
     """
-    index = split_index(records, plan)
-    folds = sorted(set(plan.fold_of_record.values()))
+    folds = range(1, int(index[1].max(initial=0)) + 1)
     if not folds:
         raise ValueError("split plan has no folds")
     combos = grid.combos()
@@ -294,24 +286,19 @@ def train_final(
     return params, budget, logs
 
 
-def test_sets_from_plan(records: RecordTable, plan: SplitPlan) -> tuple[TestSet, TestSet, TestSet]:
-    """The A, B and combined (A then B) test sets, in stable record order."""
-    institution, _ = split_index(records, plan)
-    test = np.isin(np.arange(len(records)), plan.test_ids)
-    ids = {name: np.flatnonzero(test & (institution == name)) for name in ("A", "B")}
-    a, b = (TestSet(name, tuple(ids[name].tolist()), *features_matrix(records, ids[name])) for name in ("A", "B"))
-    combined = TestSet(
-        "combined",
-        a.record_ids + b.record_ids,
-        np.concatenate([a.features, b.features]),
-        np.concatenate([a.labels, b.labels]),
-    )
-    return a, b, combined
+def test_rows(index) -> dict[str, np.ndarray]:
+    """The record ids of the A, B and combined (A's, then B's) test sets,
+    by set name in TEST_SET_NAMES order; index is split_index of the records."""
+    institution, fold = index
+    rows = {name: np.flatnonzero((fold == 0) & (institution == name)) for name in ("A", "B")}
+    rows["combined"] = np.concatenate([rows["A"], rows["B"]])
+    return rows
 
 
-def evaluate(params: ModelParams, test_sets: tuple[TestSet, ...]) -> dict[str, ScoredSet]:
-    """The model's scores on each test set, by set name."""
-    return {ts.name: ScoredSet(ts.labels, sigmoid(forward_batch(params, ts.features))) for ts in test_sets}
+def evaluate(params: ModelParams, records: RecordTable, rows: dict[str, np.ndarray]) -> dict[str, ScoredSet]:
+    """The model's scores on each set of record ids, by set name."""
+    sets = ((name, features_matrix(records, ids)) for name, ids in rows.items())  # one set's features at a time
+    return {name: ScoredSet(y, sigmoid(forward_batch(params, x))) for name, (x, y) in sets}
 
 
 @dataclass(frozen=True)
@@ -338,15 +325,16 @@ def run_treatments(
     base_config: TrainConfig,
     threads: int = 1,
 ) -> dict[str, TreatmentRun]:
-    """Cross-validate the treatments, refit each one's best combo (one
-    task per treatment, through the same map), and score every final
-    model on the test sets, which are built once."""
-    cv_results = grid_search_cv(treatments, records, plan, grid, base_config, threads=threads)
-    best = {t: select_best(cv_results[t]) for t in treatments}
+    """Read the plan into one split_index, check it (check_cv_folds),
+    cross-validate the treatments, refit each one's best combo (one task
+    per treatment, through the same map), and score the final models."""
     index = split_index(records, plan)
+    check_cv_folds(treatments, records, index)
+    cv_results = grid_search_cv(treatments, records, index, grid, base_config, threads=threads)
+    best = {t: select_best(cv_results[t]) for t in treatments}
     finals = _map(lambda t: train_final(t, best[t], records, index, base_config), treatments, threads)
-    test_sets = test_sets_from_plan(records, plan)
-    record_ids = {ts.name: ts.record_ids for ts in test_sets}
+    rows = test_rows(index)
+    record_ids = {name: tuple(ids.tolist()) for name, ids in rows.items()}
     return {
         t.key: TreatmentRun(
             treatment=t,
@@ -355,7 +343,7 @@ def run_treatments(
             epoch_budget=budget,
             params=params,
             final_logs=logs,
-            evaluations=evaluate(params, test_sets),
+            evaluations=evaluate(params, records, rows),
             record_ids=record_ids,
         )
         for t, (params, budget, logs) in zip(treatments, finals)

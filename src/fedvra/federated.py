@@ -43,6 +43,7 @@ from .network import (
     _frozen,
     average_models,
     backward,
+    batch_loss,
     forward_batch,
     init_model,
     loss_from_logits,
@@ -208,7 +209,7 @@ def _rounds(silos: list[Silo], config: TrainConfig, max_epochs: int):
 def _silo_train_loss(model: ModelParams, silo: Silo, pos_weight: float, epoch: int) -> float:
     """Silo-side: loss of its own updated model over its training shard."""
     with _raise_numerical(f"silo {silo.name!r} training loss", epoch):
-        return loss_from_logits(forward_batch(model, silo.train_features), silo.train_labels, pos_weight)
+        return batch_loss(model, silo.train_features, silo.train_labels, pos_weight)
 
 
 def federated_train(silos: list[Silo], config: TrainConfig) -> tuple[ModelParams, list[RoundLog], ScoredSet]:

@@ -49,6 +49,15 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an int or numpy integer, not a
+    bool, of at least minimum: a float passes a bound check, then fails
+    inside training or the generator."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        bound = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise ValueError(f"{name} must be {bound}")
+
+
 def _ro(values, shape_hint: str) -> np.ndarray:
     """Finite read-only float64 array (see _frozen)."""
     arr = _frozen(values)
@@ -133,20 +142,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lr0) and self.lr0 >= 0):
             raise ValueError("lr0 must be finite and non-negative")
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be at least 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("hidden_size", "batch_size", "max_epochs", "patience"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and non-negative")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
 
 
 def _sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,10 +176,8 @@ def softplus(z):
 
 def init_model(hidden_size: int, seed: int) -> ModelParams:
     """Seeded init: weights uniform in +-1/sqrt(fan_in) per layer, biases zero."""
-    if hidden_size < 1:
-        raise ValueError("hidden_size must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    _check_int("hidden_size", hidden_size, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bound1 = 1.0 / np.sqrt(INPUT_DIM)
     bound2 = 1.0 / np.sqrt(hidden_size)

@@ -559,6 +559,32 @@ def test_run_single_fold_has_nothing_to_train_on_exits_2(fold_without_institutio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("institution", ["A", "B"])
+def test_run_test_set_without_an_institutions_records_exits_2(chain, tmp_path, monkeypatch, institution):
+    # the institution's test records become dropped ones: the plan stays valid, but a run could not score that set
+    records = load_records(chain["data"])
+    plan_data = json.loads(chain["plan"].read_text())
+    moved = [i for i in plan_data["test_ids"] if plan_data["institution_of_ward"][records.ward[i]] == institution]
+    assert moved
+    plan_data["test_ids"] = [i for i in plan_data["test_ids"] if i not in moved]
+    plan_data["dropped_ids"] += moved
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_data))
+    assert verify_split_plan(records, load_split_plan(plan)) == []
+
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(fedvra.experiment, "federated_train", no_fit)
+    monkeypatch.setattr(fedvra.experiment, "train_for_epochs", no_fit)
+    out = tmp_path / "x"
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(plan), "--out", str(out), *CHAIN_RUN_ARGS
+    )
+    assert (code, err) == (2, f"error: the test set holds no records of institution {institution}\n")
+    assert not out.exists()
+
+
 def test_run_plan_missing_key_exits_2(chain, tmp_path):
     plan_data = json.loads(chain["plan"].read_text())
     del plan_data["dropped_ids"]

@@ -241,8 +241,10 @@ def test_split_index_gives_each_records_institution_and_fold():
     plan = make_split_plan(records, test_fraction=0.2, n_folds=5, seed=5)
     institution, fold = split_index(records, plan)
     assert institution.tolist() == [plan.institution_of_ward[ward] for ward in records.ward]
-    assert fold.tolist() == [plan.fold_of_record.get(i, 0) for i in range(len(records))]
-    assert not fold[list(plan.test_ids + plan.dropped_ids)].any()
+    assert plan.test_ids and plan.dropped_ids
+    assert fold.tolist() == [plan.fold_of_record.get(i, 0 if i in plan.test_ids else -1) for i in range(len(records))]
+    assert (fold[list(plan.test_ids)] == 0).all()
+    assert (fold[list(plan.dropped_ids)] == -1).all()
 
 
 def test_verifier_catches_partition_violations():
@@ -491,6 +493,20 @@ def test_synth_config_validation():
         SynthConfig(n_patients=10, seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         SynthConfig(n_patients=3, seed=False)
+    # a float, a bool or a numpy float would pass a bound check and fail in the generator
+    for bad in (10.5, True, np.float64(10)):
+        with pytest.raises(ValueError, match="^n_patients must be an integer of at least 1$"):
+            SynthConfig(n_patients=bad, seed=1)
+    for bounds, message in (
+        ((1.5, 2), "admissions_per_patient\\[0\\] must be an integer of at least 1"),
+        ((0, 2), "admissions_per_patient\\[0\\] must be an integer of at least 1"),
+        ((1, 2.0), "admissions_per_patient\\[1\\] must be an integer of at least 1"),
+        ((2, True), "admissions_per_patient\\[1\\] must be an integer of at least 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SynthConfig(n_patients=10, seed=1, admissions_per_patient=bounds)
+    numpy_ints = SynthConfig(n_patients=np.int64(10), seed=np.uint8(1), admissions_per_patient=(np.int32(2), 2))
+    assert numpy_ints.n_patients == 10
     with pytest.raises(ValueError):
         SynthConfig(n_patients=10, seed=1, admissions_per_patient=(3, 2))
     with pytest.raises(ValueError):

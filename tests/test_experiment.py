@@ -23,14 +23,14 @@ from fedvra.experiment import (
     train_final,
 )
 from fedvra.experiment import _fit_fold
-from fedvra.experiment import TestSet as EvalTestSet
-from fedvra.experiment import test_sets_from_plan as build_test_sets
+from fedvra.experiment import test_rows as build_test_rows  # a test_* name would be collected as a test
 from fedvra.federated import federated_train, federated_validate, resolve_pos_weight, train_for_epochs
 from fedvra.network import TrainConfig, forward_batch, init_model, sigmoid
 from fedvra.seeds import derive_seed
 from fedvra.stats import THRESHOLD, Confusion, ScoredSet, confusion, metric_bundle, prf1
 
 from central_oracle import train_centralized
+from record_rows import record, table
 
 
 @pytest.fixture(scope="module")
@@ -170,12 +170,12 @@ def test_test_set_rows_match_the_per_record_loop(dataset):
     records, plan = dataset
     by_inst = institution_ids(records, plan, plan.test_ids)
     want = {"A": by_inst["A"], "B": by_inst["B"], "combined": by_inst["A"] + by_inst["B"]}
-    test_sets = build_test_sets(records, plan)
-    assert [ts.name for ts in test_sets] == list(want)
-    for ts in test_sets:
-        assert ts.record_ids == tuple(want[ts.name])
-        assert all(type(i) is int for i in ts.record_ids)
-        assert_rows(ts.features, ts.labels, records, want[ts.name])
+    rows = build_test_rows(split_index(records, plan))
+    assert list(rows) == list(want)
+    for name, ids in rows.items():
+        assert ids.tolist() == want[name]
+        assert ids.dtype.kind == "i"
+        assert_rows(*features_matrix(records, ids), records, want[name])
 
 
 def test_silos_central_is_single_pool(dataset):
@@ -267,7 +267,7 @@ def test_final_epoch_budget_is_rounded_median():
 
 def test_grid_search_cv_shape_and_concatenated_f1(dataset):
     records, plan = dataset
-    results = grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), base_config())
+    results = grid_search_cv([Treatment.FEDERATED], records, split_index(records, plan), tiny_grid(), base_config())
     assert list(results) == [Treatment.FEDERATED] and len(results[Treatment.FEDERATED]) == 1
     result = results[Treatment.FEDERATED][0]
     assert [fit.fold for fit in result.fold_fits] == [1, 2, 3]
@@ -286,9 +286,10 @@ def test_grid_search_cv_thread_schedule_does_not_matter(dataset):
     records, plan = dataset
     grid = GridSpec(hidden_sizes=(4, 8), learning_rates=(0.05,), weight_decays=(1e-4,))
     treatments = [Treatment.FEDERATED, Treatment.LOCAL_B]
+    index = split_index(records, plan)
     for cfg in SCHEDULE_CONFIGS:
-        serial = grid_search_cv(treatments, records, plan, grid, cfg)
-        pooled = grid_search_cv(treatments, records, plan, grid, cfg, threads=2)
+        serial = grid_search_cv(treatments, records, index, grid, cfg)
+        pooled = grid_search_cv(treatments, records, index, grid, cfg, threads=2)
         check_early_stops(cfg, [r for t in treatments for r in serial[t]])
         assert list(serial) == list(pooled) == treatments
         for t in treatments:
@@ -303,7 +304,8 @@ def test_grid_search_cv_fold_seed_contract(dataset):
     # each (combo, fold) fit must be reproducible from the derived seed
     records, plan = dataset
     cfg = base_config()
-    result = grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), cfg)[Treatment.FEDERATED][0]
+    index = split_index(records, plan)
+    result = grid_search_cv([Treatment.FEDERATED], records, index, tiny_grid(), cfg)[Treatment.FEDERATED][0]
     val_loss, conf, _, _ = refit_fold(records, plan, cfg, Treatment.FEDERATED, 0, 2)
     assert result.fold_fits[1].fold == 2
     assert result.fold_fits[1].val_loss == val_loss
@@ -336,8 +338,9 @@ def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
 
 def test_grid_search_cv_rejects_bad_threads(dataset):
     records, plan = dataset
+    index = split_index(records, plan)
     with pytest.raises(ValueError):
-        grid_search_cv([Treatment.FEDERATED], records, plan, tiny_grid(), base_config(), threads=0)
+        grid_search_cv([Treatment.FEDERATED], records, index, tiny_grid(), base_config(), threads=0)
 
 
 def test_no_signal_cv_f1_matches_label_shuffle_null():
@@ -360,7 +363,7 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
         )
     )
     plan = make_split_plan(records, test_fraction=0.2, n_folds=3, seed=0)
-    results = grid_search_cv([Treatment.CENTRALISED], records, plan, tiny_grid(), base_config())
+    results = grid_search_cv([Treatment.CENTRALISED], records, split_index(records, plan), tiny_grid(), base_config())
     result = results[Treatment.CENTRALISED][0]
     tn, fp, fn, tp = Confusion(*map(sum, zip(*(fit.confusion for fit in result.fold_fits))))
     labels = np.repeat([0, 0, 1, 1], [tn, fp, fn, tp])
@@ -383,8 +386,8 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
 
 def test_train_final_uses_median_budget_and_is_deterministic(dataset):
     records, plan = dataset
-    cv = grid_search_cv([Treatment.CENTRALISED], records, plan, tiny_grid(), base_config())[Treatment.CENTRALISED][0]
     index = split_index(records, plan)
+    cv = grid_search_cv([Treatment.CENTRALISED], records, index, tiny_grid(), base_config())[Treatment.CENTRALISED][0]
     params1, budget1, logs1 = train_final(Treatment.CENTRALISED, cv, records, index, base_config())
     params2, budget2, logs2 = train_final(Treatment.CENTRALISED, cv, records, index, base_config())
     assert budget1 == budget2 == final_epoch_budget(cv.best_epochs)
@@ -419,52 +422,42 @@ def test_single_silo_federated_matches_flat_loop(dataset):
 # ---------- evaluation ----------
 
 
-def eval_test_set(name, labels, seed):
-    rng = np.random.default_rng(seed)
-    n = len(labels)
-    return EvalTestSet(
-        name=name,
-        record_ids=tuple(range(seed * 100, seed * 100 + n)),
-        features=rng.standard_normal((n, 300)),
-        labels=np.asarray(labels, dtype=np.float64),
-    )
-
-
-def eval_test_sets(labels_a, labels_b, seed_a, seed_b):
-    """A, B and the combined set (A then B), as test_sets_from_plan builds them."""
-    a = eval_test_set("A", labels_a, seed_a)
-    b = eval_test_set("B", labels_b, seed_b)
-    combined = EvalTestSet(
-        name="combined",
-        record_ids=a.record_ids + b.record_ids,
-        features=np.concatenate([a.features, b.features]),
-        labels=np.concatenate([a.labels, b.labels]),
-    )
-    return a, b, combined
+def eval_rows(labels_a, labels_b, seed_a, seed_b):
+    """A table holding B's records before A's, each set's features drawn
+    from its seed, and its A, B and combined (A's, then B's) rows, as
+    test_rows gives them."""
+    rows = []
+    for name, labels, seed in (("B", labels_b, seed_b), ("A", labels_a, seed_a)):
+        features = np.random.default_rng(seed).standard_normal((len(labels), 300))
+        rows += [record(f"{name}{i}", f"W{name}", i, label, x) for i, (label, x) in enumerate(zip(labels, features))]
+    n_b = len(labels_b)
+    ids = {"A": np.arange(n_b, n_b + len(labels_a)), "B": np.arange(n_b)}
+    return table(rows), {**ids, "combined": np.concatenate([ids["A"], ids["B"]])}
 
 
 def test_evaluate_builds_combined_in_a_then_b_order():
     params = init_model(4, 3)
-    test_sets = eval_test_sets([0, 0, 1], [1, 0], seed_a=1, seed_b=2)
-    evaluations = evaluate(params, test_sets)
+    records, rows = eval_rows([0, 0, 1], [1, 0], seed_a=1, seed_b=2)
+    evaluations = evaluate(params, records, rows)
     assert list(evaluations) == ["A", "B", "combined"]
     combined = evaluations["combined"]
     assert np.array_equal(combined.labels[:3], evaluations["A"].labels)
     assert np.array_equal(combined.scores[:3], evaluations["A"].scores)
     assert np.array_equal(combined.scores[3:], evaluations["B"].scores)
-    for ts in test_sets:
-        scored = evaluations[ts.name]
+    for name, ids in rows.items():
+        scored = evaluations[name]
+        features, labels = features_matrix(records, ids)
         assert isinstance(scored, ScoredSet)
-        assert np.array_equal(scored.labels, ts.labels)
-        assert np.array_equal(scored.scores, sigmoid(forward_batch(params, ts.features)))
+        assert np.array_equal(scored.labels, labels)
+        assert np.array_equal(scored.scores, sigmoid(forward_batch(params, features)))
         conf, _ = metric_bundle(scored)
-        assert conf.tn + conf.fp + conf.fn + conf.tp == len(ts.record_ids) == len(scored)
+        assert conf.tn + conf.fp + conf.fn + conf.tp == len(ids) == len(scored)
         assert np.array_equal(scored.predictions, (scored.scores >= THRESHOLD).astype(np.int64))
 
 
 def test_evaluate_single_class_set_has_undefined_auc():
-    test_sets = eval_test_sets([0, 0, 0, 0], [1, 0, 1], seed_a=3, seed_b=4)
-    evaluations = evaluate(init_model(4, 5), test_sets)
+    records, rows = eval_rows([0, 0, 0, 0], [1, 0, 1], seed_a=3, seed_b=4)
+    evaluations = evaluate(init_model(4, 5), records, rows)
     metrics = {name: metric_bundle(s)[1] for name, s in evaluations.items()}
     assert metrics["A"]["roc_auc"] is None
     assert metrics["A"]["pr_auc"] is None
@@ -472,27 +465,46 @@ def test_evaluate_single_class_set_has_undefined_auc():
     assert metrics["combined"]["roc_auc"] is not None
 
 
-def test_test_sets_from_plan_cover_test_ids(dataset):
+def test_test_rows_cover_test_ids(dataset):
     records, plan = dataset
-    test_a, test_b, combined = build_test_sets(records, plan)
-    assert set(test_a.record_ids) | set(test_b.record_ids) == set(plan.test_ids)
-    assert not set(test_a.record_ids) & set(test_b.record_ids)
-    for ts, inst in ((test_a, "A"), (test_b, "B")):
-        assert ts.name == inst
-        assert list(ts.record_ids) == sorted(ts.record_ids)
-        for i in ts.record_ids:
+    rows = build_test_rows(split_index(records, plan))
+    assert list(rows) == ["A", "B", "combined"]
+    test_a, test_b, combined = (rows[name].tolist() for name in rows)
+    assert set(test_a) | set(test_b) == set(plan.test_ids)
+    assert not set(test_a) & set(test_b)
+    for ids, inst in ((test_a, "A"), (test_b, "B")):
+        assert ids and ids == sorted(ids)
+        for i in ids:
             assert plan.institution_of_ward[records.ward[i]] == inst
-        x, y = features_matrix(records, ts.record_ids)
-        assert np.array_equal(ts.features, x)
-        assert np.array_equal(ts.labels, y)
-        assert len(ts) == len(ts.record_ids)
-    assert combined.name == "combined"
-    assert combined.record_ids == test_a.record_ids + test_b.record_ids
-    x, y = features_matrix(records, combined.record_ids)
-    assert np.array_equal(combined.features, x)
-    assert np.array_equal(combined.labels, y)
-    assert np.array_equal(combined.features, np.concatenate([test_a.features, test_b.features]))
-    assert np.array_equal(combined.labels, np.concatenate([test_a.labels, test_b.labels]))
+    assert combined == test_a + test_b
+    # evaluate gathers each set's features and labels from its rows
+    params = init_model(4, 3)
+    evaluations = evaluate(params, records, rows)
+    for name, ids in rows.items():
+        x, y = features_matrix(records, ids)
+        assert np.array_equal(evaluations[name].labels, y)
+        assert np.array_equal(evaluations[name].scores, sigmoid(forward_batch(params, x)))
+        assert len(evaluations[name]) == len(ids)
+    x, _ = features_matrix(records, combined)
+    assert np.array_equal(x, np.concatenate([features_matrix(records, ids)[0] for ids in (test_a, test_b)]))
+    labels = [evaluations[name].labels for name in ("A", "B")]
+    assert np.array_equal(evaluations["combined"].labels, np.concatenate(labels))
+
+
+def test_run_treatments_reads_the_plan_once(dataset, monkeypatch):
+    # the index is built once per run: the check, every fit and the test sets take it
+    records, plan = dataset
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return split_index(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fedvra"]:
+        if getattr(module, "split_index", None) is split_index:
+            monkeypatch.setattr(module, "split_index", counted)
+    run_treatments(list(Treatment), records, plan, tiny_grid(), base_config())
+    assert len(calls) == 1
 
 
 # ---------- whole treatments ----------
@@ -527,6 +539,7 @@ def test_run_treatments_returns_keyed_runs(dataset):
     assert runs["a"].treatment is Treatment.LOCAL_A
     assert runs["central"].treatment is Treatment.CENTRALISED
     assert len(runs["central"].record_ids["combined"]) == len(plan.test_ids)
+    assert all(type(i) is int for ids in runs["central"].record_ids.values() for i in ids)
     assert len(runs["central"].evaluations["combined"]) == len(plan.test_ids)
 
 

@@ -489,6 +489,16 @@ def test_train_config_validation():
         TrainConfig(lr0=0.1, hidden_size=1, seed=0, gamma=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.1, hidden_size=1, seed=0, patience=0)
+    # a float, a bool or a numpy float would pass a bound check and fail inside training
+    for name in ("hidden_size", "batch_size", "max_epochs", "patience"):
+        for bad in (4.5, 2.5, np.float64(4), True):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1$"):
+                TrainConfig(**{"lr0": 0.1, "hidden_size": 1, "seed": 0, name: bad})
+    for bad in (1.0, np.float64(1)):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            TrainConfig(lr0=0.1, hidden_size=1, seed=bad)
+    cfg = TrainConfig(lr0=0.1, hidden_size=np.int64(3), seed=np.uint32(2), batch_size=np.int32(4))
+    assert (cfg.hidden_size, cfg.seed, cfg.batch_size) == (3, 2, 4)
 
 
 # ---------- persistence ----------

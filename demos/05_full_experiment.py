@@ -8,7 +8,7 @@ Run with: python3 demos/05_full_experiment.py
 """
 
 from fedvra.data import SynthConfig, generate_synthetic, make_split_plan
-from fedvra.experiment import GridSpec, Treatment, run_treatments
+from fedvra.experiment import GridSpec, TREATMENTS, run_treatments
 from fedvra.network import TrainConfig
 from fedvra.stats import metric_bundle
 
@@ -21,7 +21,7 @@ print(f"{len(records)} records; {len(plan.test_ids)} held out for testing")
 grid = GridSpec(hidden_sizes=(8, 16), learning_rates=(0.01,), weight_decays=(1e-4,))
 config = TrainConfig(lr0=0.01, hidden_size=8, seed=7, batch_size=32, max_epochs=15, patience=4)
 
-runs = run_treatments(list(Treatment), records, plan, grid, config, threads=4)
+runs = run_treatments(list(TREATMENTS), records, plan, grid, config, threads=4)
 
 print("\n== cross-validation selection ==")
 for key, run in sorted(runs.items()):
@@ -36,7 +36,7 @@ for key, run in sorted(runs.items()):
 print("\n== combined test set ==")
 header = f"  {'treatment':<10} {'precision':>9} {'recall':>7} {'F1':>6} {'ROC-AUC':>8}"
 print(header)
-for key in ("a", "b", "federated", "central"):
+for key in TREATMENTS:
     scored = runs[key].evaluations["combined"]
     _, m = metric_bundle(scored)
     auc = f"{m['roc_auc']:.3f}" if m["roc_auc"] is not None else "undef"

@@ -39,7 +39,7 @@ from .experiment import (
     CvResult,
     GridSpec,
     HyperCombo,
-    Treatment,
+    TREATMENTS,
     TreatmentRun,
     evaluate,
     grid_search_cv,

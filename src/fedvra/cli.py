@@ -43,7 +43,7 @@ from .experiment import (
     DEFAULT_WEIGHT_DECAYS,
     GridSpec,
     TEST_SET_NAMES,
-    Treatment,
+    TREATMENTS,
     TreatmentRun,
     run_treatments,
 )
@@ -61,8 +61,8 @@ from .stats import (
 )
 
 REPORT_MEASURES = ("f1", "recall", "precision", "roc_auc", "pr_auc")
-TREATMENT_KEYS = tuple(t.key for t in Treatment)
-FEDERATED_KEY = Treatment.FEDERATED.key
+TREATMENT_KEYS = tuple(TREATMENTS)
+FEDERATED_KEY = "federated"
 OTHER_KEYS = tuple(k for k in TREATMENT_KEYS if k != FEDERATED_KEY)
 # the report's bootstrap entries of one (set, measure), in report order:
 # (payload section, seed label, treatment, treatments scored, dist_*.csv stem);
@@ -294,7 +294,7 @@ def _set_report_dict(run: TreatmentRun, set_name: str) -> dict:
     s = run.evaluations[set_name]
     conf, metrics = metric_bundle(s)
     return {
-        "treatment": run.treatment.key,
+        "treatment": run.treatment,
         "test_set": set_name,
         "combo": asdict(run.best_combo),
         "epoch_budget": run.epoch_budget,
@@ -305,7 +305,7 @@ def _set_report_dict(run: TreatmentRun, set_name: str) -> dict:
 
 
 def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
-    tdir = out_dir / run.treatment.key
+    tdir = out_dir / run.treatment
     tdir.mkdir(parents=True, exist_ok=True)
     cv_payload = {
         "selected": asdict(run.best_combo),
@@ -327,7 +327,7 @@ def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
     fit_lines = (
         json.dumps(
             {
-                "treatment": run.treatment.key,
+                "treatment": run.treatment,
                 "combo_index": ci,
                 **asdict(result.combo),
                 "fold": fit.fold,
@@ -356,8 +356,7 @@ def _write_treatment_outputs(out_dir: Path, run: TreatmentRun) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     opt = resolve_options(args, RUN_FIELDS)
     out_dir = Path(opt["out"])
-    treatments = list(Treatment) if opt["treatment"] == "all" else [Treatment(opt["treatment"])]
-    keys = [t.key for t in treatments]
+    keys = list(TREATMENT_KEYS) if opt["treatment"] == "all" else [opt["treatment"]]
     if out_dir.exists() and any(out_dir.iterdir()):
         if not args.force:
             raise ValueError(f"run directory {out_dir} is not empty; pass --force to overwrite")
@@ -386,7 +385,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         patience=opt["patience"],
         uniform_weights=(opt["aggregation"] == "uniform"),
     )
-    runs = run_treatments(treatments, records, plan, grid, base_config, threads=opt["threads"])
+    runs = run_treatments(keys, records, plan, grid, base_config, threads=opt["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)  # only now: a failed run writes nothing
     effective = dict(opt)
     effective["treatments"] = keys

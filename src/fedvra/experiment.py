@@ -18,7 +18,6 @@ seed, so _map may run the tasks in any order; results go by task index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import partial
 from itertools import product
 
@@ -36,17 +35,6 @@ DEFAULT_WEIGHT_DECAYS = (1e-3, 1e-4, 1e-5)
 
 CENTRAL_SILO_NAME = "ALL"
 TEST_SET_NAMES = ("A", "B", "combined")
-
-
-class Treatment(Enum):
-    LOCAL_A = "a"
-    LOCAL_B = "b"
-    FEDERATED = "federated"
-    CENTRALISED = "central"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -115,16 +103,24 @@ class CvResult:
         return tuple(fit.best_epoch for fit in self.fold_fits)
 
 
-# each treatment's silos as (silo name, the institutions whose records it holds)
-_SILOS = {
-    Treatment.LOCAL_A: (("A", ("A",)),),
-    Treatment.LOCAL_B: (("B", ("B",)),),
-    Treatment.FEDERATED: (("A", ("A",)), ("B", ("B",))),
-    Treatment.CENTRALISED: ((CENTRAL_SILO_NAME, ("A", "B")),),
+# each treatment's silos as (silo name, the institutions whose records it holds), by key in report
+# order; the key also labels the treatment's seeds, run directory and report entries
+TREATMENTS = {
+    "a": (("A", ("A",)),),
+    "b": (("B", ("B",)),),
+    "federated": (("A", ("A",)), ("B", ("B",))),
+    "central": ((CENTRAL_SILO_NAME, ("A", "B")),),
 }
 
 
-def silos_for_treatment(treatment: Treatment, records: RecordTable, index, heldout_fold: int | None) -> list[Silo]:
+def _silos_of(treatment: str) -> tuple:
+    """The treatment's row of TREATMENTS; ValueError for an unknown key."""
+    if treatment not in TREATMENTS:
+        raise ValueError(f"unknown treatment {treatment!r}; pick one of {', '.join(TREATMENTS)}")
+    return TREATMENTS[treatment]
+
+
+def silos_for_treatment(treatment: str, records: RecordTable, index, heldout_fold: int | None) -> list[Silo]:
     """Training/validation silos for one treatment and one held-out fold;
     index is split_index of the records and their plan.
 
@@ -135,7 +131,7 @@ def silos_for_treatment(treatment: Treatment, records: RecordTable, index, heldo
     val = fold == heldout_fold  # all False for None
     train = (fold > 0) & ~val
     silos = []
-    for name, insts in _SILOS[treatment]:
+    for name, insts in _silos_of(treatment):
         mine = np.isin(institution, insts)
         tx, ty = features_matrix(records, np.flatnonzero(train & mine))
         vx, vy = features_matrix(records, np.flatnonzero(val & mine))
@@ -143,14 +139,15 @@ def silos_for_treatment(treatment: Treatment, records: RecordTable, index, heldo
     return silos
 
 
-def check_cv_folds(treatments: list[Treatment], records: RecordTable, index) -> None:
+def check_cv_folds(treatments: list[str], records: RecordTable, index) -> None:
     """Raise ValueError naming the first institution without a test
-    record, or the first fold and institution that would leave a silo of
-    one of the treatments' cross-validation fits without validation
-    records (the held-out fold) or training records (the other folds),
-    or a fit's training silos without a positive or without a negative
-    record between them (pos_weight is their negative/positive ratio).
-    index is split_index of the records."""
+    record, the first unknown treatment key, or the first fold and
+    institution that would leave a silo of one of the treatments'
+    cross-validation fits without validation records (the held-out fold)
+    or training records (the other folds), or a fit's training silos
+    without a positive or without a negative record between them
+    (pos_weight is their negative/positive ratio). index is split_index
+    of the records."""
     institution, fold = index
     for name in ("A", "B"):  # every run scores both institutions' test sets
         if not np.any((fold == 0) & (institution == name)):
@@ -158,17 +155,16 @@ def check_cv_folds(treatments: list[Treatment], records: RecordTable, index) -> 
     folds = range(1, int(fold.max(initial=0)) + 1)  # a checked plan numbers its folds 1..k
     in_fold = fold == np.array(folds)[:, None]  # (fold, record): whether the record is in the fold
     for treatment in treatments:
-        key = treatment.key
-        groups = [insts for _, insts in _SILOS[treatment]]
+        groups = [insts for _, insts in _silos_of(treatment)]
         for insts in groups:
             held_out = np.count_nonzero(in_fold & np.isin(institution, insts), axis=1)
             name = _institutions_name(insts)
             for f, count in zip(folds, held_out):
                 if count == 0:
-                    raise ValueError(f"fold {f} holds no records of {name}, which treatment {key!r} trains on")
+                    raise ValueError(f"fold {f} holds no records of {name}, which treatment {treatment!r} trains on")
                 if count == held_out.sum():
                     raise ValueError(
-                        f"fold {f} holds every record of {name}: treatment {key!r} has no other fold to train on"
+                        f"fold {f} holds every record of {name}: treatment {treatment!r} has no other fold to train on"
                     )
         trained = sum(groups, ())  # pos_weight pools the labels of all the treatment's silos
         for label, name in ((1, "positive"), (0, "negative")):
@@ -177,7 +173,7 @@ def check_cv_folds(treatments: list[Treatment], records: RecordTable, index) -> 
                 if count == held_out.sum():
                     raise ValueError(
                         f"holding out fold {f} leaves no {name} record of {_institutions_name(trained)} "
-                        f"for treatment {key!r} to train on"
+                        f"for treatment {treatment!r} to train on"
                     )
 
 
@@ -202,7 +198,7 @@ def _fit_fold(records, index, combos: list[HyperCombo], base_config: TrainConfig
     """One (treatment, combo index, fold) task of grid_search_cv; index is split_index of the records."""
     treatment, combo_index, fold = task
     silos = silos_for_treatment(treatment, records, index, heldout_fold=fold)
-    cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment.key, combo_index, fold))
+    cfg = combos[combo_index].config(base_config, derive_seed(base_config.seed, treatment, combo_index, fold))
     _, logs, scored = federated_train(silos, cfg)
     # the first round with the lowest loss holds the checkpoint early stopping kept
     best = min(logs, key=lambda log: log.val_loss)
@@ -216,13 +212,13 @@ def _fit_fold(records, index, combos: list[HyperCombo], base_config: TrainConfig
 
 
 def grid_search_cv(
-    treatments: list[Treatment],
+    treatments: list[str],
     records: RecordTable,
     index,
     grid: GridSpec,
     base_config: TrainConfig,
     threads: int = 1,
-) -> dict[Treatment, list[CvResult]]:
+) -> dict[str, list[CvResult]]:
     """Cross-validate every combo of every treatment; each fit gets its
     own derived seed. index is split_index of the records.
 
@@ -270,7 +266,7 @@ def final_epoch_budget(best_epochs) -> int:
 
 
 def train_final(
-    treatment: Treatment,
+    treatment: str,
     cv_result: CvResult,
     records: RecordTable,
     index,
@@ -281,7 +277,7 @@ def train_final(
     split_index of the records."""
     budget = final_epoch_budget(cv_result.best_epochs)
     silos = silos_for_treatment(treatment, records, index, heldout_fold=None)
-    cfg = cv_result.combo.config(base_config, derive_seed(base_config.seed, treatment.key, "final"))
+    cfg = cv_result.combo.config(base_config, derive_seed(base_config.seed, treatment, "final"))
     params, logs = train_for_epochs(silos, cfg, budget)
     return params, budget, logs
 
@@ -307,7 +303,7 @@ class TreatmentRun:
     selected combo refitted for the epoch budget, and that model's
     scores by test set name, with the record ids each set scores."""
 
-    treatment: Treatment
+    treatment: str  # its key in TREATMENTS
     cv_results: list[CvResult]
     best_combo: HyperCombo
     epoch_budget: int
@@ -318,7 +314,7 @@ class TreatmentRun:
 
 
 def run_treatments(
-    treatments: list[Treatment],
+    treatments: list[str],
     records: RecordTable,
     plan: SplitPlan,
     grid: GridSpec,
@@ -336,7 +332,7 @@ def run_treatments(
     rows = test_rows(index)
     record_ids = {name: tuple(ids.tolist()) for name, ids in rows.items()}
     return {
-        t.key: TreatmentRun(
+        t: TreatmentRun(
             treatment=t,
             cv_results=cv_results[t],
             best_combo=best[t].combo,

@@ -228,11 +228,14 @@ def _pr_auc_rows(counts: np.ndarray) -> np.ndarray:
     """Average precision of each row of group counts: the step-wise sum
     of precision * delta recall, added in descending-score order."""
     neg, pos = counts[:, :, 0], counts[:, :, 1]
-    tp = np.cumsum(pos, axis=1)
-    precision = _ratio(tp, tp + np.cumsum(neg, axis=1))
-    # groups without a positive add exactly 0; cumsum adds in strict
-    # group order, as a running total would
-    return np.cumsum(pos / pos.sum(axis=1)[:, None] * precision, axis=1)[:, -1]
+    # a group with no positive in any row adds exactly 0.0 to a running total
+    # that is never below +0.0, so skipping it keeps the bits; cumsum adds
+    # in strict group order, as a running total would
+    hit = np.flatnonzero(pos.any(axis=0))
+    if hit.size == 0:  # no rows: each row of the block was single-class
+        return np.zeros(len(counts))
+    tp, fp = np.cumsum(pos, axis=1)[:, hit], np.cumsum(neg, axis=1)[:, hit]
+    return np.cumsum(pos[:, hit] / tp[:, -1:] * _ratio(tp, tp + fp), axis=1)[:, -1]  # tp[:, -1:]: every positive
 
 
 def _set_counts(scored: ScoredSet, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from fedvra.data import (
     make_split_plan,
     verify_split_plan,
 )
-from fedvra.experiment import CENTRAL_SILO_NAME, GridSpec, Treatment, run_treatments
+from fedvra.experiment import CENTRAL_SILO_NAME, GridSpec, TREATMENTS, run_treatments
 from fedvra.federated import Silo, federated_train, train_for_epochs
 from fedvra.network import (
     INPUT_DIM,
@@ -443,7 +443,7 @@ def test_09_end_to_end_directional():
     cfg = TrainConfig(
         lr0=0.005, hidden_size=32, seed=seed, batch_size=32, max_epochs=40, patience=7
     )
-    runs = run_treatments(list(Treatment), records, plan, grid, cfg, threads=4)
+    runs = run_treatments(list(TREATMENTS), records, plan, grid, cfg, threads=4)
     combined = {key: run.evaluations["combined"] for key, run in runs.items()}
     f1 = {key: metric_bundle(s)[1]["f1"] for key, s in combined.items()}
     elapsed = time.perf_counter() - start

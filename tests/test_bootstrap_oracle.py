@@ -5,7 +5,9 @@ index draw per resample, a Python walk over the tie groups of every
 ROC-AUC and PR-AUC, scalar formulas over a confusion it counts itself,
 and the redraw loop around each undefined resample.
 The library must give the same result objects, the same sample bytes
-and the same errors, whatever its block size.
+and the same errors, whatever its block size. The full-width PR-AUC
+kernel is kept as well: the library's kernel sums only the tie groups
+that hold a positive, and must give the same bits.
 
 An independent check closes the file: DeLong's normal interval for a
 paired ROC-AUC difference, which shares no code and no method with the
@@ -223,6 +225,46 @@ def test_point_estimates_match_the_loop_oracle():
         assert repr(metrics["pr_auc"]) == repr(loop_pr_auc(y, s))
         assert repr(stats.roc_curve(first)) == repr(loop_roc_curve(y, s))
         assert (metrics["roc_auc"], metrics["pr_auc"]) == (loop_roc_auc(y, s), loop_pr_auc(y, s))
+
+
+# ---------- oracle: the full-width PR-AUC kernel ----------
+
+
+def full_width_pr_auc_rows(counts):
+    """Average precision of each row of tie-group counts, summed over
+    every group: the kernel before it skipped the groups that hold no
+    positive in any row."""
+    neg, pos = counts[:, :, 0], counts[:, :, 1]
+    tp = np.cumsum(pos, axis=1)
+    called = tp + np.cumsum(neg, axis=1)
+    precision = np.divide(tp, called, out=np.zeros(tp.shape), where=called > 0)
+    return np.cumsum(pos / pos.sum(axis=1)[:, None] * precision, axis=1)[:, -1]
+
+
+def test_pr_auc_kernel_matches_the_full_width_formula():
+    rng = np.random.default_rng(808)
+    blocks = [np.zeros((0, 6, 2), dtype=np.int64)]  # no rows: every row of the block was single-class
+    for _ in range(100):
+        # a block as the bootstrap counts it: rounded scores tie, and few positives leave groups without one
+        first, _ = random_pair(rng)
+        rows = rng.integers(0, len(first), size=(int(rng.integers(1, 30)), len(first)))
+        counts = stats._tie_counts(first, rows)
+        blocks.append(counts[stats._both_classes(counts)])
+        # random counts in which about half the groups hold no positive in any row
+        n_rows, n_groups = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+        counts = rng.integers(0, 4, size=(n_rows, n_groups, 2))
+        counts[:, rng.uniform(size=n_groups) < 0.5, 1] = 0
+        counts[np.arange(n_rows), rng.integers(n_groups, size=n_rows), 1] += 1  # a positive in every row
+        blocks.append(counts)
+    seen = set()
+    for counts in blocks:
+        got, want = stats._pr_auc_rows(counts), full_width_pr_auc_rows(counts)
+        assert got.shape == want.shape == (len(counts),)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pos = counts[:, :, 1]
+        seen.add("empty" if not len(counts) else "skips a group" if not pos.any(axis=0).all() else "full width")
+        seen.add("ties" if (counts.sum(axis=2) > 1).any() else "no ties")
+    assert seen == {"empty", "skips a group", "full width", "ties", "no ties"}
 
 
 # ---------- comparison helpers ----------

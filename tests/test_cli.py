@@ -35,7 +35,7 @@ from fedvra.cli import (
     resolve_options,
 )
 from fedvra.data import load_records, load_split_plan, save_records, verify_split_plan
-from fedvra.experiment import HyperCombo, Treatment, TreatmentRun
+from fedvra.experiment import HyperCombo, TreatmentRun
 from fedvra.federated import RoundLog
 from fedvra.network import init_model
 from params_dict import params_to_dict
@@ -688,7 +688,7 @@ def test_run_streams_a_large_final_model(tmp_path):
     was built from nested lists)."""
     params = init_model(512, 8)
     run = TreatmentRun(
-        treatment=Treatment.FEDERATED,
+        treatment="federated",
         cv_results=[],
         best_combo=HyperCombo(hidden_size=512, learning_rate=0.01, weight_decay=0.0),
         epoch_budget=2,

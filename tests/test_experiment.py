@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import fedvra.experiment
 from fedvra.data import SynthConfig, features_matrix, generate_synthetic, make_split_plan, split_index
 from fedvra.experiment import (
     CENTRAL_SILO_NAME,
@@ -13,7 +14,7 @@ from fedvra.experiment import (
     FoldFit,
     GridSpec,
     HyperCombo,
-    Treatment,
+    TREATMENTS,
     evaluate,
     final_epoch_budget,
     grid_search_cv,
@@ -81,7 +82,7 @@ def refit_fold(records, plan, cfg, treatment, combo_index, fold):
     refit_cfg = TrainConfig(
         lr0=combo.learning_rate,
         hidden_size=combo.hidden_size,
-        seed=derive_seed(cfg.seed, treatment.key, combo_index, fold),
+        seed=derive_seed(cfg.seed, treatment, combo_index, fold),
         batch_size=cfg.batch_size,
         weight_decay=combo.weight_decay,
         max_epochs=cfg.max_epochs,
@@ -111,12 +112,34 @@ def test_grid_rejects_empty_axis():
         GridSpec(hidden_sizes=())
 
 
-def test_treatment_keys_round_trip():
-    for t in Treatment:
-        assert Treatment(t.key) is t
-    assert Treatment("central") is Treatment.CENTRALISED
+def test_treatment_keys_round_trip(dataset):
+    # each key names its row of the table, in report order; a key not in it is refused
+    records, plan = dataset
+    index = split_index(records, plan)
+    assert list(TREATMENTS) == ["a", "b", "federated", "central"]
+    assert TREATMENTS["central"] == ((CENTRAL_SILO_NAME, ("A", "B")),)
+    for key, silos in TREATMENTS.items():
+        assert [s.name for s in silos_for_treatment(key, records, index, 1)] == [name for name, _ in silos]
     with pytest.raises(ValueError):
-        Treatment("nope")
+        silos_for_treatment("nope", records, index, 1)
+
+
+def test_unknown_treatment_is_refused_before_any_fit(dataset, monkeypatch):
+    records, plan = dataset
+
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(fedvra.experiment, "federated_train", no_fit)
+    monkeypatch.setattr(fedvra.experiment, "train_for_epochs", no_fit)
+    want = "unknown treatment 'remote'; pick one of a, b, federated, central"
+    with pytest.raises(ValueError) as exc:
+        silos_for_treatment("remote", records, split_index(records, plan), heldout_fold=1)
+    assert str(exc.value) == want
+    for treatments in (["remote"], ["a", "remote"]):
+        with pytest.raises(ValueError) as exc:
+            run_treatments(treatments, records, plan, tiny_grid(), base_config())
+        assert str(exc.value) == want
 
 
 # ---------- silo construction ----------
@@ -140,10 +163,10 @@ def oracle_silo_ids(treatment, records, plan, heldout_fold):
     by per-record loops over the plan's fold and institution maps."""
     train = sorted(i for i, f in plan.fold_of_record.items() if heldout_fold is None or f != heldout_fold)
     val = [] if heldout_fold is None else fold_ids(plan, heldout_fold)
-    if treatment is Treatment.CENTRALISED:
+    if treatment == "central":
         return [(CENTRAL_SILO_NAME, train, val)]
     train_by, val_by = institution_ids(records, plan, train), institution_ids(records, plan, val)
-    names = {Treatment.LOCAL_A: ["A"], Treatment.LOCAL_B: ["B"], Treatment.FEDERATED: ["A", "B"]}[treatment]
+    names = {"a": ["A"], "b": ["B"], "federated": ["A", "B"]}[treatment]
     return [(name, train_by[name], val_by[name]) for name in names]
 
 
@@ -153,7 +176,7 @@ def assert_rows(features, labels, records, ids):
     assert labels.shape == y.shape and labels.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("treatment", list(Treatment))
+@pytest.mark.parametrize("treatment", list(TREATMENTS))
 def test_silo_rows_match_the_per_record_loop(dataset, treatment):
     records, plan = dataset
     index = split_index(records, plan)
@@ -180,7 +203,7 @@ def test_test_set_rows_match_the_per_record_loop(dataset):
 
 def test_silos_central_is_single_pool(dataset):
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.CENTRALISED, records, split_index(records, plan), heldout_fold=1)
+    silos = silos_for_treatment("central", records, split_index(records, plan), heldout_fold=1)
     assert [s.name for s in silos] == [CENTRAL_SILO_NAME]
     folded = sorted(plan.fold_of_record)
     assert silos[0].n_train == len(folded) - len(fold_ids(plan, 1))
@@ -189,7 +212,7 @@ def test_silos_central_is_single_pool(dataset):
 
 def test_silos_federated_partition_by_institution(dataset):
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.FEDERATED, records, split_index(records, plan), heldout_fold=2)
+    silos = silos_for_treatment("federated", records, split_index(records, plan), heldout_fold=2)
     assert [s.name for s in silos] == ["A", "B"]
     train_ids = [i for i, f in plan.fold_of_record.items() if f != 2]
     for silo in silos:
@@ -211,9 +234,9 @@ def test_silos_federated_partition_by_institution(dataset):
 def test_silos_local_single_institution(dataset):
     records, plan = dataset
     index = split_index(records, plan)
-    fed = silos_for_treatment(Treatment.FEDERATED, records, index, heldout_fold=1)
-    local_a = silos_for_treatment(Treatment.LOCAL_A, records, index, heldout_fold=1)
-    local_b = silos_for_treatment(Treatment.LOCAL_B, records, index, heldout_fold=1)
+    fed = silos_for_treatment("federated", records, index, heldout_fold=1)
+    local_a = silos_for_treatment("a", records, index, heldout_fold=1)
+    local_b = silos_for_treatment("b", records, index, heldout_fold=1)
     assert [s.name for s in local_a] == ["A"]
     assert [s.name for s in local_b] == ["B"]
     assert np.array_equal(local_a[0].train_features, fed[0].train_features)
@@ -222,7 +245,7 @@ def test_silos_local_single_institution(dataset):
 
 def test_silos_no_heldout_fold_means_empty_validation(dataset):
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.CENTRALISED, records, split_index(records, plan), heldout_fold=None)
+    silos = silos_for_treatment("central", records, split_index(records, plan), heldout_fold=None)
     assert silos[0].n_train == len(plan.fold_of_record)
     assert silos[0].n_val == 0
 
@@ -267,11 +290,11 @@ def test_final_epoch_budget_is_rounded_median():
 
 def test_grid_search_cv_shape_and_concatenated_f1(dataset):
     records, plan = dataset
-    results = grid_search_cv([Treatment.FEDERATED], records, split_index(records, plan), tiny_grid(), base_config())
-    assert list(results) == [Treatment.FEDERATED] and len(results[Treatment.FEDERATED]) == 1
-    result = results[Treatment.FEDERATED][0]
+    results = grid_search_cv(["federated"], records, split_index(records, plan), tiny_grid(), base_config())
+    assert list(results) == ["federated"] and len(results["federated"]) == 1
+    result = results["federated"][0]
     assert [fit.fold for fit in result.fold_fits] == [1, 2, 3]
-    refits = [refit_fold(records, plan, base_config(), Treatment.FEDERATED, 0, fit.fold) for fit in result.fold_fits]
+    refits = [refit_fold(records, plan, base_config(), "federated", 0, fit.fold) for fit in result.fold_fits]
     labels = np.concatenate([labels for *_, labels in refits])
     scores = np.concatenate([scores for _, _, scores, _ in refits])
     _, _, want_f1 = prf1(confusion(ScoredSet(labels, scores)))
@@ -285,7 +308,7 @@ def test_grid_search_cv_shape_and_concatenated_f1(dataset):
 def test_grid_search_cv_thread_schedule_does_not_matter(dataset):
     records, plan = dataset
     grid = GridSpec(hidden_sizes=(4, 8), learning_rates=(0.05,), weight_decays=(1e-4,))
-    treatments = [Treatment.FEDERATED, Treatment.LOCAL_B]
+    treatments = ["federated", "b"]
     index = split_index(records, plan)
     for cfg in SCHEDULE_CONFIGS:
         serial = grid_search_cv(treatments, records, index, grid, cfg)
@@ -295,7 +318,7 @@ def test_grid_search_cv_thread_schedule_does_not_matter(dataset):
         for t in treatments:
             assert [r.combo for r in serial[t]] == grid.combos()
             assert [[fit.fold for fit in r.fold_fits] for r in serial[t]] == [[1, 2, 3]] * 2
-        assert serial[Treatment.FEDERATED] != serial[Treatment.LOCAL_B]
+        assert serial["federated"] != serial["b"]
         # FoldFit and CvResult are plain values, so == compares every field
         assert serial == pooled
 
@@ -305,8 +328,8 @@ def test_grid_search_cv_fold_seed_contract(dataset):
     records, plan = dataset
     cfg = base_config()
     index = split_index(records, plan)
-    result = grid_search_cv([Treatment.FEDERATED], records, index, tiny_grid(), cfg)[Treatment.FEDERATED][0]
-    val_loss, conf, _, _ = refit_fold(records, plan, cfg, Treatment.FEDERATED, 0, 2)
+    result = grid_search_cv(["federated"], records, index, tiny_grid(), cfg)["federated"][0]
+    val_loss, conf, _, _ = refit_fold(records, plan, cfg, "federated", 0, 2)
     assert result.fold_fits[1].fold == 2
     assert result.fold_fits[1].val_loss == val_loss
     assert result.fold_fits[1].confusion == conf
@@ -317,8 +340,8 @@ def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
     records, plan = dataset
     cfg = base_config(max_epochs=30, patience=2)
     combos = tiny_grid().combos()
-    silos = silos_for_treatment(Treatment.FEDERATED, records, split_index(records, plan), heldout_fold=2)
-    seed = derive_seed(cfg.seed, Treatment.FEDERATED.key, 0, 2)
+    silos = silos_for_treatment("federated", records, split_index(records, plan), heldout_fold=2)
+    seed = derive_seed(cfg.seed, "federated", 0, 2)
     params, logs, kept = federated_train(silos, combos[0].config(cfg, seed))
     best = min(logs, key=lambda log: log.val_loss)
     assert best.epoch + 1 < len(logs) < cfg.max_epochs
@@ -326,7 +349,7 @@ def test_cv_fit_is_measured_from_the_round_it_kept(dataset):
     for name in ("labels", "scores", "predictions"):
         got, want = getattr(kept, name), getattr(scored, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    fit = _fit_fold(records, split_index(records, plan), combos, cfg, (Treatment.FEDERATED, 0, 2))
+    fit = _fit_fold(records, split_index(records, plan), combos, cfg, ("federated", 0, 2))
     assert fit == FoldFit(
         fold=2,
         best_epoch=best.epoch + 1,
@@ -340,7 +363,7 @@ def test_grid_search_cv_rejects_bad_threads(dataset):
     records, plan = dataset
     index = split_index(records, plan)
     with pytest.raises(ValueError):
-        grid_search_cv([Treatment.FEDERATED], records, index, tiny_grid(), base_config(), threads=0)
+        grid_search_cv(["federated"], records, index, tiny_grid(), base_config(), threads=0)
 
 
 def test_no_signal_cv_f1_matches_label_shuffle_null():
@@ -363,8 +386,8 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
         )
     )
     plan = make_split_plan(records, test_fraction=0.2, n_folds=3, seed=0)
-    results = grid_search_cv([Treatment.CENTRALISED], records, split_index(records, plan), tiny_grid(), base_config())
-    result = results[Treatment.CENTRALISED][0]
+    results = grid_search_cv(["central"], records, split_index(records, plan), tiny_grid(), base_config())
+    result = results["central"][0]
     tn, fp, fn, tp = Confusion(*map(sum, zip(*(fit.confusion for fit in result.fold_fits))))
     labels = np.repeat([0, 0, 1, 1], [tn, fp, fn, tp])
     preds = np.repeat([0, 1, 0, 1], [tn, fp, fn, tp])  # as scores of 0 and 1, they are their own predictions
@@ -387,9 +410,9 @@ def test_no_signal_cv_f1_matches_label_shuffle_null():
 def test_train_final_uses_median_budget_and_is_deterministic(dataset):
     records, plan = dataset
     index = split_index(records, plan)
-    cv = grid_search_cv([Treatment.CENTRALISED], records, index, tiny_grid(), base_config())[Treatment.CENTRALISED][0]
-    params1, budget1, logs1 = train_final(Treatment.CENTRALISED, cv, records, index, base_config())
-    params2, budget2, logs2 = train_final(Treatment.CENTRALISED, cv, records, index, base_config())
+    cv = grid_search_cv(["central"], records, index, tiny_grid(), base_config())["central"][0]
+    params1, budget1, logs1 = train_final("central", cv, records, index, base_config())
+    params2, budget2, logs2 = train_final("central", cv, records, index, base_config())
     assert budget1 == budget2 == final_epoch_budget(cv.best_epochs)
     assert len(logs1) == budget1
     assert params1 == params2
@@ -400,7 +423,7 @@ def test_single_silo_federated_matches_flat_loop(dataset):
     # the independent centralized trainer and the shared loop must agree
     # bit for bit when the federation has one silo
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.CENTRALISED, records, split_index(records, plan), heldout_fold=1)
+    silos = silos_for_treatment("central", records, split_index(records, plan), heldout_fold=1)
     cfg = base_config(max_epochs=6, patience=6)
     fed_params, fed_logs, _ = federated_train(silos, cfg)
     flat_params, flat_logs = train_centralized(
@@ -503,7 +526,7 @@ def test_run_treatments_reads_the_plan_once(dataset, monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fedvra"]:
         if getattr(module, "split_index", None) is split_index:
             monkeypatch.setattr(module, "split_index", counted)
-    run_treatments(list(Treatment), records, plan, tiny_grid(), base_config())
+    run_treatments(list(TREATMENTS), records, plan, tiny_grid(), base_config())
     assert len(calls) == 1
 
 
@@ -517,8 +540,8 @@ def combined_f1(run):
 def test_run_treatment_smoke_and_determinism(dataset):
     records, plan = dataset
     for cfg in SCHEDULE_CONFIGS:
-        run1 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), cfg, threads=2)["federated"]
-        run2 = run_treatments([Treatment.FEDERATED], records, plan, tiny_grid(), cfg)["federated"]
+        run1 = run_treatments(["federated"], records, plan, tiny_grid(), cfg, threads=2)["federated"]
+        run2 = run_treatments(["federated"], records, plan, tiny_grid(), cfg)["federated"]
         check_early_stops(cfg, run1.cv_results)
         assert run1.cv_results == run2.cv_results
         assert run1.best_combo == tiny_grid().combos()[0]
@@ -533,11 +556,11 @@ def test_run_treatment_smoke_and_determinism(dataset):
 def test_run_treatments_returns_keyed_runs(dataset):
     records, plan = dataset
     runs = run_treatments(
-        [Treatment.LOCAL_A, Treatment.CENTRALISED], records, plan, tiny_grid(), base_config()
+        ["a", "central"], records, plan, tiny_grid(), base_config()
     )
     assert set(runs) == {"a", "central"}
-    assert runs["a"].treatment is Treatment.LOCAL_A
-    assert runs["central"].treatment is Treatment.CENTRALISED
+    assert runs["a"].treatment == "a"
+    assert runs["central"].treatment == "central"
     assert len(runs["central"].record_ids["combined"]) == len(plan.test_ids)
     assert all(type(i) is int for ids in runs["central"].record_ids.values() for i in ids)
     assert len(runs["central"].evaluations["combined"]) == len(plan.test_ids)
@@ -558,7 +581,7 @@ def test_each_cv_round_is_validated_once(dataset, monkeypatch):
         if getattr(module, "federated_validate", None) is original:
             monkeypatch.setattr(module, "federated_validate", counted)
     grid = GridSpec(hidden_sizes=(4, 8), learning_rates=(0.05,), weight_decays=(1e-4,))
-    runs = run_treatments(list(Treatment), records, plan, grid, base_config())
+    runs = run_treatments(list(TREATMENTS), records, plan, grid, base_config())
     epochs = [fit.epochs_run for run in runs.values() for r in run.cv_results for fit in r.fold_fits]
     assert len(epochs) == 4 * 2 * 3
     assert len(calls) == sum(epochs)
@@ -567,10 +590,10 @@ def test_each_cv_round_is_validated_once(dataset, monkeypatch):
 def test_aggregation_reaches_every_fit_through_the_config(dataset):
     # uniform averaging changes only the treatment that averages two silos
     records, plan = dataset
-    silos = silos_for_treatment(Treatment.FEDERATED, records, split_index(records, plan), heldout_fold=None)
+    silos = silos_for_treatment("federated", records, split_index(records, plan), heldout_fold=None)
     assert silos[0].n_train != silos[1].n_train
-    sized = run_treatments(list(Treatment), records, plan, tiny_grid(), base_config())
-    uniform = run_treatments(list(Treatment), records, plan, tiny_grid(), base_config(uniform_weights=True))
+    sized = run_treatments(list(TREATMENTS), records, plan, tiny_grid(), base_config())
+    uniform = run_treatments(list(TREATMENTS), records, plan, tiny_grid(), base_config(uniform_weights=True))
     assert uniform["federated"].params != sized["federated"].params
     assert uniform["federated"].cv_results != sized["federated"].cv_results
     for key in ("a", "b", "central"):

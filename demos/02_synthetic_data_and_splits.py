@@ -4,15 +4,18 @@ Run with: python3 demos/02_synthetic_data_and_splits.py
 """
 
 from collections import Counter
+from dataclasses import replace
 
 from fedvra.data import (
     SynthConfig,
     assign_institutions,
     generate_synthetic,
     make_split_plan,
+    split_index,
     verify_split_plan,
     ward_counts,
 )
+from fedvra.errors import SplitInvariantError
 
 records = generate_synthetic(
     SynthConfig(n_patients=300, seed=5, positive_rate=0.12, class_separation=1.5)
@@ -43,16 +46,23 @@ fold_sizes = Counter(plan.fold_of_record.values())
 print("  fold sizes:     ", dict(sorted(fold_sizes.items())))
 
 violations = verify_split_plan(records, plan)
-print(f"\nindependent verifier found {len(violations)} violations")
+print(f"\nthe plan check found {len(violations)} violations")
 
-# sabotage the plan to show the verifier working: leak one folded
-# record into the test set
-broken = type(plan)(
-    institution_of_ward=plan.institution_of_ward,
-    test_ids=plan.test_ids + (next(iter(plan.fold_of_record)),),
-    fold_of_record=plan.fold_of_record,
-    dropped_ids=plan.dropped_ids,
-)
+# sabotage the plan to show the check working. First leak one folded
+# record into the test set as well: that record then has no single
+# fold, so only the partition is reported
+broken = replace(plan, test_ids=plan.test_ids + (next(iter(plan.fold_of_record)),))
 print("after leaking one record into the test set:")
 for message in verify_split_plan(records, broken)[:3]:
     print(f"  {message}")
+
+# then move one dropped record (a train-era admission of a test-set
+# patient) into fold 1: the partition holds, and the check of the
+# split index finds the patient on both sides
+leaked = plan.dropped_ids[0]
+broken = replace(plan, fold_of_record={**plan.fold_of_record, leaked: 1}, dropped_ids=plan.dropped_ids[1:])
+print(f"after moving dropped record {leaked} into fold 1:")
+try:
+    split_index(records, broken)
+except SplitInvariantError as exc:
+    print(f"  split_index refused it: {exc}")

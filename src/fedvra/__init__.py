@@ -21,7 +21,6 @@ from .data import (
     SplitPlan,
     SynthConfig,
     assign_institutions,
-    check_split_plan,
     generate_synthetic,
     load_records,
     load_split_plan,

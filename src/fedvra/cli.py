@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthConfig,
-    check_split_plan,
     generate_synthetic,
     load_records,
     load_split_plan,
@@ -250,7 +249,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     plan = make_split_plan(
         records, test_fraction=opt["test_fraction"], n_folds=opt["folds"], seed=opt["seed"]
     )
-    check_split_plan(records, plan)
+    institution, fold = split_index(records, plan)  # raises before a broken plan is written
     save_split_plan(opt["out"], plan)
 
     print(f"wrote split plan for {len(records)} records to {opt['out']}")
@@ -260,7 +259,6 @@ def cmd_split(args: argparse.Namespace) -> int:
         print(f"institution {inst}: wards {', '.join(wards)}")
     header = ["fold"] + [f"{inst} neg/pos" for inst in insts] + ["total neg/pos"]
     print("  ".join(f"{h:>14}" for h in header))
-    institution, fold = split_index(records, plan)
     for name, rows in [(str(f), fold == f) for f in range(1, plan.n_folds + 1)] + [("test", fold == 0)]:
         masks = [rows & (institution == inst) for inst in insts] + [rows]  # each institution's, then all
         cells = [name] + ["{}/{}".format(*np.bincount(records.label[mask], minlength=2)) for mask in masks]
@@ -368,8 +366,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ValueError(f"run directory {out_dir} holds {', '.join(stale)}, which this run would not rewrite")
     records = load_records(opt["data"])
     plan = load_split_plan(opt["split"])
-    check_split_plan(records, plan)
-
     grid = GridSpec(
         hidden_sizes=opt["hidden_sizes"],
         learning_rates=opt["learning_rates"],

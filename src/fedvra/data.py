@@ -5,8 +5,8 @@ Records are grouped two ways: by ward (which determines the owning
 institution) and by patient (the leakage unit). A split plan carves a
 dataset into a time-ordered test set, five patient-grouped
 cross-validation folds, and a dropped set (train/val records of
-patients that also appear in the test set). All invariants are checked
-by an independent verifier.
+patients that also appear in the test set). split_index checks every
+invariant of a plan before it returns the plan's index.
 """
 
 from __future__ import annotations
@@ -131,18 +131,6 @@ class SplitPlan:
     @property
     def n_folds(self) -> int:
         return max(self.fold_of_record.values(), default=0)
-
-
-def split_index(records: RecordTable, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Every record's institution and fold, as arrays by record id: fold
-    1..k for a cross-validation record, 0 for a test record and -1 for a
-    dropped one. A silo, a fold or a test set is a boolean mask over
-    them, so its rows stay in ascending record order."""
-    institution = np.array([plan.institution_of_ward[ward] for ward in records.ward], dtype=str)
-    fold = np.full(len(records), -1, dtype=np.int64)
-    fold[list(plan.test_ids)] = 0
-    fold[list(plan.fold_of_record)] = list(plan.fold_of_record.values())
-    return institution, fold
 
 
 @dataclass(frozen=True)
@@ -290,22 +278,73 @@ def make_split_plan(
     return SplitPlan(institution_of_ward=institution_map, test_ids=test, fold_of_record=folds, dropped_ids=dropped)
 
 
+def split_index(records: RecordTable, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's institution and fold, as arrays by record id: fold
+    1..k for a cross-validation record, 0 for a test record and -1 for a
+    dropped one. A silo, a fold or a test set is a boolean mask over
+    them, so its rows stay in ascending record order.
+
+    Raises SplitInvariantError, naming every violation, unless the plan
+    meets every invariant verify_split_plan checks."""
+    violations, index = _checked_index(records, plan)
+    if violations:
+        raise SplitInvariantError("; ".join(violations))
+    return index
+
+
 def verify_split_plan(records: RecordTable, plan: SplitPlan) -> list[str]:
-    """Independent invariant check; returns a list of violation messages."""
+    """The plan's invariant violations as messages; empty for a valid plan."""
+    return _checked_index(records, plan)[0]
+
+
+def _checked_index(records: RecordTable, plan: SplitPlan) -> tuple[list[str], tuple[np.ndarray, np.ndarray] | None]:
+    """The plan's violations, and its split_index arrays unless the plan itself
+    is broken (_plan_violations): only then has every record one institution
+    and one fold, and the patient and time checks read the arrays silos read."""
+    violations = _plan_violations(records, plan)  # its sets are freed before the index is built
+    if violations:  # some record has no single fold or no institution
+        return violations, None
+
+    institution = np.array([plan.institution_of_ward[ward] for ward in records.ward], dtype=str)
+    fold = np.full(len(records), -1, dtype=np.int64)
+    fold[list(plan.test_ids)] = 0
+    fold[list(plan.fold_of_record)] = list(plan.fold_of_record.values())
+
+    folds_of: dict[str, set[int]] = defaultdict(set)  # each patient's folds, 0 for the test set
+    for pid, f in zip(records.patient_id, fold.tolist()):
+        if f >= 0:
+            folds_of[pid].add(f)
+    spread = sorted(pid for pid, folds in folds_of.items() if len(folds - {0}) > 1)
+    if spread:
+        violations.append(f"patient-fold-overlap: patients in multiple folds: {spread[:5]}")
+    leaked = sorted(pid for pid, folds in folds_of.items() if 0 in folds and len(folds) > 1)
+    if leaked:
+        violations.append(f"patient-test-overlap: patients in both folds and test: {leaked[:5]}")
+
+    ts = records.admission_ts
+    for inst in sorted(set(institution[fold > 0].tolist())):  # np.unique would import numpy.ma
+        mine = institution == inst
+        test_ts = ts[mine & (fold == 0)]
+        if test_ts.size and test_ts.min() < ts[mine & (fold > 0)].max():
+            violations.append(f"test-time-order: institution {inst} has a test record earlier than a train/val record")
+    return violations, (institution, fold)
+
+
+def _plan_violations(records: RecordTable, plan: SplitPlan) -> list[str]:
+    """The plan's own violations: its sets must partition the record ids,
+    its folds number 1..k and its map hold every ward."""
     violations: list[str] = []
-    n = len(records)
     folded = set(plan.fold_of_record)
     test = set(plan.test_ids)
     dropped = set(plan.dropped_ids)
 
-    all_ids = folded | test | dropped
     if folded & test or folded & dropped or test & dropped:
         violations.append("partition: fold, test, and dropped sets overlap")
     for name, ids in (("test", plan.test_ids), ("dropped", plan.dropped_ids)):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
         if repeated:
             violations.append(f"partition: the {name} set lists records more than once: {repeated[:5]}")
-    if all_ids != set(range(n)):
+    if folded | test | dropped != set(range(len(records))):
         violations.append("partition: fold, test, and dropped sets do not cover the dataset exactly")
 
     k = plan.n_folds
@@ -321,47 +360,7 @@ def verify_split_plan(records: RecordTable, plan: SplitPlan) -> list[str]:
         if ward not in plan.institution_of_ward:
             violations.append(f"institution-map: ward {ward!r} of record {i} is unmapped")
             break
-
-    pid = records.patient_id
-    patient_folds: dict[str, set[int]] = defaultdict(set)
-    for i, fold in plan.fold_of_record.items():
-        if 0 <= i < n:
-            patient_folds[pid[i]].add(fold)
-    spread = sorted(pid for pid, folds in patient_folds.items() if len(folds) > 1)
-    if spread:
-        violations.append(f"patient-fold-overlap: patients in multiple folds: {spread[:5]}")
-
-    test_patients = {pid[i] for i in test if 0 <= i < n}
-    leaked = sorted(pid for pid in patient_folds if pid in test_patients)
-    if leaked:
-        violations.append(f"patient-test-overlap: patients in both folds and test: {leaked[:5]}")
-
-    times = records.admission_ts.tolist()
-
-    def extreme_ts(ids, pick) -> dict[str, int]:
-        """pick (min or max) of the admission times per institution."""
-        out: dict[str, int] = {}
-        for i in ids:
-            inst = plan.institution_of_ward.get(records.ward[i]) if 0 <= i < n else None
-            if inst is not None:  # an unmapped ward is already an institution-map violation
-                ts = times[i]
-                out[inst] = pick(out.get(inst, ts), ts)
-        return out
-
-    latest_train = extreme_ts(folded, max)
-    earliest_test = extreme_ts(test, min)
-    for inst, latest in sorted(latest_train.items()):
-        if inst in earliest_test and earliest_test[inst] < latest:
-            violations.append(f"test-time-order: institution {inst} has a test record earlier than a train/val record")
-
     return violations
-
-
-def check_split_plan(records: RecordTable, plan: SplitPlan) -> None:
-    """Raise SplitInvariantError if the plan violates any invariant."""
-    violations = verify_split_plan(records, plan)
-    if violations:
-        raise SplitInvariantError("; ".join(violations))
 
 
 def _unit_direction(tag: str) -> np.ndarray:
@@ -593,7 +592,7 @@ def save_split_plan(path, plan: SplitPlan) -> None:
         "fold_of_record": {str(i): f for i, f in sorted(plan.fold_of_record.items())},
         "dropped_ids": list(plan.dropped_ids),
     }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
 
 SPLIT_PLAN_KEYS = {"institution_of_ward": dict, "test_ids": list, "fold_of_record": dict, "dropped_ids": list}

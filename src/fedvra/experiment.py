@@ -141,20 +141,22 @@ def silos_for_treatment(treatment: str, records: RecordTable, index, heldout_fol
 
 def check_cv_folds(treatments: list[str], records: RecordTable, index) -> None:
     """Raise ValueError naming the first institution without a test
-    record, the first unknown treatment key, or the first fold and
-    institution that would leave a silo of one of the treatments'
-    cross-validation fits without validation records (the held-out fold)
-    or training records (the other folds), or a fit's training silos
-    without a positive or without a negative record between them
-    (pos_weight is their negative/positive ratio). index is split_index
-    of the records."""
+    record, the first unknown or repeated treatment key, or the first
+    fold and institution that would leave a silo of one of the
+    treatments' cross-validation fits without validation records (the
+    held-out fold) or training records (the other folds), or a fit's
+    training silos without a positive or without a negative record
+    between them (pos_weight is their negative/positive ratio). index is
+    split_index of the records."""
     institution, fold = index
     for name in ("A", "B"):  # every run scores both institutions' test sets
         if not np.any((fold == 0) & (institution == name)):
             raise ValueError(f"the test set holds no records of institution {name}")
     folds = range(1, int(fold.max(initial=0)) + 1)  # a checked plan numbers its folds 1..k
     in_fold = fold == np.array(folds)[:, None]  # (fold, record): whether the record is in the fold
-    for treatment in treatments:
+    for i, treatment in enumerate(treatments):
+        if treatment in treatments[:i]:
+            raise ValueError(f"treatment {treatment!r} is listed more than once")
         groups = [insts for _, insts in _silos_of(treatment)]
         for insts in groups:
             held_out = np.count_nonzero(in_fold & np.isin(institution, insts), axis=1)
@@ -229,6 +231,8 @@ def grid_search_cv(
     if not folds:
         raise ValueError("split plan has no folds")
     combos = grid.combos()
+    for combo in combos:  # TrainConfig checks each combo's values before the first fit
+        combo.config(base_config, base_config.seed)
     tasks = list(product(treatments, range(len(combos)), folds))
     by_task = dict(zip(tasks, _map(partial(_fit_fold, records, index, combos, base_config), tasks, threads)))
     return {
@@ -321,9 +325,10 @@ def run_treatments(
     base_config: TrainConfig,
     threads: int = 1,
 ) -> dict[str, TreatmentRun]:
-    """Read the plan into one split_index, check it (check_cv_folds),
-    cross-validate the treatments, refit each one's best combo (one task
-    per treatment, through the same map), and score the final models."""
+    """Read the plan into one split_index, which checks it, check the
+    folds (check_cv_folds), cross-validate the treatments, refit each
+    one's best combo (one task per treatment, through the same map), and
+    score the final models."""
     index = split_index(records, plan)
     check_cv_folds(treatments, records, index)
     cv_results = grid_search_cv(treatments, records, index, grid, base_config, threads=threads)

@@ -23,7 +23,6 @@ from fedvra.data import (
     SynthConfig,
     WARD_MIX,
     assign_institutions,
-    check_split_plan,
     features_matrix,
     format_ts,
     generate_synthetic,
@@ -267,6 +266,9 @@ def test_verifier_catches_partition_violations():
     )
     violations = verify_split_plan(records, overlapping)
     assert any("partition" in v for v in violations)
+    # the test record now also sits in fold 1, so no record's fold is known and the
+    # patient and time checks do not run: the plan reports its partition violation only
+    assert violations == ["partition: fold, test, and dropped sets overlap"]
 
     # a record listed twice leaves every set unchanged, so only a count can see it
     first = plan.test_ids[0]
@@ -332,6 +334,8 @@ def test_verifier_catches_patient_test_leak():
         dropped_ids=tuple(i for i in plan.dropped_ids if i != leaked),
     )
     assert any("patient-test-overlap" in v for v in verify_split_plan(records, bad))
+    with pytest.raises(SplitInvariantError, match="patient-test-overlap"):  # a valid partition, checked on the index
+        split_index(records, bad)
 
 
 def test_verifier_catches_time_order_violation():
@@ -362,6 +366,53 @@ def test_verifier_catches_time_order_violation():
     assert any("test-time-order" in v for v in violations)
 
 
+def per_record_index_violations(records, plan):
+    """The patient and time violations of a plan whose sets partition the
+    records, found one record at a time over the plan's sets and map."""
+    pid, inst, ts = records.patient_id, plan.institution_of_ward, records.admission_ts.tolist()
+    folds_of = {}
+    for i, fold in plan.fold_of_record.items():
+        folds_of.setdefault(pid[i], set()).add(fold)
+    violations = []
+    spread = sorted(p for p, folds in folds_of.items() if len(folds) > 1)
+    if spread:
+        violations.append(f"patient-fold-overlap: patients in multiple folds: {spread[:5]}")
+    leaked = sorted(set(folds_of) & {pid[i] for i in plan.test_ids})
+    if leaked:
+        violations.append(f"patient-test-overlap: patients in both folds and test: {leaked[:5]}")
+    for name in sorted({inst[records.ward[i]] for i in plan.fold_of_record}):
+        latest = max(ts[i] for i in plan.fold_of_record if inst[records.ward[i]] == name)
+        tested = [ts[i] for i in plan.test_ids if inst[records.ward[i]] == name]
+        if tested and min(tested) < latest:
+            violations.append(f"test-time-order: institution {name} has a test record earlier than a train/val record")
+    return violations
+
+
+def test_index_checks_match_the_per_record_loops():
+    # move a few records between the test set, the folds and the dropped set: the
+    # partition holds, so the checks on the index report exactly what the loops find
+    records = synthetic_records(n_patients=120, seed=12, admissions_per_patient=(1, 3))
+    plan = make_split_plan(records, seed=12)
+    rng = np.random.default_rng(12)
+    seen = set()
+    for _ in range(40):
+        test, folds, dropped = set(plan.test_ids), dict(plan.fold_of_record), set(plan.dropped_ids)
+        for i in rng.choice(len(records), size=3, replace=False).tolist():
+            test.discard(i), folds.pop(i, None), dropped.discard(i)
+            where = int(rng.integers(0, plan.n_folds + 2))  # 0 the test set, 1..k a fold, k + 1 dropped
+            if where == 0:
+                test.add(i)
+            elif where <= plan.n_folds:
+                folds[i] = where
+            else:
+                dropped.add(i)
+        moved = SplitPlan(plan.institution_of_ward, tuple(test), folds, tuple(dropped))
+        want = per_record_index_violations(records, moved)
+        assert verify_split_plan(records, moved) == want
+        seen.update(message.split(":")[0] for message in want)
+    assert seen == {"patient-fold-overlap", "patient-test-overlap", "test-time-order"}
+
+
 def test_verifier_catches_unmapped_ward():
     records = synthetic_records(seed=10)
     plan = make_split_plan(records, seed=10)
@@ -375,18 +426,19 @@ def test_verifier_catches_unmapped_ward():
     assert any("institution-map" in v for v in verify_split_plan(records, bad))
 
 
-def test_check_split_plan_raises():
+def test_split_index_raises_on_a_broken_plan():
     records = synthetic_records(seed=11)
     plan = make_split_plan(records, seed=11)
-    check_split_plan(records, plan)  # clean plan passes
+    split_index(records, plan)  # clean plan passes
     bad = SplitPlan(
         institution_of_ward=plan.institution_of_ward,
         test_ids=plan.test_ids[2:],
         fold_of_record=plan.fold_of_record,
         dropped_ids=plan.dropped_ids,
     )
-    with pytest.raises(SplitInvariantError):
-        check_split_plan(records, bad)
+    with pytest.raises(SplitInvariantError) as exc:
+        split_index(records, bad)
+    assert str(exc.value) == "; ".join(verify_split_plan(records, bad))
 
 
 def test_split_plan_rejects_ids_and_folds_that_are_not_integers():

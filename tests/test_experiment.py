@@ -2,12 +2,14 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fedvra.experiment
 from fedvra.data import SynthConfig, features_matrix, generate_synthetic, make_split_plan, split_index
+from fedvra.errors import SplitInvariantError
 from fedvra.experiment import (
     CENTRAL_SILO_NAME,
     CvResult,
@@ -124,14 +126,19 @@ def test_treatment_keys_round_trip(dataset):
         silos_for_treatment("nope", records, index, 1)
 
 
-def test_unknown_treatment_is_refused_before_any_fit(dataset, monkeypatch):
-    records, plan = dataset
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Make any CV or final fit fail the test."""
 
-    def no_fit(*args):
+    def fit(*args):
         raise AssertionError("a fit ran")
 
-    monkeypatch.setattr(fedvra.experiment, "federated_train", no_fit)
-    monkeypatch.setattr(fedvra.experiment, "train_for_epochs", no_fit)
+    monkeypatch.setattr(fedvra.experiment, "federated_train", fit)
+    monkeypatch.setattr(fedvra.experiment, "train_for_epochs", fit)
+
+
+def test_unknown_treatment_is_refused_before_any_fit(dataset, no_fit):
+    records, plan = dataset
     want = "unknown treatment 'remote'; pick one of a, b, federated, central"
     with pytest.raises(ValueError) as exc:
         silos_for_treatment("remote", records, split_index(records, plan), heldout_fold=1)
@@ -140,6 +147,45 @@ def test_unknown_treatment_is_refused_before_any_fit(dataset, monkeypatch):
         with pytest.raises(ValueError) as exc:
             run_treatments(treatments, records, plan, tiny_grid(), base_config())
         assert str(exc.value) == want
+
+
+def test_repeated_treatment_is_refused_before_any_fit(dataset, no_fit):
+    records, plan = dataset
+    for treatments in (["a", "a"], ["a", "central", "a"]):
+        with pytest.raises(ValueError, match=r"^treatment 'a' is listed more than once$"):
+            run_treatments(treatments, records, plan, tiny_grid(), base_config())
+
+
+@pytest.mark.parametrize(
+    "axis, value, message",
+    [
+        ("hidden_sizes", 0, "hidden_size must be an integer of at least 1"),
+        ("learning_rates", -0.05, "lr0 must be finite and non-negative"),
+        ("learning_rates", math.nan, "lr0 must be finite and non-negative"),
+        ("weight_decays", -1e-4, "weight_decay must be finite and non-negative"),
+        ("weight_decays", math.nan, "weight_decay must be finite and non-negative"),
+    ],
+)
+def test_bad_grid_value_is_refused_before_any_fit(dataset, no_fit, axis, value, message):
+    # the bad value is the axis' second, so a valid combo comes first
+    records, plan = dataset
+    grid = GridSpec(**{axis: (getattr(tiny_grid(), axis)[0], value)})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_treatments(["a", "b"], records, plan, grid, base_config())
+
+
+@pytest.mark.parametrize("broken", ["id-past-the-end", "unmapped-ward"])
+def test_broken_plan_is_refused_before_any_fit(dataset, no_fit, broken):
+    records, plan = dataset
+    if broken == "id-past-the-end":
+        bad = replace(plan, test_ids=(*plan.test_ids, 10**6))
+        message = "partition: fold, test, and dropped sets do not cover the dataset exactly"
+    else:
+        bad = replace(plan, institution_of_ward={w: i for w, i in plan.institution_of_ward.items() if w != "A1"})
+        message = f"institution-map: ward 'A1' of record {records.ward.index('A1')} is unmapped"
+    with pytest.raises(SplitInvariantError) as exc:
+        run_treatments(list(TREATMENTS), records, bad, tiny_grid(), base_config())
+    assert str(exc.value) == message
 
 
 # ---------- silo construction ----------

@@ -26,6 +26,9 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthConfig,
+    _write_json,
+    _write_lines,
+    _write_text,
     generate_synthetic,
     load_records,
     load_split_plan,
@@ -75,22 +78,6 @@ CONTINGENCY_KEYS = ("both_correct", "federated_only", "treatment_only", "neither
 
 
 # ---------- output files ----------
-
-
-def _write_text(path, pieces) -> None:
-    """The one writer of every file run and report produce: text pieces, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)
-
-
-def _write_lines(path, lines) -> None:
-    """Each line followed by a newline."""
-    _write_text(path, (line + "\n" for line in lines))
-
-
-def _write_json(path, payload) -> None:
-    """Indented JSON with sorted keys and a trailing newline."""
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _round_log_line(log: RoundLog) -> str:

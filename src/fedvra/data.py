@@ -15,11 +15,11 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import time
 import zipfile
 import zlib
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import combinations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SplitInvariantError
-from .network import INPUT_DIM as FEATURE_DIM, _check_int, _frozen
+from .network import INPUT_DIM, _check_int, _frozen
 from .seeds import make_rng
 
 INSTITUTION_A = "A"
@@ -65,7 +65,7 @@ class RecordTable:
     patient_id and ward are tuples of non-empty Python strings (numpy's
     fixed-width strings drop trailing NULs). admission_ts holds seconds
     since 1970-01-01 UTC and label 0 or 1, both int64; features is one
-    finite float64 row of FEATURE_DIM values per record. The arrays are
+    finite float64 row of INPUT_DIM values per record. The arrays are
     read-only: the table copies an array unless _frozen may adopt it. An
     adopted array is the caller's own, and the caller must not make it
     writeable again, or the checked table could change under it.
@@ -97,8 +97,8 @@ def _check_rows(patient_id, ward, admission_ts: np.ndarray, features: np.ndarray
     for name, column in (("patient_id", patient_id), ("ward", ward)):
         if not all(isinstance(s, str) and s for s in column):
             raise ValueError(f"{name} must be a non-empty string")
-    if features.ndim != 2 or features.shape[1] != FEATURE_DIM:
-        raise ValueError(f"features must be vectors of length {FEATURE_DIM}")
+    if features.ndim != 2 or features.shape[1] != INPUT_DIM:
+        raise ValueError(f"features must be vectors of length {INPUT_DIM}")
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
     if label.ndim != 1 or not ((label == 0) | (label == 1)).all():
@@ -366,7 +366,7 @@ def _plan_violations(records: RecordTable, plan: SplitPlan) -> list[str]:
 def _unit_direction(tag: str) -> np.ndarray:
     """Fixed unit vector; the same tag always yields the same direction."""
     g = make_rng("fedvra-direction", tag)
-    v = g.standard_normal(FEATURE_DIM)
+    v = g.standard_normal(INPUT_DIM)
     return v / np.linalg.norm(v)
 
 
@@ -400,12 +400,12 @@ def generate_synthetic(config: SynthConfig) -> RecordTable:
     labels[rng.permutation(total)[:n_pos]] = 1
 
     offsets = rng.integers(0, _WINDOW_SECONDS, size=total)
-    noise = rng.standard_normal((total, FEATURE_DIM))
+    noise = rng.standard_normal((total, INPUT_DIM))
 
     ward_dirs = np.stack([ward_direction(w) for w in wards])
     row_ward = np.repeat(patient_wards, n_admissions)
     # noise + separation * label * u + shift * ward direction, summed in
-    # place: one (total, FEATURE_DIM) temporary at a time keeps synth's
+    # place: one (total, INPUT_DIM) temporary at a time keeps synth's
     # peak RSS below the run stage's
     features = noise
     features += (config.class_separation * labels)[:, None] * label_direction()
@@ -435,12 +435,46 @@ def features_matrix(records: RecordTable, indices) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
+@contextmanager
+def _replacing(path):
+    """A binary handle on `<path>.tmp`, which os.replace puts at path when
+    the block ends; on any exception the temp file goes and path keeps its
+    old bytes. The one place in the package that opens a file for writing.
+    Nothing is fsynced: a raised error or a killed process leaves no part
+    of a file at path, a power loss may."""
+    tmp = Path(os.fspath(path) + ".tmp")
+    fh = open(tmp, "wb")  # not mkstemp, so the file's mode follows the umask
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path, pieces) -> None:
+    """Text pieces in order, UTF-8: every text file the package writes."""
+    with _replacing(path) as fh:
+        fh.writelines(piece.encode("utf-8") for piece in pieces)
+
+
+def _write_lines(path, lines) -> None:
+    """Each line followed by a newline."""
+    _write_text(path, (line + "\n" for line in lines))
+
+
+def _write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
 def save_records(path, records: RecordTable) -> None:
     """One JSON object per line, then the sidecar `<path>.npz` that lets
     load_records skip the parse (see load_records)."""
     digest = hashlib.sha256()
     rows = zip(records.patient_id, records.ward, records.admission_ts.tolist(), records.features, records.label.tolist())
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         for pid, ward, ts, x, label in rows:
             row = dict(zip(_COLUMNS, (pid, ward, format_ts(ts), x.tolist(), label)))
             line = (json.dumps(row) + "\n").encode("utf-8")
@@ -465,14 +499,14 @@ def load_records(path) -> RecordTable:
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()  # a leading BOM is skipped
                 if line:
                     for column, value in zip(columns, _parse_row(line)):
                         column.append(value)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad record on line {line_no}: {exc}") from exc
     ids, wards, times, features, labels = columns
-    return RecordTable(ids, wards, times, features or np.zeros((0, FEATURE_DIM)), labels)
+    return RecordTable(ids, wards, times, features or np.zeros((0, INPUT_DIM)), labels)
 
 
 def _parse_row(line: str) -> tuple:
@@ -500,7 +534,7 @@ _SIDECAR_LAYOUT = {
     "ward": ("U", None, (-1,)),
     "admission_ts": ("i", 8, (-1,)),  # seconds since 1970-01-01 UTC
     "label": ("i", 8, (-1,)),
-    "features": ("f", 8, (-1, FEATURE_DIM)),
+    "features": ("f", 8, (-1, INPUT_DIM)),
 }
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 # what opening the sidecar and reading its arrays raise when it is missing, damaged or foreign
@@ -522,8 +556,7 @@ def _sha256_file(path) -> str:
 
 
 def _write_sidecar(path, records: RecordTable, digest: str) -> None:
-    """Write `<path>.npz` through a temporary file and os.replace, so a
-    reader never sees half a sidecar."""
+    """Write `<path>.npz`, through _replacing like every file."""
     sidecar = _sidecar_path(path)
     if any(s.endswith("\0") for s in records.patient_id + records.ward):
         # fixed-width numpy strings drop trailing NULs; such files always parse
@@ -538,16 +571,10 @@ def _write_sidecar(path, records: RecordTable, digest: str) -> None:
         "label": records.label,
         "features": records.features,
     }
-    fd, tmp = tempfile.mkstemp(prefix=sidecar.name + ".", suffix=".tmp", dir=sidecar.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
-            for name, array in arrays.items():
-                with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_TIME), "w", force_zip64=True) as out:
-                    np.lib.format.write_array(out, array, allow_pickle=False)
-        os.replace(tmp, sidecar)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _replacing(sidecar) as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_TIME), "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, array, allow_pickle=False)
 
 
 def _records_from_sidecar(path) -> RecordTable | None:
@@ -592,7 +619,7 @@ def save_split_plan(path, plan: SplitPlan) -> None:
         "fold_of_record": {str(i): f for i, f in sorted(plan.fold_of_record.items())},
         "dropped_ids": list(plan.dropped_ids),
     }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    _write_json(path, data)
 
 
 SPLIT_PLAN_KEYS = {"institution_of_ward": dict, "test_ids": list, "fold_of_record": dict, "dropped_ids": list}
@@ -600,7 +627,7 @@ SPLIT_PLAN_KEYS = {"institution_of_ward": dict, "test_ids": list, "fold_of_recor
 
 def load_split_plan(path) -> SplitPlan:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # drops one leading byte-order mark
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"split plan {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -59,8 +59,13 @@ class GridSpec:
     weight_decays: tuple[float, ...] = DEFAULT_WEIGHT_DECAYS
 
     def __post_init__(self):
-        if not self.hidden_sizes or not self.learning_rates or not self.weight_decays:
-            raise ValueError("grid axes must be non-empty")
+        for axis in ("hidden_sizes", "learning_rates", "weight_decays"):
+            values = getattr(self, axis)
+            if not values:
+                raise ValueError("grid axes must be non-empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:  # a repeated combo would be cross-validated twice
+                    raise ValueError(f"{axis} lists {value!r} more than once")
 
     def combos(self) -> list[HyperCombo]:
         return [

@@ -27,14 +27,13 @@ from fedvra.cli import (
     _load_scored_sets,
     _render_text_report,
     _round_log_line,
-    _write_lines,
     _write_treatment_outputs,
     build_comparison,
     load_config_file,
     main,
     resolve_options,
 )
-from fedvra.data import load_records, load_split_plan, save_records, verify_split_plan
+from fedvra.data import _write_lines, load_records, load_split_plan, save_records, verify_split_plan
 from fedvra.experiment import HyperCombo, TreatmentRun
 from fedvra.federated import RoundLog
 from fedvra.network import init_model
@@ -182,6 +181,19 @@ def test_synth_rejects_zero_patients(tmp_path):
     )
     assert code == 2
     assert "n_patients" in err
+
+
+def test_writing_over_a_directory_exits_2_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "data.jsonl"
+    target.mkdir()
+    code, _, err = run_cli("synth", "--out", str(target), "--seed", "1", "--n-patients", "5")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"] and target.is_dir()
+
+
+def test_the_pipeline_leaves_no_temp_file(chain):
+    assert list(chain["root"].rglob("*.tmp")) == []
 
 
 def test_synth_flags_override_config_file(tmp_path):
@@ -443,6 +455,16 @@ def test_run_rejects_unknown_treatment(chain, tmp_path):
     )
     assert code == 2
     assert "treatment" in err
+
+
+def test_run_repeated_grid_value_exits_2_before_any_fit(chain, tmp_path):
+    code, _, err = run_cli(
+        "run", "--data", str(chain["data"]), "--split", str(chain["plan"]),
+        "--out", str(tmp_path / "x"), "--seed", "9", "--hidden-sizes", "4,4",
+    )
+    assert code == 2
+    assert err == "error: hidden_sizes lists 4 more than once\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_corrupted_plan_exits_3(chain, tmp_path):

@@ -8,6 +8,7 @@ rather than trusting the package's own verifier.
 import io
 import json
 import math
+import os
 import time
 from dataclasses import replace
 from itertools import product
@@ -22,6 +23,7 @@ from fedvra.data import (
     SplitPlan,
     SynthConfig,
     WARD_MIX,
+    _write_text,
     assign_institutions,
     features_matrix,
     format_ts,
@@ -845,6 +847,18 @@ def test_load_records_reports_bad_line(tmp_path):
         load_records(path)
 
 
+def test_records_with_a_leading_byte_order_mark_load_as_without(tmp_path):
+    records = synthetic_records(n_patients=12, seed=13)
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))  # the sidecar is stale now, so every line parses
+    assert_same_records(records, load_records(path))
+    path.write_bytes(b"".join(lines[:1] + [b"\xef\xbb\xbf" + lines[1]] + lines[2:]))  # only the file's start
+    with pytest.raises(ValueError, match=r"data\.jsonl: bad record on line 2: "):
+        load_records(path)
+
+
 def test_split_plan_round_trip(tmp_path):
     records = synthetic_records(seed=14)
     plan = make_split_plan(records, seed=14)
@@ -855,3 +869,39 @@ def test_split_plan_round_trip(tmp_path):
     assert loaded.test_ids == plan.test_ids
     assert loaded.fold_of_record == plan.fold_of_record
     assert loaded.dropped_ids == plan.dropped_ids
+
+
+def test_split_plan_with_a_leading_byte_order_mark_loads_as_without(tmp_path):
+    records = synthetic_records(seed=14)
+    plan = make_split_plan(records, seed=14)
+    path = tmp_path / "plan.json"
+    save_split_plan(path, plan)
+    text = path.read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_split_plan(path) == plan
+    path.write_bytes(b"\n\xef\xbb\xbf" + text)  # only the file's start
+    with pytest.raises(ValueError, match=f"^split plan {path} is not UTF-8 JSON:"):
+        load_split_plan(path)
+
+
+# ---------- the writer ----------
+
+
+def test_a_failed_write_keeps_the_old_bytes_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    _write_text(path, ["old\n"])
+
+    def pieces():
+        yield "new, "
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        _write_text(path, pieces())
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_sidecar_mode_equals_the_data_files(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_records(path, synthetic_records(n_patients=12, seed=13))
+    assert os.stat(sidecar_of(path)).st_mode == os.stat(path).st_mode

@@ -114,6 +114,20 @@ def test_grid_rejects_empty_axis():
         GridSpec(hidden_sizes=())
 
 
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("hidden_sizes", (4, 8, 4), "hidden_sizes lists 4 more than once"),
+        ("learning_rates", (0.005, 5e-3), "learning_rates lists 0.005 more than once"),
+        ("weight_decays", (0.0, 1e-4, -0.0), "weight_decays lists -0.0 more than once"),
+    ],
+)
+def test_grid_rejects_a_repeated_value(axis, values, message):
+    # a repeated value would cross-validate the same combos twice
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridSpec(**{axis: values})
+
+
 def test_treatment_keys_round_trip(dataset):
     # each key names its row of the table, in report order; a key not in it is refused
     records, plan = dataset

@@ -13,8 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedvra.cli import _write_text
-from fedvra.data import RecordTable
+from fedvra.data import RecordTable, _write_text
 from fedvra.errors import NumericalError
 from fedvra.federated import Silo
 from fedvra.network import (

@@ -12,7 +12,6 @@ from fedvra.data import (
     generate_synthetic,
     make_split_plan,
     split_index,
-    verify_split_plan,
     ward_counts,
 )
 from fedvra.errors import SplitInvariantError
@@ -45,16 +44,19 @@ print(f"  dropped records: {len(plan.dropped_ids)} (train-era admissions of test
 fold_sizes = Counter(plan.fold_of_record.values())
 print("  fold sizes:     ", dict(sorted(fold_sizes.items())))
 
-violations = verify_split_plan(records, plan)
-print(f"\nthe plan check found {len(violations)} violations")
+split_index(records, plan)  # raises SplitInvariantError, naming every violation, on a broken plan
+print("\nthe plan check found 0 violations")
 
 # sabotage the plan to show the check working. First leak one folded
 # record into the test set as well: that record then has no single
 # fold, so only the partition is reported
 broken = replace(plan, test_ids=plan.test_ids + (next(iter(plan.fold_of_record)),))
 print("after leaking one record into the test set:")
-for message in verify_split_plan(records, broken)[:3]:
-    print(f"  {message}")
+try:
+    split_index(records, broken)
+except SplitInvariantError as exc:
+    for message in str(exc).split("; ")[:3]:
+        print(f"  {message}")
 
 # then move one dropped record (a train-era admission of a test-set
 # patient) into fold 1: the partition holds, and the check of the

@@ -22,7 +22,7 @@ from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -285,25 +285,12 @@ def split_index(records: RecordTable, plan: SplitPlan) -> tuple[np.ndarray, np.n
     them, so its rows stay in ascending record order.
 
     Raises SplitInvariantError, naming every violation, unless the plan
-    meets every invariant verify_split_plan checks."""
-    violations, index = _checked_index(records, plan)
-    if violations:
-        raise SplitInvariantError("; ".join(violations))
-    return index
-
-
-def verify_split_plan(records: RecordTable, plan: SplitPlan) -> list[str]:
-    """The plan's invariant violations as messages; empty for a valid plan."""
-    return _checked_index(records, plan)[0]
-
-
-def _checked_index(records: RecordTable, plan: SplitPlan) -> tuple[list[str], tuple[np.ndarray, np.ndarray] | None]:
-    """The plan's violations, and its split_index arrays unless the plan itself
-    is broken (_plan_violations): only then has every record one institution
-    and one fold, and the patient and time checks read the arrays silos read."""
+    itself holds (_plan_violations), no patient spans two folds or a fold
+    and the test set, and no institution has a test record earlier than
+    one of its train/val records."""
     violations = _plan_violations(records, plan)  # its sets are freed before the index is built
     if violations:  # some record has no single fold or no institution
-        return violations, None
+        raise SplitInvariantError("; ".join(violations))
 
     institution = np.array([plan.institution_of_ward[ward] for ward in records.ward], dtype=str)
     fold = np.full(len(records), -1, dtype=np.int64)
@@ -327,7 +314,9 @@ def _checked_index(records: RecordTable, plan: SplitPlan) -> tuple[list[str], tu
         test_ts = ts[mine & (fold == 0)]
         if test_ts.size and test_ts.min() < ts[mine & (fold > 0)].max():
             violations.append(f"test-time-order: institution {inst} has a test record earlier than a train/val record")
-    return violations, (institution, fold)
+    if violations:
+        raise SplitInvariantError("; ".join(violations))
+    return institution, fold
 
 
 def _plan_violations(records: RecordTable, plan: SplitPlan) -> list[str]:
@@ -352,9 +341,10 @@ def _plan_violations(records: RecordTable, plan: SplitPlan) -> list[str]:
     outside = sorted(f for f in fold_numbers if not 1 <= f <= k)
     if outside:
         violations.append(f"fold-range: fold numbers outside 1..{k}: {outside[:5]}")
-    empty = sorted(set(range(1, k + 1)) - fold_numbers)
+    # at most len(fold_numbers) + 5 steps, whatever k is
+    empty = list(islice((f for f in range(1, k + 1) if f not in fold_numbers), 5))
     if empty:
-        violations.append(f"fold-range: folds of 1..{k} that hold no records: {empty[:5]}")
+        violations.append(f"fold-range: folds of 1..{k} that hold no records: {empty}")
 
     for i, ward in enumerate(records.ward):
         if ward not in plan.institution_of_ward:
@@ -639,15 +629,14 @@ def load_split_plan(path) -> SplitPlan:
         if not isinstance(data[key], kind):
             expected = "an object" if kind is dict else "an array"
             raise ValueError(f"split plan {path}: {key} must be {expected}, got {type(data[key]).__name__}")
-    if any(inst not in (INSTITUTION_A, INSTITUTION_B) for inst in data["institution_of_ward"].values()):
-        raise ValueError(
-            f"split plan {path}: institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}"
-        )
-    # a key must read back as written, so "5.5", "05" or "5_0" cannot pass as another record id
-    if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(int(k)) != k for k in data["fold_of_record"]):
-        raise ValueError(f"split plan {path}: fold_of_record keys must be record ids written as plain integers")
-    data["fold_of_record"] = {int(k): fold for k, fold in data["fold_of_record"].items()}
-    try:
+    try:  # every message below, and int()'s own on a key too long to read, names the file
+        if any(inst not in (INSTITUTION_A, INSTITUTION_B) for inst in data["institution_of_ward"].values()):
+            raise ValueError(f"institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}")
+        # a key must read back as written, so "5.5", "05" or "5_0" cannot pass as another record id
+        folds = data["fold_of_record"]
+        if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(int(k)) != k for k in folds):
+            raise ValueError("fold_of_record keys must be record ids written as plain integers")
+        data["fold_of_record"] = {int(k): fold for k, fold in folds.items()}
         return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})
     except ValueError as exc:
         raise ValueError(f"split plan {path}: {exc}") from None

@@ -19,7 +19,6 @@ from fedvra.data import (
     features_matrix,
     generate_synthetic,
     make_split_plan,
-    verify_split_plan,
 )
 from fedvra.experiment import CENTRAL_SILO_NAME, GridSpec, TREATMENTS, run_treatments
 from fedvra.federated import Silo, federated_train, train_for_epochs
@@ -36,6 +35,7 @@ from fedvra.seeds import derive_seed
 from fedvra.stats import Confusion, ScoredSet, bootstrap_ci, bootstrap_diff, metric_bundle, prf1
 
 from central_oracle import train_centralized
+from split_violations import violations
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -323,10 +323,10 @@ def test_06_split_invariants_randomized():
         built += 1
         problem = rederive_invariants(records, plan)
         assert problem is None, f"dataset {built}: {problem}"
-        assert verify_split_plan(records, plan) == []
+        assert violations(records, plan) == []
 
         if built % 25 == 0:
-            # seeded violations must be caught by the verifier
+            # seeded violations must be caught by split_index
             leaked = type(plan)(
                 institution_of_ward=plan.institution_of_ward,
                 test_ids=plan.test_ids + (next(iter(plan.fold_of_record)),),
@@ -343,7 +343,7 @@ def test_06_split_invariants_randomized():
             )
             for mutated in (leaked, unmapped):
                 mutations_tried += 1
-                mutations_caught += bool(verify_split_plan(records, mutated))
+                mutations_caught += bool(violations(records, mutated))
     verdict(
         "split-invariants",
         built == n_datasets and mutations_caught == mutations_tried,

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -33,12 +34,13 @@ from fedvra.cli import (
     main,
     resolve_options,
 )
-from fedvra.data import _write_lines, load_records, load_split_plan, save_records, verify_split_plan
+from fedvra.data import _write_lines, load_records, load_split_plan, save_records
 from fedvra.experiment import HyperCombo, TreatmentRun
 from fedvra.federated import RoundLog
 from fedvra.network import init_model
 from params_dict import params_to_dict
 from record_rows import record, table
+from split_violations import violations
 
 
 def run_cli(*argv):
@@ -142,13 +144,16 @@ def test_installed_entry_point_reports_version():
     assert proc.stdout.startswith("fedvra ")
 
 
-def cli_process(*argv, cwd=None, blas_threads=None):
+def cli_process(*argv, cwd=None, blas_threads=None, **run_kwargs):
     """python -m fedvra.cli in a child whose environment is built here, not
-    inherited: the path, the source tree and, if given, OPENBLAS_NUM_THREADS."""
+    inherited: the path, the source tree and, if given, OPENBLAS_NUM_THREADS.
+    Other keywords go to subprocess.run."""
     env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, "-m", "fedvra.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-m", "fedvra.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True, **run_kwargs
+    )
 
 
 def test_version_matches_pyproject():
@@ -257,7 +262,7 @@ def test_config_file_not_utf8_exits_2(tmp_path):
 def test_split_outputs_verified_plan(chain):
     records = load_records(chain["data"])
     plan = load_split_plan(chain["plan"])
-    assert verify_split_plan(records, plan) == []
+    assert violations(records, plan) == []
 
 
 def test_split_is_deterministic(chain, tmp_path):
@@ -496,6 +501,82 @@ def test_run_fold_renumbered_to_zero_exits_3(chain, tmp_path):
     assert not out.exists()
 
 
+def cap_address_space():
+    """Run in the child before it starts: 1 GiB of address space, so a run
+    that allocates without bound fails at once instead of filling memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_run_fold_number_far_beyond_the_plan_exits_3_in_bounded_memory(chain, tmp_path):
+    # the empty-fold check walks 1, 2, ... past the folds the plan holds, never all of 1..k
+    plan_data = json.loads(chain["plan"].read_text())
+    plan_data["fold_of_record"][min(plan_data["fold_of_record"])] = 10**30
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan_data))
+    out = tmp_path / "x"
+    proc = cli_process(
+        "run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(out), "--seed", "9",
+        blas_threads="1", preexec_fn=cap_address_space, timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: fold-range: folds of 1..{10**30} that hold no records: [3, 4, 5, 6, 7]\n"
+    assert not out.exists()
+
+
+def test_run_plan_key_too_long_to_read_names_the_plan(chain, tmp_path):
+    plan_data = json.loads(chain["plan"].read_text())
+    plan_data["fold_of_record"]["9" * 5000] = 1
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan_data))
+    out = tmp_path / "x"
+    code, _, err = run_cli("run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(out), "--seed", "9")
+    assert code == 2
+    assert err.startswith(f"error: split plan {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _set(key, value):
+    return lambda plan: plan.__setitem__(key, value)
+
+
+def _set_fold(value):
+    """Move the plan's first folded record to the given fold."""
+    return lambda plan: plan["fold_of_record"].__setitem__(min(plan["fold_of_record"]), value)
+
+
+@pytest.mark.parametrize(
+    "code, mutate",
+    [
+        pytest.param(2, lambda plan: plan["test_ids"].append(True), id="bool_id"),
+        pytest.param(2, lambda plan: plan["dropped_ids"].append(1.0), id="float_id"),
+        pytest.param(2, lambda plan: plan["test_ids"].append("3"), id="string_id"),
+        pytest.param(3, lambda plan: plan["test_ids"].append(-1), id="negative_id"),
+        pytest.param(3, lambda plan: plan["fold_of_record"].__setitem__("-1", 1), id="negative_folded_id"),
+        pytest.param(2, _set_fold("1"), id="string_fold"),
+        pytest.param(3, _set_fold(0), id="fold_0"),
+        pytest.param(3, _set_fold(-2), id="fold_-2"),
+        pytest.param(3, _set_fold(10**6), id="fold_10**6"),
+        pytest.param(2, lambda plan: plan.pop("test_ids"), id="missing_key"),
+        pytest.param(2, _set("fold_of_record", None), id="null_key"),
+        pytest.param(2, _set("institution_of_ward", ["A", "B"]), id="wrong_type_key"),
+        pytest.param(3, lambda plan: plan["institution_of_ward"].pop("A1"), id="unmapped_ward"),
+        pytest.param(2, lambda plan: plan["institution_of_ward"].__setitem__("A1", "C"), id="institution_C"),
+        pytest.param(3, lambda plan: plan["test_ids"].append(plan["test_ids"][0]), id="repeated_test_id"),
+    ],
+)
+def test_run_malformed_plan_exits_with_one_line(chain, tmp_path, code, mutate):
+    plan_data = json.loads(chain["plan"].read_text())
+    mutate(plan_data)
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan_data))
+    out = tmp_path / "x"
+    got, _, err = run_cli("run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(out), "--seed", "9")
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fold_without_institution_a(tmp_path_factory):
     """40 patients at seed 1 in 5 folds: fold 1 holds no record of institution A."""
@@ -592,7 +673,7 @@ def test_run_test_set_without_an_institutions_records_exits_2(chain, tmp_path, m
     plan_data["dropped_ids"] += moved
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(plan_data))
-    assert verify_split_plan(records, load_split_plan(plan)) == []
+    assert violations(records, load_split_plan(plan)) == []
 
     def no_fit(*args):
         raise AssertionError("a fit ran")

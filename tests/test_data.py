@@ -40,13 +40,13 @@ from fedvra.data import (
     save_split_plan,
     split_index,
     split_time_test,
-    verify_split_plan,
     ward_counts,
 )
 from fedvra.errors import SplitInvariantError
 from fedvra.network import INPUT_DIM
 from fedvra.stats import ScoredSet, metric_bundle
 from record_rows import record, table
+from split_violations import violations
 
 
 def brute_force_min_diff(counts) -> int:
@@ -214,7 +214,7 @@ def synthetic_records(n_patients=60, seed=0, **kwargs):
 def test_make_split_plan_passes_independent_checks():
     records = synthetic_records(seed=5)
     plan = make_split_plan(records, test_fraction=0.2, n_folds=5, seed=5)
-    assert verify_split_plan(records, plan) == []
+    assert violations(records, plan) == []
 
     # exact partition
     folded, test, dropped = set(plan.fold_of_record), set(plan.test_ids), set(plan.dropped_ids)
@@ -258,7 +258,7 @@ def test_verifier_catches_partition_violations():
         fold_of_record=plan.fold_of_record,
         dropped_ids=plan.dropped_ids,
     )
-    assert any("partition" in v for v in verify_split_plan(records, missing))
+    assert any("partition" in v for v in violations(records, missing))
 
     overlapping = SplitPlan(
         institution_of_ward=plan.institution_of_ward,
@@ -266,20 +266,20 @@ def test_verifier_catches_partition_violations():
         fold_of_record={**plan.fold_of_record, plan.test_ids[0]: 1},
         dropped_ids=plan.dropped_ids,
     )
-    violations = verify_split_plan(records, overlapping)
-    assert any("partition" in v for v in violations)
+    found = violations(records, overlapping)
+    assert any("partition" in v for v in found)
     # the test record now also sits in fold 1, so no record's fold is known and the
     # patient and time checks do not run: the plan reports its partition violation only
-    assert violations == ["partition: fold, test, and dropped sets overlap"]
+    assert found == ["partition: fold, test, and dropped sets overlap"]
 
     # a record listed twice leaves every set unchanged, so only a count can see it
     first = plan.test_ids[0]
     test_twice = replace(plan, test_ids=(*plan.test_ids, first))
-    assert verify_split_plan(records, test_twice) == [
+    assert violations(records, test_twice) == [
         f"partition: the test set lists records more than once: [{first}]"
     ]
     dropped_twice = replace(plan, test_ids=plan.test_ids[1:], dropped_ids=(*plan.dropped_ids, first, first))
-    assert verify_split_plan(records, dropped_twice) == [
+    assert violations(records, dropped_twice) == [
         f"partition: the dropped set lists records more than once: [{first}]"
     ]
 
@@ -296,14 +296,14 @@ def test_verifier_catches_fold_numbers_outside_the_range():
             dropped_ids=plan.dropped_ids,
         )
 
-    assert verify_split_plan(records, renumbered(1, 0)) == [
+    assert violations(records, renumbered(1, 0)) == [
         "fold-range: fold numbers outside 1..5: [0]",
         "fold-range: folds of 1..5 that hold no records: [1]",
     ]
-    assert verify_split_plan(records, renumbered(3, -2))[0] == "fold-range: fold numbers outside 1..5: [-2]"
-    assert verify_split_plan(records, renumbered(5, 7)) == ["fold-range: folds of 1..7 that hold no records: [5, 6]"]
-    assert verify_split_plan(records, renumbered(2, 1)) == ["fold-range: folds of 1..5 that hold no records: [2]"]
-    assert verify_split_plan(records, renumbered(5, 5)) == []
+    assert violations(records, renumbered(3, -2))[0] == "fold-range: fold numbers outside 1..5: [-2]"
+    assert violations(records, renumbered(5, 7)) == ["fold-range: folds of 1..7 that hold no records: [5, 6]"]
+    assert violations(records, renumbered(2, 1)) == ["fold-range: folds of 1..5 that hold no records: [2]"]
+    assert violations(records, renumbered(5, 5)) == []
 
 
 def test_verifier_catches_patient_fold_overlap():
@@ -321,7 +321,7 @@ def test_verifier_catches_patient_fold_overlap():
         fold_of_record=mutated,
         dropped_ids=plan.dropped_ids,
     )
-    assert any("patient-fold-overlap" in v for v in verify_split_plan(records, bad))
+    assert any("patient-fold-overlap" in v for v in violations(records, bad))
 
 
 def test_verifier_catches_patient_test_leak():
@@ -335,7 +335,7 @@ def test_verifier_catches_patient_test_leak():
         fold_of_record={**plan.fold_of_record, leaked: 1},
         dropped_ids=tuple(i for i in plan.dropped_ids if i != leaked),
     )
-    assert any("patient-test-overlap" in v for v in verify_split_plan(records, bad))
+    assert any("patient-test-overlap" in v for v in violations(records, bad))
     with pytest.raises(SplitInvariantError, match="patient-test-overlap"):  # a valid partition, checked on the index
         split_index(records, bad)
 
@@ -364,8 +364,7 @@ def test_verifier_catches_time_order_violation():
         fold_of_record=mutated,
         dropped_ids=plan.dropped_ids,
     )
-    violations = verify_split_plan(records, bad)
-    assert any("test-time-order" in v for v in violations)
+    assert any("test-time-order" in v for v in violations(records, bad))
 
 
 def per_record_index_violations(records, plan):
@@ -410,7 +409,7 @@ def test_index_checks_match_the_per_record_loops():
                 dropped.add(i)
         moved = SplitPlan(plan.institution_of_ward, tuple(test), folds, tuple(dropped))
         want = per_record_index_violations(records, moved)
-        assert verify_split_plan(records, moved) == want
+        assert violations(records, moved) == want
         seen.update(message.split(":")[0] for message in want)
     assert seen == {"patient-fold-overlap", "patient-test-overlap", "test-time-order"}
 
@@ -425,7 +424,7 @@ def test_verifier_catches_unmapped_ward():
         fold_of_record=plan.fold_of_record,
         dropped_ids=plan.dropped_ids,
     )
-    assert any("institution-map" in v for v in verify_split_plan(records, bad))
+    assert any("institution-map" in v for v in violations(records, bad))
 
 
 def test_split_index_raises_on_a_broken_plan():
@@ -440,7 +439,7 @@ def test_split_index_raises_on_a_broken_plan():
     )
     with pytest.raises(SplitInvariantError) as exc:
         split_index(records, bad)
-    assert str(exc.value) == "; ".join(verify_split_plan(records, bad))
+    assert str(exc.value) == "partition: fold, test, and dropped sets do not cover the dataset exactly"
 
 
 def test_split_plan_rejects_ids_and_folds_that_are_not_integers():

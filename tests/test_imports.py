@@ -1,5 +1,6 @@
 """Static checks of the package source: no module imports a name it
-never uses, and only the one writer, data._replacing, writes a file.
+never uses, only the one writer, data._replacing, writes a file, and no
+public name exists only for the tests.
 
 No linter is a dependency, so each check walks the modules' syntax trees.
 A name counts as used when it appears as a name anywhere in the module
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedvra"
+DEMOS = sorted((PACKAGE.parent.parent / "demos").glob("*.py"))
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 WRITER = "_replacing"
@@ -131,3 +133,68 @@ def test_the_one_writer_is_in_data():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_one_writer_writes_a_file(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_names(package: dict[str, str], users: list[str]) -> list[str]:
+    """The public top-level functions, classes and constants of the package
+    (module name -> source) that no code of the package or of the users
+    refers to, as "module.name", sorted.
+
+    A reference is a name read anywhere, an attribute, or an imported name;
+    a definition, or an assignment to the name, is not one. Names are
+    matched without their module, so a name another module reads under the
+    same spelling counts as referenced.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    referenced = set()
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            found += [f"{module}.{n}" for n in names if not n.startswith("_") and n not in referenced]
+    return sorted(found)
+
+
+def test_unreferenced_names_finds_a_name_only_tests_use():
+    package = {
+        "core": (
+            "import numpy as np\n"
+            "LIMIT = 3\n"
+            "SPARE: int = 4\n"
+            "_PRIVATE = 5\n"
+            "def helper(x):\n"
+            "    return min(x, LIMIT)\n"
+            "def entry(x):\n"
+            "    return helper(x)\n"
+            "class Shape:\n"
+            "    pass\n"
+            "class Unused:\n"
+            "    pass\n"
+        ),
+        "cli": "from . import core\nfrom .core import entry as run\ndef main():\n    return run(core.Shape)\n",
+    }
+    demo = "from fedvra.cli import main\nmain()\n"
+    # cli.main is read only by the demo
+    assert unreferenced_names(package, [demo]) == ["core.SPARE", "core.Unused"]
+    assert unreferenced_names(package, []) == ["cli.main", "core.SPARE", "core.Unused"]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    demos = [p.read_text(encoding="utf-8") for p in DEMOS]
+    assert DEMOS
+    # ROADMAP item 2's demo will read saved models back with load_params
+    exempt = {"network.load_params"}
+    assert unreferenced_names(package, demos) == sorted(exempt)

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthConfig,
+    _load_text,
     _write_json,
     _write_lines,
     _write_text,
@@ -133,17 +134,10 @@ def _choice(options):
     return conv
 
 
-def _read_utf8(path, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")  # drops one leading byte-order mark
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
-
-
 def load_config_file(path) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
-    text = _read_utf8(path, "config file")
+    text = _load_text(path, "config file")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -417,7 +411,7 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
             labels: list[int] = []
             scores: list[float] = []
             rids: list[str] = []
-            reader = csv.DictReader(_read_utf8(path, "scores file").splitlines())
+            reader = csv.DictReader(_load_text(path, "scores file").splitlines())
             missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
                 raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")

@@ -1,4 +1,5 @@
-"""Admission records, leakage-safe splitting, and a synthetic generator.
+"""Admission records, leakage-safe splitting, a synthetic generator, and
+the one module that opens a file, to read it or to write it.
 
 A dataset is one RecordTable: a validated column per record field.
 Records are grouped two ways: by ward (which determines the owning
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SplitInvariantError
-from .network import INPUT_DIM, _check_int, _frozen
+from .network import INPUT_DIM, ModelParams, _check_int, _frozen, params_from_dict
 from .seeds import make_rng
 
 INSTITUTION_A = "A"
@@ -425,6 +426,43 @@ def features_matrix(records: RecordTable, indices) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
+def _load_text(path, what: str, form: str = "UTF-8") -> str:
+    """Every whole file the package reads: UTF-8, less one leading byte-order mark; errors name it."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} {path} is not {form}: {exc}") from None
+
+
+def _load_json(path, what: str):
+    """The JSON value of a whole file, read by _load_text; every error names the file."""
+    text = _load_text(path, what, "UTF-8 JSON")
+    try:
+        return json.loads(text, parse_int=_parse_int)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
+    except ValueError as exc:  # _parse_int's
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit; int()'s own text advises a call no user of the CLI can make
+        raise ValueError("a number has too many digits to read") from None
+
+
+def load_params(path) -> ModelParams:
+    """A model file as run writes it (network.params_json_pieces)."""
+    data = _load_json(path, "model file")
+    try:
+        return params_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"model file {path} lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
+
+
 @contextmanager
 def _replacing(path):
     """A binary handle on `<path>.tmp`, which os.replace puts at path when
@@ -502,7 +540,7 @@ def load_records(path) -> RecordTable:
 def _parse_row(line: str) -> tuple:
     """One JSON line as a row of the table's columns, checked by the
     table's rules so a bad line can be named."""
-    data = json.loads(line)
+    data = json.loads(line, parse_int=_parse_int)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     pid, ward, ts, x, label = (data[name] for name in _COLUMNS)
@@ -616,10 +654,7 @@ SPLIT_PLAN_KEYS = {"institution_of_ward": dict, "test_ids": list, "fold_of_recor
 
 
 def load_split_plan(path) -> SplitPlan:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # drops one leading byte-order mark
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"split plan {path} is not UTF-8 JSON: {exc}") from None
+    data = _load_json(path, "split plan")
     if not isinstance(data, dict):
         raise ValueError(f"split plan {path} must be a JSON object, got {type(data).__name__}")
     missing = [key for key in SPLIT_PLAN_KEYS if key not in data]
@@ -629,12 +664,12 @@ def load_split_plan(path) -> SplitPlan:
         if not isinstance(data[key], kind):
             expected = "an object" if kind is dict else "an array"
             raise ValueError(f"split plan {path}: {key} must be {expected}, got {type(data[key]).__name__}")
-    try:  # every message below, and int()'s own on a key too long to read, names the file
+    try:  # every message below names the file
         if any(inst not in (INSTITUTION_A, INSTITUTION_B) for inst in data["institution_of_ward"].values()):
             raise ValueError(f"institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}")
         # a key must read back as written, so "5.5", "05" or "5_0" cannot pass as another record id
         folds = data["fold_of_record"]
-        if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(int(k)) != k for k in folds):
+        if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(_parse_int(k)) != k for k in folds):
             raise ValueError("fold_of_record keys must be record ids written as plain integers")
         data["fold_of_record"] = {int(k): fold for k, fold in folds.items()}
         return SplitPlan(**{key: data[key] for key in SPLIT_PLAN_KEYS})

@@ -158,13 +158,16 @@ def check_cv_folds(treatments: list[str], records: RecordTable, index) -> None:
         if not np.any((fold == 0) & (institution == name)):
             raise ValueError(f"the test set holds no records of institution {name}")
     folds = range(1, int(fold.max(initial=0)) + 1)  # a checked plan numbers its folds 1..k
-    in_fold = fold == np.array(folds)[:, None]  # (fold, record): whether the record is in the fold
+
+    def held_out_of(mask):  # each fold's count of the masked records, in memory linear in records + folds
+        return np.bincount(fold[mask] + 1, minlength=len(folds) + 2)[2:]  # past -1 (dropped) and 0 (test)
+
     for i, treatment in enumerate(treatments):
         if treatment in treatments[:i]:
             raise ValueError(f"treatment {treatment!r} is listed more than once")
         groups = [insts for _, insts in _silos_of(treatment)]
         for insts in groups:
-            held_out = np.count_nonzero(in_fold & np.isin(institution, insts), axis=1)
+            held_out = held_out_of(np.isin(institution, insts))
             name = _institutions_name(insts)
             for f, count in zip(folds, held_out):
                 if count == 0:
@@ -175,7 +178,7 @@ def check_cv_folds(treatments: list[str], records: RecordTable, index) -> None:
                     )
         trained = sum(groups, ())  # pos_weight pools the labels of all the treatment's silos
         for label, name in ((1, "positive"), (0, "negative")):
-            held_out = np.count_nonzero(in_fold & np.isin(institution, trained) & (records.label == label), axis=1)
+            held_out = held_out_of(np.isin(institution, trained) & (records.label == label))
             for f, count in zip(folds, held_out):
                 if count == held_out.sum():
                     raise ValueError(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -290,9 +289,9 @@ def lr_at_epoch(lr0: float, gamma: float, epoch: int) -> float:
 def average_models(models: list[ModelParams], weights) -> ModelParams:
     """Convex combination of parameter sets, weights normalised to sum 1.
 
-    Accumulation is anchored at the first model (x0 + sum w_i * (x_i - x0))
-    so identical inputs average to themselves exactly; a weight vector with
-    a single nonzero entry returns that model exactly.
+    Accumulation is anchored at the first model of nonzero weight (x0 +
+    sum w_i * (x_i - x0) over the rest of nonzero weight), so identical
+    inputs, or a single weighted model, average to a copy of themselves.
     """
     if len(models) < 1:
         raise ValueError("at least one model is required")
@@ -304,28 +303,24 @@ def average_models(models: list[ModelParams], weights) -> ModelParams:
     total = float(w.sum())
     if total <= 0:
         raise ValueError("weights must not all be zero")
-    first = models[0]
     for m in models[1:]:
-        if m.w1.shape != first.w1.shape:
+        if m.w1.shape != models[0].w1.shape:
             raise ValueError("all models must share the same hidden size")
-    nonzero = np.flatnonzero(w)
-    if len(nonzero) == 1:
-        m = models[int(nonzero[0])]
-        return ModelParams(w1=m.w1, b1=m.b1, w2=m.w2, b2=m.b2)
     norm = w / total
+    anchor_at, *rest = np.flatnonzero(norm).tolist()
+    first = models[anchor_at]
     w1 = np.array(first.w1)
     b1 = np.array(first.b1)
     w2 = np.array(first.w2)
     b2 = first.b2
-    for i in range(1, len(models)):
-        c = norm[i]
-        if c == 0.0:
-            continue
-        m = models[i]
+    for i in rest:
+        c, m = norm[i], models[i]
         for acc, arr, anchor in ((w1, m.w1, first.w1), (b1, m.b1, first.b1), (w2, m.w2, first.w2)):
             diff = arr - anchor
             acc += np.multiply(diff, c, out=diff)
         b2 += c * (m.b2 - first.b2)
+    for arr in (w1, b1, w2):
+        arr.setflags(write=False)  # fresh arrays: ModelParams adopts them without a copy
     return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
@@ -340,13 +335,9 @@ def params_json_pieces(params: ModelParams):
     """The JSON text of params and a newline, in pieces: hidden_size, the row-major
     w1, b1, w2 and b2 at full precision, as json.dumps writes them, one piece per
     w1 row between a header and a tail, so neither nested lists nor the whole
-    text is built. load_params reads it back."""
+    text is built. data.load_params reads it back."""
     yield f'{{"hidden_size": {params.hidden_size}, "w1": ['
     for i, row in enumerate(params.w1):
         yield (", " if i else "") + json.dumps(row.tolist())
     yield f'], "b1": {json.dumps(params.b1.tolist())}, "w2": {json.dumps(params.w2.tolist())}, '
     yield f'"b2": {json.dumps(params.b2)}}}\n'
-
-
-def load_params(path) -> ModelParams:
-    return params_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -535,6 +535,30 @@ def test_run_plan_key_too_long_to_read_names_the_plan(chain, tmp_path):
     assert not out.exists()
 
 
+def test_run_plan_number_too_long_to_read_exits_2_with_one_line(chain, tmp_path):
+    # valid JSON whose fold number has more digits than Python reads by default
+    text = chain["plan"].read_text()
+    key = min(json.loads(text)["fold_of_record"])
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(re.sub(rf'"{key}": \d+', f'"{key}": {"9" * 5000}', text, count=1))
+    out = tmp_path / "x"
+    code, _, err = run_cli("run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(out), "--seed", "9")
+    assert code == 2
+    assert err == f"error: split plan {bad}: a number has too many digits to read\n"
+    assert not out.exists()
+
+
+def test_split_record_number_too_long_to_read_exits_2_with_one_line(chain, tmp_path):
+    lines = chain["data"].read_text().splitlines(keepends=True)
+    bad = tmp_path / "data.jsonl"
+    bad.write_text("".join(lines[:2]) + re.sub(r'"label": \d+', '"label": ' + "9" * 5000, lines[2]))
+    out = tmp_path / "plan.json"
+    code, _, err = run_cli("split", "--data", str(bad), "--out", str(out), "--seed", "9")
+    assert code == 2
+    assert err == f"error: {bad}: bad record on line 3: a number has too many digits to read\n"
+    assert not out.exists()
+
+
 def _set(key, value):
     return lambda plan: plan.__setitem__(key, value)
 

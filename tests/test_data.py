@@ -29,6 +29,7 @@ from fedvra.data import (
     format_ts,
     generate_synthetic,
     label_direction,
+    load_params,
     load_records,
     load_split_plan,
     make_folds,
@@ -43,8 +44,9 @@ from fedvra.data import (
     ward_counts,
 )
 from fedvra.errors import SplitInvariantError
-from fedvra.network import INPUT_DIM
+from fedvra.network import INPUT_DIM, init_model, params_json_pieces
 from fedvra.stats import ScoredSet, metric_bundle
+from params_dict import params_to_dict
 from record_rows import record, table
 from split_violations import violations
 
@@ -881,6 +883,37 @@ def test_split_plan_with_a_leading_byte_order_mark_loads_as_without(tmp_path):
     path.write_bytes(b"\n\xef\xbb\xbf" + text)  # only the file's start
     with pytest.raises(ValueError, match=f"^split plan {path} is not UTF-8 JSON:"):
         load_split_plan(path)
+
+
+def test_model_file_with_a_leading_byte_order_mark_loads_as_without(tmp_path):
+    model = init_model(3, 8)
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(params_json_pieces(model)).encode("utf-8"))
+    assert load_params(path) == model
+
+
+def _without_b1(model) -> bytes:
+    data = params_to_dict(model)
+    del data["b1"]
+    return json.dumps(data).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(b'{"hidden_size": "\xff"}', " is not UTF-8 JSON: 'utf-8' codec can't decode", id="not_utf8"),
+        pytest.param(b"{not json", " is not UTF-8 JSON: Expecting property name", id="not_json"),
+        pytest.param(b'{"hidden_size": ' + b"9" * 5000 + b"}", ": a number has too many digits to read", id="long_number"),
+        pytest.param(_without_b1(init_model(2, 1)), " lacks 'b1'", id="no_b1"),
+        pytest.param(b"[1, 2]", ": ", id="not_an_object"),
+    ],
+)
+def test_malformed_model_file_raises_a_value_error_naming_it(tmp_path, content, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as caught:
+        load_params(path)
+    assert str(caught.value).startswith(f"model file {path}{message}")
 
 
 # ---------- the writer ----------

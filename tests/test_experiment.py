@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from fedvra.experiment import (
     GridSpec,
     HyperCombo,
     TREATMENTS,
+    check_cv_folds,
     evaluate,
     final_epoch_budget,
     grid_search_cv,
@@ -659,3 +661,21 @@ def test_aggregation_reaches_every_fit_through_the_config(dataset):
     for key in ("a", "b", "central"):
         assert uniform[key].params == sized[key].params
         assert uniform[key].cv_results == sized[key].cv_results
+
+
+def test_check_cv_folds_memory_is_linear_in_records_and_folds():
+    """12,000 records in 3,000 folds: each fold's records are counted with
+    one bincount, not in a (folds x records) matrix of 36 MB."""
+    records = generate_synthetic(SynthConfig(n_patients=6000, seed=1, admissions_per_patient=(2, 2)))
+    r = np.arange(len(records))
+    institution = np.where(r % 2, "B", "A")
+    fold = np.where(r % 2, r // 2 % 3000 + 1, r // 2 % 2999 + 2)  # A's records fill folds 2..3000 only
+    fold[:2] = 0  # a test record of each institution
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^fold 1 holds no records of institution A, which treatment 'a' trains on$"):
+            check_cv_folds(list(TREATMENTS), records, (institution, fold))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20

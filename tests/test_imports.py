@@ -1,6 +1,6 @@
 """Static checks of the package source: no module imports a name it
-never uses, only the one writer, data._replacing, writes a file, and no
-public name exists only for the tests.
+never uses, only the one writer, data._replacing, writes a file, only
+data.py opens or reads one, and no public name exists only for the tests.
 
 No linter is a dependency, so each check walks the modules' syntax trees.
 A name counts as used when it appears as a name anywhere in the module
@@ -135,6 +135,59 @@ def test_only_the_one_writer_writes_a_file(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
 
 
+def file_reads(source: str) -> list[str]:
+    """The calls in the source that open a file or read one whole, as
+    "line N: call", in source order: open(...), any .open(...) method
+    (os.open, Path.open, an archive member's), read_text, read_bytes, and
+    np.load. Reading from a handle already open, such as fh.read(), does
+    not count: the open did.
+    """
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call) and _reads(node.func)]
+    calls.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node.func)}" for node in calls]
+
+
+def _reads(func: ast.expr) -> bool:
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if not isinstance(func, ast.Attribute):
+        return False
+    on_numpy = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+    return func.attr in ("open", "read_text", "read_bytes") or on_numpy and func.attr == "load"
+
+
+def test_file_reads_finds_every_way_to_read():
+    source = (
+        "import json, os, numpy, numpy as np\n"
+        "from pathlib import Path\n"
+        "def load(path, fh, text):\n"
+        "    with open(path) as a, Path(path).open('rb') as b:\n"
+        "        a.read(), b.readline(), text.replace('a', 'b')\n"
+        "    Path(path).read_text(), Path(path).read_bytes(), json.loads(text)\n"
+        "    np.load(fh), numpy.load(path), os.open(path, os.O_RDONLY), np.loads\n"
+    )
+    assert file_reads(source) == [
+        "line 4: open",
+        "line 4: Path(path).open",
+        "line 6: Path(path).read_text",
+        "line 6: Path(path).read_bytes",
+        "line 7: np.load",
+        "line 7: numpy.load",
+        "line 7: os.open",
+    ]
+
+
+def test_the_one_reader_is_in_data():
+    source = (PACKAGE / "data.py").read_text(encoding="utf-8")
+    assert "_load_text" in {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert file_reads(source)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "data.py"], ids=lambda p: p.name)
+def test_only_data_opens_or_reads_a_file(path):
+    assert file_reads(path.read_text(encoding="utf-8")) == []
+
+
 def unreferenced_names(package: dict[str, str], users: list[str]) -> list[str]:
     """The public top-level functions, classes and constants of the package
     (module name -> source) that no code of the package or of the users
@@ -196,5 +249,5 @@ def test_every_public_name_is_used_outside_the_tests():
     demos = [p.read_text(encoding="utf-8") for p in DEMOS]
     assert DEMOS
     # ROADMAP item 2's demo will read saved models back with load_params
-    exempt = {"network.load_params"}
+    exempt = {"data.load_params"}
     assert unreferenced_names(package, demos) == sorted(exempt)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedvra.data import RecordTable, _write_text
+from fedvra.data import RecordTable, _write_text, load_params
 from fedvra.errors import NumericalError
 from fedvra.federated import Silo
 from fedvra.network import (
@@ -26,7 +26,6 @@ from fedvra.network import (
     batch_loss,
     forward_batch,
     init_model,
-    load_params,
     loss_from_logits,
     lr_at_epoch,
     params_from_dict,

@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 from fedvra.data import (
+    INSTITUTIONS,
     SynthConfig,
     assign_institutions,
     generate_synthetic,
@@ -30,7 +31,7 @@ for ward in sorted(counts):
 # counts as evenly as possible
 institution_of = assign_institutions(counts)
 print("\n== institution assignment ==")
-for inst in ("A", "B"):
+for inst in INSTITUTIONS:
     wards = sorted(w for w, i in institution_of.items() if i == inst)
     total = sum(counts[w] for w in wards)
     print(f"  institution {inst}: wards {', '.join(wards)} ({total} records)")

@@ -7,7 +7,7 @@ B, federated, centralised. Takes a few seconds.
 Run with: python3 demos/05_full_experiment.py
 """
 
-from fedvra.data import SynthConfig, generate_synthetic, make_split_plan
+from fedvra.data import INSTITUTIONS, SynthConfig, generate_synthetic, make_split_plan
 from fedvra.experiment import GridSpec, TREATMENTS, run_treatments
 from fedvra.network import TrainConfig
 from fedvra.stats import metric_bundle
@@ -43,7 +43,7 @@ for key in TREATMENTS:
     print(f"  {key:<10} {m['precision']:>9.3f} {m['recall']:>7.3f} {m['f1']:>6.3f} {auc:>8}")
 
 print("\nper-institution F1 for the federated model:")
-for set_name in ("A", "B"):
+for set_name in INSTITUTIONS:
     scored = runs["federated"].evaluations[set_name]
     _, m = metric_bundle(scored)
     print(f"  test set {set_name}: F1 {m['f1']:.3f} on {len(scored)} records")

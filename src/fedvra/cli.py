@@ -345,9 +345,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         stale = sorted(p.name for p in out_dir.iterdir() if p.name not in rewritten or p.is_dir() != (p.name in keys))
         if stale:
             raise ValueError(f"run directory {out_dir} holds {', '.join(stale)}, which this run would not rewrite")
-    records = load_records(opt["data"])
-    plan = load_split_plan(opt["split"])
-    grid = GridSpec(
+    grid = GridSpec(  # the typed configs check their rules before a file is read
         hidden_sizes=opt["hidden_sizes"],
         learning_rates=opt["learning_rates"],
         weight_decays=opt["weight_decays"],
@@ -362,6 +360,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         patience=opt["patience"],
         uniform_weights=(opt["aggregation"] == "uniform"),
     )
+    records = load_records(opt["data"])
+    plan = load_split_plan(opt["split"])
     runs = run_treatments(keys, records, plan, grid, base_config, threads=opt["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)  # only now: a failed run writes nothing
     effective = dict(opt)
@@ -412,17 +412,20 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
             scores: list[float] = []
             rids: list[str] = []
             reader = csv.DictReader(_load_text(path, "scores file").splitlines())
-            missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
-            for row in reader:
-                try:
-                    label, score = int(row["label"]), float(row["score"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path} line {reader.line_num}: label and score must be numbers") from None
-                rids.append(row["record_id"])
-                labels.append(label)
-                scores.append(score)
+            try:
+                missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
+                for row in reader:
+                    try:
+                        label, score = int(row["label"]), float(row["score"])
+                    except (TypeError, ValueError):
+                        raise ValueError(f"{path} line {reader.line_num}: label and score must be numbers") from None
+                    rids.append(row["record_id"])
+                    labels.append(label)
+                    scores.append(score)
+            except csv.Error as exc:  # e.g. a field past csv.field_size_limit; reader.line_num lags a failed row
+                raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
             if not labels:
                 raise ValueError(f"{path} holds no scores")
             try:

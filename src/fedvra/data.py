@@ -32,8 +32,7 @@ from .errors import SplitInvariantError
 from .network import INPUT_DIM, ModelParams, _check_int, _frozen, params_from_dict
 from .seeds import make_rng
 
-INSTITUTION_A = "A"
-INSTITUTION_B = "B"
+INSTITUTIONS = ("A", "B")  # the two institutions a plan maps every ward to
 
 # the synthetic ward sizes and default prevalence are in realistic
 # proportion: 759/826/1877/818 admissions, 425 positives of 4280
@@ -110,7 +109,7 @@ def _check_rows(patient_id, ward, admission_ts: np.ndarray, features: np.ndarray
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Institution map plus the test / fold / dropped partition of a dataset."""
+    """Institution map (each ward to one of INSTITUTIONS) plus the test / fold / dropped partition of a dataset."""
 
     institution_of_ward: dict[str, str]
     test_ids: tuple[int, ...]
@@ -125,6 +124,8 @@ class SplitPlan:
             wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
             if wrong:
                 raise ValueError(f"{name} must be integers, got {wrong[0]!r}")
+        if not all(isinstance(inst, str) and inst in INSTITUTIONS for inst in self.institution_of_ward.values()):
+            raise ValueError(f"institution_of_ward must map every ward to {INSTITUTIONS[0]!r} or {INSTITUTIONS[1]!r}")
         object.__setattr__(self, "test_ids", tuple(sorted(int(i) for i in self.test_ids)))
         object.__setattr__(self, "dropped_ids", tuple(sorted(int(i) for i in self.dropped_ids)))
         object.__setattr__(self, "fold_of_record", {int(k): int(v) for k, v in folds.items()})
@@ -191,7 +192,7 @@ def assign_institutions(counts: dict[str, int]) -> dict[str, str]:
                 best_key = key
                 best_set = subset
     chosen = set(best_set)
-    return {w: (INSTITUTION_A if w in chosen else INSTITUTION_B) for w in wards}
+    return {w: (INSTITUTIONS[0] if w in chosen else INSTITUTIONS[1]) for w in wards}
 
 
 def split_time_test(
@@ -441,7 +442,7 @@ def _load_json(path, what: str):
         return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
-    except ValueError as exc:  # _parse_int's
+    except (ValueError, RecursionError) as exc:  # _parse_int's, or nesting past the recursion limit
         raise ValueError(f"{what} {path}: {exc}") from None
 
 
@@ -531,7 +532,7 @@ def load_records(path) -> RecordTable:
                 if line:
                     for column, value in zip(columns, _parse_row(line)):
                         column.append(value)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: bad record on line {line_no}: {exc}") from exc
     ids, wards, times, features, labels = columns
     return RecordTable(ids, wards, times, features or np.zeros((0, INPUT_DIM)), labels)
@@ -665,8 +666,6 @@ def load_split_plan(path) -> SplitPlan:
             expected = "an object" if kind is dict else "an array"
             raise ValueError(f"split plan {path}: {key} must be {expected}, got {type(data[key]).__name__}")
     try:  # every message below names the file
-        if any(inst not in (INSTITUTION_A, INSTITUTION_B) for inst in data["institution_of_ward"].values()):
-            raise ValueError(f"institution_of_ward must map every ward to {INSTITUTION_A!r} or {INSTITUTION_B!r}")
         # a key must read back as written, so "5.5", "05" or "5_0" cannot pass as another record id
         folds = data["fold_of_record"]
         if any(not k.isascii() or not k.removeprefix("-").isdigit() or str(_parse_int(k)) != k for k in folds):

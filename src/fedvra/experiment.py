@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import RecordTable, SplitPlan, features_matrix, split_index
+from .data import INSTITUTIONS, RecordTable, SplitPlan, features_matrix, split_index
 from .federated import RoundLog, Silo, federated_train, train_for_epochs
 from .network import ModelParams, TrainConfig, forward_batch, sigmoid
 from .seeds import derive_seed
@@ -34,7 +34,7 @@ DEFAULT_LEARNING_RATES = (0.005, 0.001, 0.0005)
 DEFAULT_WEIGHT_DECAYS = (1e-3, 1e-4, 1e-5)
 
 CENTRAL_SILO_NAME = "ALL"
-TEST_SET_NAMES = ("A", "B", "combined")
+TEST_SET_NAMES = (*INSTITUTIONS, "combined")
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,14 @@ class CvResult:
         return tuple(fit.best_epoch for fit in self.fold_fits)
 
 
+_A, _B = INSTITUTIONS
 # each treatment's silos as (silo name, the institutions whose records it holds), by key in report
 # order; the key also labels the treatment's seeds, run directory and report entries
 TREATMENTS = {
-    "a": (("A", ("A",)),),
-    "b": (("B", ("B",)),),
-    "federated": (("A", ("A",)), ("B", ("B",))),
-    "central": ((CENTRAL_SILO_NAME, ("A", "B")),),
+    "a": ((_A, (_A,)),),
+    "b": ((_B, (_B,)),),
+    "federated": ((_A, (_A,)), (_B, (_B,))),
+    "central": ((CENTRAL_SILO_NAME, INSTITUTIONS),),
 }
 
 
@@ -154,7 +155,7 @@ def check_cv_folds(treatments: list[str], records: RecordTable, index) -> None:
     between them (pos_weight is their negative/positive ratio). index is
     split_index of the records."""
     institution, fold = index
-    for name in ("A", "B"):  # every run scores both institutions' test sets
+    for name in INSTITUTIONS:  # every run scores both institutions' test sets
         if not np.any((fold == 0) & (institution == name)):
             raise ValueError(f"the test set holds no records of institution {name}")
     folds = range(1, int(fold.max(initial=0)) + 1)  # a checked plan numbers its folds 1..k
@@ -295,11 +296,11 @@ def train_final(
 
 
 def test_rows(index) -> dict[str, np.ndarray]:
-    """The record ids of the A, B and combined (A's, then B's) test sets,
-    by set name in TEST_SET_NAMES order; index is split_index of the records."""
+    """Each institution's test-set record ids, then the combined set's (theirs in INSTITUTIONS
+    order), by set name in TEST_SET_NAMES order; index is split_index of the records."""
     institution, fold = index
-    rows = {name: np.flatnonzero((fold == 0) & (institution == name)) for name in ("A", "B")}
-    rows["combined"] = np.concatenate([rows["A"], rows["B"]])
+    rows = {name: np.flatnonzero((fold == 0) & (institution == name)) for name in INSTITUTIONS}
+    rows["combined"] = np.concatenate(list(rows.values()))
     return rows
 
 

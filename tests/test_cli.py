@@ -246,6 +246,19 @@ def test_non_finite_option_exits_2_before_writing(tmp_path, command, option, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--gamma", "2", "gamma must lie in (0, 1]"), ("--hidden-sizes", "4,4", "hidden_sizes lists 4 more than once")],
+)
+def test_run_typed_config_rule_fires_before_a_file_is_read(tmp_path, option, value, message):
+    out = tmp_path / "out"
+    missing = ["--data", str(tmp_path / "missing.jsonl"), "--split", str(tmp_path / "missing.json")]
+    code, _, err = run_cli("run", "--out", str(out), "--seed", "1", *missing, option, value)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_file_not_utf8_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"seed=1\nn_patients=\xff\n")
@@ -556,6 +569,28 @@ def test_split_record_number_too_long_to_read_exits_2_with_one_line(chain, tmp_p
     code, _, err = run_cli("split", "--data", str(bad), "--out", str(out), "--seed", "9")
     assert code == 2
     assert err == f"error: {bad}: bad record on line 3: a number has too many digits to read\n"
+    assert not out.exists()
+
+
+def test_run_plan_nested_too_deeply_exits_2_with_one_line(chain, tmp_path):
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text("[" * 200_000)
+    out = tmp_path / "x"
+    code, _, err = run_cli("run", "--data", str(chain["data"]), "--split", str(bad), "--out", str(out), "--seed", "9")
+    assert code == 2
+    assert err.startswith(f"error: split plan {bad}: maximum recursion depth exceeded") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_split_record_nested_too_deeply_exits_2_with_one_line(chain, tmp_path):
+    lines = chain["data"].read_text().splitlines(keepends=True)
+    bad = tmp_path / "data.jsonl"
+    bad.write_text("".join(lines[:2]) + '{"label": ' + "[" * 100_000 + "\n")
+    out = tmp_path / "plan.json"
+    code, _, err = run_cli("split", "--data", str(bad), "--out", str(out), "--seed", "9")
+    assert code == 2
+    assert err.startswith(f"error: {bad}: bad record on line 3: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1047,8 +1082,9 @@ def test_report_short_score_row_exits_2(chain, tmp_path):
         ("a", 1, "2", "labels must be 0 or 1"),
         ("b", 2, "nan", "scores must lie in [0, 1]"),
         ("central", 1, None, "differ from those in"),  # None: flip the label
+        ("a", 0, "7" * 200_000, "line 2: field larger than field limit"),
     ],
-    ids=["label_2", "score_nan", "label_differs_across_treatments"],
+    ids=["label_2", "score_nan", "label_differs_across_treatments", "record_id_past_the_field_limit"],
 )
 def test_report_bad_score_values_name_the_file(chain, tmp_path, treatment, column, value, message):
     mangled = tmp_path / "run"

@@ -472,6 +472,15 @@ def test_split_plan_rejects_ids_and_folds_that_are_not_integers():
     assert all(type(i) is int for i in held)
 
 
+@pytest.mark.parametrize("institution", ["C", ["A"], 1, None], ids=repr)
+def test_split_plan_maps_every_ward_to_one_of_the_institutions(institution):
+    records = synthetic_records(n_patients=200, seed=3, positive_rate=0.15)
+    plan = make_split_plan(records, 0.2, 3, 0)
+    with pytest.raises(ValueError) as caught:
+        SplitPlan({**plan.institution_of_ward, "A1": institution}, plan.test_ids, plan.fold_of_record, plan.dropped_ids)
+    assert str(caught.value) == "institution_of_ward must map every ward to 'A' or 'B'"
+
+
 # ---------- synthetic generator ----------
 
 
@@ -839,8 +848,9 @@ def test_load_records_reports_bad_line(tmp_path):
         {**good, "label": 2},
         {**good, "label": [0]},
     ]
-    for bad in bad_lines:
-        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    nested = '{"label": ' + "[" * 100_000  # past the recursion limit of json.loads
+    for bad in [*map(json.dumps, bad_lines), nested]:
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
         with pytest.raises(ValueError, match="line 2"):
             load_records(path)
     path.write_bytes((json.dumps(good) + "\n").encode() + b'{"patient_id": "P\xff"}\n')  # not UTF-8
@@ -906,6 +916,7 @@ def _without_b1(model) -> bytes:
         pytest.param(b'{"hidden_size": ' + b"9" * 5000 + b"}", ": a number has too many digits to read", id="long_number"),
         pytest.param(_without_b1(init_model(2, 1)), " lacks 'b1'", id="no_b1"),
         pytest.param(b"[1, 2]", ": ", id="not_an_object"),
+        pytest.param(b"[" * 200_000, ": maximum recursion depth exceeded", id="nested_too_deeply"),
     ],
 )
 def test_malformed_model_file_raises_a_value_error_naming_it(tmp_path, content, message):

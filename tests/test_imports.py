@@ -1,6 +1,7 @@
 """Static checks of the package source: no module imports a name it
 never uses, only the one writer, data._replacing, writes a file, only
-data.py opens or reads one, and no public name exists only for the tests.
+data.py opens or reads one or spells an institution's name, and no
+public name exists only for the tests.
 
 No linter is a dependency, so each check walks the modules' syntax trees.
 A name counts as used when it appears as a name anywhere in the module
@@ -186,6 +187,39 @@ def test_the_one_reader_is_in_data():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "data.py"], ids=lambda p: p.name)
 def test_only_data_opens_or_reads_a_file(path):
     assert file_reads(path.read_text(encoding="utf-8")) == []
+
+
+def institution_spellings(source: str) -> list[str]:
+    """The string constants "A" and "B" in the source, as "line N: 'A'",
+    in source order: outside data.py the names are read from
+    data.INSTITUTIONS. A longer string that holds one, such as "A1", does
+    not count; the literal text of an f-string, as in f"{name}A", does."""
+    found = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant) and node.value in ("A", "B")]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {node.value!r}" for node in found]
+
+
+def test_institution_spellings_finds_every_spelling():
+    source = (
+        "from .data import INSTITUTIONS\n"
+        'SETS = ("A", "B", "combined")\n'
+        'SILOS = {"a": (("A", ("A",)),), "A1": "AB"}\n'
+        "def f(name=INSTITUTIONS[1]):\n"
+        "    return name == 'B' or f\"{name}A\" or b\"A\" or 65\n"
+    )
+    assert institution_spellings(source) == [
+        "line 2: 'A'",
+        "line 2: 'B'",
+        "line 3: 'A'",
+        "line 3: 'A'",
+        "line 5: 'B'",
+        "line 5: 'A'",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "data.py"], ids=lambda p: p.name)
+def test_only_data_spells_an_institution(path):
+    assert institution_spellings(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_names(package: dict[str, str], users: list[str]) -> list[str]:

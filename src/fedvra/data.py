@@ -47,6 +47,7 @@ DEFAULT_POSITIVE_RATE = 425 / 4280
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _WINDOW_START = int(datetime(2018, 1, 1, tzinfo=timezone.utc).timestamp())  # seconds since 1970-01-01 UTC
 _WINDOW_SECONDS = 2 * 365 * 24 * 3600  # two-year admission window
+_SYNTH_BLOCK = 256  # rows generate_synthetic sums at a time: 600 KB temporaries
 
 
 def format_ts(seconds: int) -> str:
@@ -392,16 +393,21 @@ def generate_synthetic(config: SynthConfig) -> RecordTable:
     labels[rng.permutation(total)[:n_pos]] = 1
 
     offsets = rng.integers(0, _WINDOW_SECONDS, size=total)
-    noise = rng.standard_normal((total, INPUT_DIM))
+    features = rng.standard_normal((total, INPUT_DIM))
 
-    ward_dirs = np.stack([ward_direction(w) for w in wards])
+    label_shift = config.class_separation * labels
+    u = label_direction()
+    ward_shift = config.ward_shift * np.stack([ward_direction(w) for w in wards])
     row_ward = np.repeat(patient_wards, n_admissions)
-    # noise + separation * label * u + shift * ward direction, summed in
-    # place: one (total, INPUT_DIM) temporary at a time keeps synth's
-    # peak RSS below the run stage's
-    features = noise
-    features += (config.class_separation * labels)[:, None] * label_direction()
-    features += (config.ward_shift * ward_dirs)[row_ward]
+    # noise + separation * label * u + shift * ward direction, summed into
+    # the noise one block of rows at a time: synth holds one feature matrix
+    # plus temporaries of _SYNTH_BLOCK rows, and each element gets the same
+    # operations, in the same order, as a sum over the whole matrix
+    for start in range(0, total, _SYNTH_BLOCK):
+        rows = slice(start, start + _SYNTH_BLOCK)
+        block = features[rows]
+        block += label_shift[rows, None] * u
+        block += ward_shift[row_ward[rows]]
     timestamps = _WINDOW_START + offsets
     for column in (timestamps, features, labels):
         column.setflags(write=False)  # fresh, so the table adopts them
@@ -603,7 +609,12 @@ def _write_sidecar(path, records: RecordTable, digest: str) -> None:
     with _replacing(sidecar) as fh, zipfile.ZipFile(fh, "w") as zf:
         for name, array in arrays.items():
             with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_TIME), "w", force_zip64=True) as out:
-                np.lib.format.write_array(out, array, allow_pickle=False)
+                if array.dtype.kind in "if" and array.ndim and array.flags.c_contiguous:
+                    # a numeric column: write_array's bytes, from its own buffer instead of a tobytes copy
+                    np.lib.format.write_array_header_1_0(out, np.lib.format.header_data_from_array_1_0(array))
+                    out.write(array.data)
+                else:
+                    np.lib.format.write_array(out, array, allow_pickle=False)
 
 
 def _records_from_sidecar(path) -> RecordTable | None:

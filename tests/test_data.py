@@ -10,6 +10,8 @@ import json
 import math
 import os
 import time
+import tracemalloc
+import zipfile
 from dataclasses import replace
 from itertools import product
 
@@ -23,6 +25,9 @@ from fedvra.data import (
     SplitPlan,
     SynthConfig,
     WARD_MIX,
+    _SYNTH_BLOCK,
+    _WINDOW_SECONDS,
+    _write_sidecar,
     _write_text,
     assign_institutions,
     features_matrix,
@@ -42,9 +47,11 @@ from fedvra.data import (
     split_index,
     split_time_test,
     ward_counts,
+    ward_direction,
 )
 from fedvra.errors import SplitInvariantError
 from fedvra.network import INPUT_DIM, init_model, params_json_pieces
+from fedvra.seeds import make_rng
 from fedvra.stats import ScoredSet, metric_bundle
 from params_dict import params_to_dict
 from record_rows import record, table
@@ -540,6 +547,60 @@ def test_generate_synthetic_signal_along_label_direction():
     assert auc > 0.85
 
 
+def whole_matrix_features(config: SynthConfig) -> np.ndarray:
+    """The generator's features as two sums over the whole matrix: the
+    generator's own draws, in its order, then the label shift and the ward
+    shift each added to every row at once."""
+    rng = make_rng(config.seed, "synthetic")
+    wards = list(WARD_MIX)
+    probs = np.array(list(WARD_MIX.values()), dtype=np.float64)
+    lo, hi = config.admissions_per_patient
+    patient_wards = rng.choice(len(wards), size=config.n_patients, p=probs / probs.sum())
+    n_admissions = rng.integers(lo, hi + 1, size=config.n_patients)
+    total = int(n_admissions.sum())
+    labels = np.zeros(total, dtype=np.int64)
+    labels[rng.permutation(total)[: int(round(config.positive_rate * total))]] = 1
+    rng.integers(0, _WINDOW_SECONDS, size=total)  # admission offsets
+    features = rng.standard_normal((total, INPUT_DIM))
+    ward_dirs = np.stack([ward_direction(w) for w in wards])
+    features += (config.class_separation * labels)[:, None] * label_direction()
+    features += (config.ward_shift * ward_dirs)[np.repeat(patient_wards, n_admissions)]
+    return features
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("n_records", [1, _SYNTH_BLOCK - 1, _SYNTH_BLOCK, _SYNTH_BLOCK + 1, 2 * _SYNTH_BLOCK + 3])
+def test_generate_synthetic_sums_in_blocks_to_the_whole_matrix_bits(n_records, seed):
+    config = SynthConfig(
+        n_patients=n_records, seed=seed, admissions_per_patient=(1, 1),
+        positive_rate=0.6, class_separation=1.7, ward_shift=0.9,
+    )
+    records = generate_synthetic(config)
+    assert len(records) == n_records and records.label.any()
+    assert records.features.tobytes() == whole_matrix_features(config).tobytes()
+
+
+def test_generate_synthetic_default_config_has_the_whole_matrix_bits():
+    config = SynthConfig(n_patients=700, seed=11, class_separation=2.0)
+    assert generate_synthetic(config).features.tobytes() == whole_matrix_features(config).tobytes()
+
+
+def test_generate_synthetic_holds_one_feature_matrix():
+    """10,000 records: the shifts are summed into the noise in row blocks,
+    so the peak is one feature matrix, the table's finiteness check (an
+    eighth of it) and small columns, not a second (records x INPUT_DIM)
+    temporary (2.05 x the matrix when the sums spanned every row)."""
+    config = SynthConfig(n_patients=5000, seed=1, admissions_per_patient=(2, 2), class_separation=2.0)
+    tracemalloc.start()
+    try:
+        records = generate_synthetic(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 10_000
+    assert peak < 1.3 * records.features.nbytes
+
+
 def test_features_matrix_returns_fresh_read_only_arrays():
     records = generate_synthetic(SynthConfig(n_patients=10, seed=1))
     for ids in (range(3), []):
@@ -706,6 +767,49 @@ def test_save_records_writes_the_same_sidecar_bytes_twice(tmp_path, monkeypatch)
     save_records(two, records)
     assert sidecar_of(one).read_bytes() == first == sidecar_of(two).read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.jsonl", "one.jsonl.npz", "two.jsonl", "two.jsonl.npz"]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sidecar_members_are_the_bytes_of_write_array(tmp_path, order):
+    """Every member holds what np.lib.format.write_array writes for its
+    array, from a C-ordered feature matrix (written from its own buffer) or
+    a Fortran-ordered one (left to write_array), with ids beyond ASCII."""
+    records = synthetic_records(n_patients=40, seed=13)
+    features = np.array(records.features, order=order)
+    features.setflags(write=False)
+    records = replace(records, patient_id=("Pé\U0001f600",) + records.patient_id[1:], features=features)
+    assert records.features.flags.f_contiguous == (order == "F")
+    digest = "0123456789abcdef" * 4
+    expected = {
+        "digest": np.array(digest),
+        "count": np.array(len(records), dtype=np.int64),
+        "patient_id": np.array(records.patient_id, dtype=str),
+        "ward": np.array(records.ward, dtype=str),
+        "admission_ts": records.admission_ts,
+        "label": records.label,
+        "features": records.features,
+    }
+    path = tmp_path / "data.jsonl"
+    _write_sidecar(path, records, digest)
+    with zipfile.ZipFile(sidecar_of(path)) as zf:
+        assert zf.namelist() == [name + ".npy" for name in expected]
+        for name, array in expected.items():
+            out = io.BytesIO()
+            np.lib.format.write_array(out, array, allow_pickle=False)
+            assert zf.read(name + ".npy") == out.getvalue(), name
+
+
+def test_write_sidecar_copies_no_feature_matrix(tmp_path):
+    """10,000 records: the feature matrix goes into the zip from its own
+    buffer (write_array's tobytes chunks held 0.72 x the matrix)."""
+    records = generate_synthetic(SynthConfig(n_patients=5000, seed=1, admissions_per_patient=(2, 2)))
+    tracemalloc.start()
+    try:
+        _write_sidecar(tmp_path / "data.jsonl", records, "0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < records.features.nbytes / 4
 
 
 def test_records_round_trip_without_any_record(tmp_path):

@@ -438,9 +438,9 @@ def _load_scored_sets(run_dir: Path) -> dict[str, dict[str, ScoredSet]]:
     return scored
 
 
-def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resamples: int):
+def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resamples: int, emit_distributions: bool):
     """The comparison.json payload, less config.run_dir, and the resample
-    values by dist_*.csv stem.
+    values by dist_*.csv stem: kept only with emit_distributions, else {}.
 
     Every (test set, measure) runs the BOOTSTRAP_ENTRIES. An entry is
     None when the point estimate of a treatment it scores is undefined.
@@ -477,7 +477,8 @@ def build_comparison(scored: dict[str, dict[str, ScoredSet]], seed: int, n_resam
                 else:
                     result, samples = bootstrap_diff(sets[key], sets[FEDERATED_KEY], measure, n_resamples, entry_seed)
                 cell[key] = asdict(result)
-                dists[f"dist_{set_name}_{measure}_{stem}"] = samples
+                if emit_distributions:
+                    dists[f"dist_{set_name}_{measure}_{stem}"] = samples
     return payload, dists
 
 
@@ -486,8 +487,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(opt["run"])
     out_dir = Path(opt["out"]) if opt["out"] else run_dir / "report"
     scored = _load_scored_sets(run_dir)
-    payload, dists = build_comparison(scored, opt["seed"], opt["bootstrap_n"])
-    dists = dists if args.emit_distributions else {}
+    payload, dists = build_comparison(scored, opt["seed"], opt["bootstrap_n"], args.emit_distributions)
     payload["config"]["run_dir"] = str(run_dir)
     curves = {}
     for key, sets in scored.items():

@@ -18,7 +18,6 @@ import math
 import os
 import time
 import zipfile
-import zlib
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -523,9 +522,10 @@ def load_records(path) -> RecordTable:
 
     The file is the source of truth. When its sidecar `<path>.npz` holds
     the SHA-256 of the file's current bytes, the table is built from the
-    sidecar's arrays instead of parsing every line; a missing, stale,
-    truncated or foreign sidecar is ignored. Either way RecordTable
-    checks every record. Loading never writes a sidecar.
+    sidecar's arrays instead of parsing every line. The sidecar is a
+    cache: one that is stale or cannot be read, whatever the reason, is
+    ignored. Either way RecordTable checks every record. Loading never
+    writes a sidecar.
     """
     cached = _records_from_sidecar(path)
     if cached is not None:
@@ -572,9 +572,6 @@ _SIDECAR_LAYOUT = {
     "features": ("f", 8, (-1, INPUT_DIM)),
 }
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
-# what opening the sidecar and reading its arrays raise when it is missing, damaged or foreign
-# (KeyError: a missing array; ValueError also: arrays the table rejects)
-_SIDECAR_READ_ERRORS = (OSError, ValueError, EOFError, KeyError, NotImplementedError, zipfile.BadZipFile, zlib.error)
 _HASH_BLOCK = 1 << 20
 
 
@@ -608,37 +605,34 @@ def _write_sidecar(path, records: RecordTable, digest: str) -> None:
     }
     with _replacing(sidecar) as fh, zipfile.ZipFile(fh, "w") as zf:
         for name, array in arrays.items():
+            # write_array's bytes of the C-ordered array, from its own buffer: only a Fortran-ordered one is copied
+            array = np.asarray(array, order="C")
             with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_TIME), "w", force_zip64=True) as out:
-                if array.dtype.kind in "if" and array.ndim and array.flags.c_contiguous:
-                    # a numeric column: write_array's bytes, from its own buffer instead of a tobytes copy
-                    np.lib.format.write_array_header_1_0(out, np.lib.format.header_data_from_array_1_0(array))
-                    out.write(array.data)
-                else:
-                    np.lib.format.write_array(out, array, allow_pickle=False)
+                np.lib.format.write_array_header_1_0(out, np.lib.format.header_data_from_array_1_0(array))
+                out.write(array.data)
 
 
 def _records_from_sidecar(path) -> RecordTable | None:
     """The records of `<path>.npz` if it was written for the file's
-    current bytes, else None."""
+    current bytes, else None. The sidecar is a cache, so any failure to
+    read it means parse the file."""
     try:
-        # opened here, not by np.load, which leaks its handle when the zip is truncated
-        with open(_sidecar_path(path), "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
-                return None
-            with npz:
-                if str(npz["digest"]) != _sha256_file(path):  # stale: its arrays are never read
+        with zipfile.ZipFile(_sidecar_path(path)) as zf:
+            arrays = {}
+            for name in _SIDECAR_LAYOUT:  # the digest first: a stale sidecar's other members are never read
+                with zf.open(name + ".npy") as member:
+                    arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+                if name == "digest" and str(arrays[name]) != _sha256_file(path):
                     return None
-                arrays = {name: npz[name] for name in _SIDECAR_LAYOUT}
         n = arrays["label"].size
         if not _layout_ok(arrays, n) or int(arrays["count"]) != n:
             return None
         numeric = {name: arrays[name] for name in ("admission_ts", "features", "label")}
-        for array in numeric.values():  # np.load's fresh view of a fresh array: frozen, the table adopts it
+        for array in numeric.values():  # read_array's fresh view of a fresh array: frozen, the table adopts it
             array.base.setflags(write=False)
             array.setflags(write=False)
         return RecordTable(tuple(arrays["patient_id"].tolist()), tuple(arrays["ward"].tolist()), **numeric)
-    except _SIDECAR_READ_ERRORS:  # no sidecar, or a damaged or foreign one: parse the file
+    except Exception:  # no sidecar, or a damaged or foreign one: parse the file
         return None
 
 

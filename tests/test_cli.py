@@ -16,10 +16,12 @@ import resource
 import shutil
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedvra
@@ -329,6 +331,49 @@ def test_split_drops_train_records_of_test_patients(tmp_path):
     test_patients = {records.patient_id[i] for i in plan.test_ids}
     for i in plan.dropped_ids:
         assert records.patient_id[i] in test_patients
+
+
+def header_flip_numpy_cannot_tokenize(blob):
+    """The first (offset, XOR mask) in an .npy header of the sidecar blob
+    whose flip makes np.load, reading every array, raise
+    tokenize.TokenError from numpy's header parser. (zipfile checks a
+    member's CRC once it has read the whole member, which it does on the
+    first read of a small one, so only a large member's header can do it.)"""
+    magic = np.lib.format.MAGIC_PREFIX
+    start = blob.find(magic)
+    while start >= 0:
+        length_at = start + len(magic) + 2  # after the magic string and the format version 1.0
+        header_len = int.from_bytes(blob[length_at : length_at + 2], "little")
+        for offset in range(length_at + 2, length_at + 2 + header_len):
+            for mask in (0x01, 0xFF):
+                flipped = bytearray(blob)
+                flipped[offset] ^= mask
+                try:
+                    with np.load(io.BytesIO(flipped), allow_pickle=False) as npz:
+                        [npz[name] for name in npz.files]
+                except tokenize.TokenError:
+                    return offset, mask
+                except Exception:
+                    pass
+        start = blob.find(magic, start + 1)
+    raise AssertionError("no header flip makes numpy's header parser raise TokenError")
+
+
+def test_split_beside_a_sidecar_numpy_cannot_parse_writes_the_intact_plan(chain, tmp_path):
+    """A sidecar byte flipped so that reading it raises what no reader
+    expects (tokenize.TokenError from numpy) sends split to the file."""
+    data = tmp_path / "data.jsonl"
+    shutil.copyfile(chain["data"], data)
+    blob = chain["data"].with_name("data.jsonl.npz").read_bytes()
+    offset, mask = header_flip_numpy_cannot_tokenize(blob)
+    flipped = bytearray(blob)
+    flipped[offset] ^= mask
+    data.with_name("data.jsonl.npz").write_bytes(flipped)
+    plan = tmp_path / "plan.json"
+    proc = cli_process("split", "--data", str(data), "--out", str(plan), "--seed", "9", "--folds", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert plan.read_bytes() == chain["plan"].read_bytes()
 
 
 def test_split_too_few_patients_exits_2(tmp_path):
@@ -1104,7 +1149,8 @@ def test_report_bad_score_values_name_the_file(chain, tmp_path, treatment, colum
 
 def test_build_comparison_reproduces_the_written_report(chain):
     scored = _load_scored_sets(chain["run"])
-    payload, dists = build_comparison(scored, 5, 200)
+    payload, dists = build_comparison(scored, 5, 200, emit_distributions=True)
+    assert build_comparison(scored, 5, 200, emit_distributions=False) == (payload, {})
     # the resample values of every defined bootstrap entry, by dist_*.csv stem
     want = {}
     for section, _, key, _, stem in BOOTSTRAP_ENTRIES:
@@ -1120,6 +1166,21 @@ def test_build_comparison_reproduces_the_written_report(chain):
     assert payload == json.loads((chain["report"] / "comparison.json").read_text())
     text = (chain["report"] / "comparison.txt").read_text()
     assert "\n".join(_render_text_report(payload)) + "\n" == text
+
+
+def test_build_comparison_keeps_no_distribution_it_will_not_write(chain):
+    """Without emit_distributions, no resample array outlives its entry:
+    at 2,000 resamples the 105 arrays alone would hold 1.68 MB, and
+    build_comparison's traced peak held them all (2.77 MB)."""
+    scored = _load_scored_sets(chain["run"])
+    tracemalloc.start()
+    try:
+        payload, dists = build_comparison(scored, 5, 2000, emit_distributions=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 5 * 7 * 2000 * 8  # what the 105 arrays alone would hold
+    assert dists == {}
 
 
 REPORT_COSTS = """

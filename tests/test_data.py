@@ -5,6 +5,7 @@ leakage checks re-derive patient and time invariants from raw sets
 rather than trusting the package's own verifier.
 """
 
+import functools
 import io
 import json
 import math
@@ -772,8 +773,9 @@ def test_save_records_writes_the_same_sidecar_bytes_twice(tmp_path, monkeypatch)
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_sidecar_members_are_the_bytes_of_write_array(tmp_path, order):
     """Every member holds what np.lib.format.write_array writes for its
-    array, from a C-ordered feature matrix (written from its own buffer) or
-    a Fortran-ordered one (left to write_array), with ids beyond ASCII."""
+    C-ordered array, with ids beyond ASCII: a C-ordered feature matrix is
+    written from its own buffer, a Fortran-ordered one from a C-ordered
+    copy, so the sidecar reads back as the layout load_records accepts."""
     records = synthetic_records(n_patients=40, seed=13)
     features = np.array(records.features, order=order)
     features.setflags(write=False)
@@ -787,7 +789,7 @@ def test_sidecar_members_are_the_bytes_of_write_array(tmp_path, order):
         "ward": np.array(records.ward, dtype=str),
         "admission_ts": records.admission_ts,
         "label": records.label,
-        "features": records.features,
+        "features": np.ascontiguousarray(records.features),
     }
     path = tmp_path / "data.jsonl"
     _write_sidecar(path, records, digest)
@@ -797,6 +799,16 @@ def test_sidecar_members_are_the_bytes_of_write_array(tmp_path, order):
             out = io.BytesIO()
             np.lib.format.write_array(out, array, allow_pickle=False)
             assert zf.read(name + ".npy") == out.getvalue(), name
+
+
+def test_fortran_ordered_features_load_from_the_sidecar(tmp_path, monkeypatch):
+    saved = synthetic_records(n_patients=12, seed=13)
+    records = replace(saved, features=np.asfortranarray(saved.features))
+    assert records.features.flags.f_contiguous and not records.features.flags.c_contiguous
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    monkeypatch.setattr("fedvra.data._parse_row", lambda line: pytest.fail("parsed a line"))
+    assert_same_records(saved, load_records(path))
 
 
 def test_write_sidecar_copies_no_feature_matrix(tmp_path):
@@ -866,6 +878,31 @@ def test_damaged_sidecar_falls_back_to_the_file(tmp_path, damage):
     sidecar = sidecar_of(path)
     sidecar.write_bytes(damage(sidecar.read_bytes()))
     assert_same_records(records, load_records(path))
+
+
+def test_no_single_byte_flip_of_the_sidecar_raises_or_changes_the_table(tmp_path, monkeypatch):
+    """Masks 0x01 and 0xFF on every byte of a 3-patient sidecar outside the
+    feature payload, and on a seeded sample of payload bytes: each load
+    returns the saved table and raises nothing, although reading a flipped
+    sidecar can raise anything (numpy's header parser raises
+    tokenize.TokenError, zipfile RuntimeError for a set encryption flag)."""
+    records = synthetic_records(n_patients=3, seed=13, admissions_per_patient=(1, 1))
+    path = tmp_path / "data.jsonl"
+    save_records(path, records)
+    # the file never changes, so each of its lines is parsed once, not once per flip
+    monkeypatch.setattr(fedvra.data, "_parse_row", functools.cache(_parse_row))
+    blob = sidecar_of(path).read_bytes()
+    start = blob.index(records.features.tobytes())
+    stop = start + records.features.nbytes
+    sampled = make_rng(0, "sidecar-flips").choice(np.arange(start, stop), 64, replace=False)
+    with open(sidecar_of(path), "r+b", buffering=0) as sidecar:  # unbuffered: each write reaches the file
+        for offset in [*range(start), *sorted(sampled.tolist()), *range(stop, len(blob))]:
+            for mask in (0x01, 0xFF):
+                sidecar.seek(offset)
+                sidecar.write(bytes([blob[offset] ^ mask]))
+                assert_same_records(records, load_records(path))
+            sidecar.seek(offset)
+            sidecar.write(blob[offset : offset + 1])
 
 
 def npy_bytes(array):
